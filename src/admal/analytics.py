@@ -22,7 +22,7 @@ from .ticlient import (
     NoReport,
     UndefinedRatio,
     agreement_fraction,
-    payload_to_report,
+    summary_to_report,
     threat_flag,
 )
 
@@ -120,29 +120,26 @@ def venn3(a: set, b: set, c: set) -> Venn3:
 def blocked_sets(repo: Repository, campaign_id: str) -> dict[str, set[str]]:
     """Per-provider sets of domains with a blocked verdict; inconclusive
     verdicts never enter a set (see dns_counts for their tally)."""
-    records = repo.query(campaign_id, kind=KIND_DNS)
-    if not records:
-        raise UnknownCampaign(campaign_id)
     sets: dict[str, set[str]] = {}
-    for record in records:
-        sets.setdefault(record.provider_id, set())
-        if record.payload.get("verdict") == BLOCKED:
-            sets[record.provider_id].add(record.domain)
+    for domain, provider_id, verdict in repo.summaries(campaign_id, KIND_DNS):
+        blocked = sets.setdefault(provider_id, set())
+        if verdict == BLOCKED:
+            blocked.add(domain)
+    if not sets:
+        raise UnknownCampaign(campaign_id)
     return sets
 
 
 def dns_counts(repo: Repository, campaign_id: str) -> dict[str, dict[str, int]]:
-    records = repo.query(campaign_id, kind=KIND_DNS)
-    if not records:
-        raise UnknownCampaign(campaign_id)
     counts: dict[str, dict[str, int]] = {}
-    for record in records:
+    for _domain, provider_id, verdict in repo.summaries(campaign_id, KIND_DNS):
         per = counts.setdefault(
-            record.provider_id, {BLOCKED: 0, NOT_BLOCKED: 0, INCONCLUSIVE: 0}
+            provider_id, {BLOCKED: 0, NOT_BLOCKED: 0, INCONCLUSIVE: 0}
         )
-        verdict = record.payload.get("verdict")
         if verdict in per:
             per[verdict] += 1
+    if not counts:
+        raise UnknownCampaign(campaign_id)
     return counts
 
 
@@ -345,7 +342,7 @@ def build_report(
 
     if corpus_size is None:
         corpus_size = manifest.get("domains") or len(
-            {r.domain for r in repo.query(campaign_id, kind=KIND_DNS)}
+            {domain for domain, _p, _v in repo.summaries(campaign_id, KIND_DNS)}
         )
     if corpus_size <= 0:
         raise ZeroBase("corpus size unknown or zero")
@@ -377,9 +374,11 @@ def build_report(
         venn = Venn3.from_sets(*(sets[p] for p in venn_order))
 
     ti = None
-    ti_records = repo.query(campaign_id, kind=KIND_TI)
-    if ti_records:
-        results = [payload_to_report(r.domain, r.payload) for r in ti_records]
+    results = [
+        summary_to_report(domain, summary)
+        for domain, _provider, summary in repo.summaries(campaign_id, KIND_TI)
+    ]
+    if results:
         ti = ti_stats(
             results,
             matcher,

@@ -201,7 +201,10 @@ def _ti_provider(cfg: PipelineConfig):
     if cfg.ti_mode == TI_FIXTURE:
         if not os.path.exists(cfg.ti_fixture):
             raise ConfigError(f"ti fixture not found: {cfg.ti_fixture}")
-        return FixtureTiProvider(cfg.ti_fixture)
+        try:
+            return FixtureTiProvider(cfg.ti_fixture)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if cfg.ti_mode == TI_LIVE:
         return LiveTiProvider(cfg.ti_base_url, **cfg.ti_options)
     raise ConfigError("ti.mode is 'off'; nothing to fetch")

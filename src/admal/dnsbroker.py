@@ -410,8 +410,8 @@ def run_campaign(
     """Emit exactly one verdict per (domain, profile) pair into the repo.
 
     Already-stored pairs are skipped, so an interrupted campaign resumes
-    cleanly.  Network failures become inconclusive verdicts; only storage
-    failures abort the run.
+    cleanly.  Network failures and names the wire format cannot carry become
+    inconclusive verdicts; only storage failures abort the run.
     """
     if not profiles:
         raise ValueError("at least one resolver profile is required")
@@ -426,6 +426,8 @@ def run_campaign(
         for profile in profiles
         if (domain, profile.provider_id) not in existing
     ]
+    pending = {domain for domain, _profile in tasks}
+    unencodable = {domain for domain in pending if not _encodable(domain)}
     summary = CampaignSummary(
         campaign_id=campaign_id,
         domains=len(domains),
@@ -437,10 +439,13 @@ def run_campaign(
     summary.started = prior.get("started") or utc_now_rfc3339()
 
     def work(domain: str, profile: ResolverProfile) -> ProviderVerdict:
+        evidence: dict = {"filtered": None, "control": None, "matched_signature": None}
+        if domain in unencodable:
+            return ProviderVerdict(domain, profile.provider_id, INCONCLUSIVE,
+                                   "unencodable-name", evidence, utc_now_rfc3339())
         bucket = buckets[profile.provider_id]
         bucket.acquire()
         queried_at = utc_now_rfc3339()
-        evidence: dict = {"filtered": None, "control": None, "matched_signature": None}
         try:
             filtered = query_fn(profile.filtered_address, domain, qtype, profile)
         except QueryTimeout:
@@ -527,9 +532,17 @@ def run_campaign(
     return summary
 
 
+def _encodable(domain: str) -> bool:
+    try:
+        dnswire.encode_name(domain)
+    except ValueError:
+        return False
+    return True
+
+
 def _inconclusive_counts(repo, campaign_id, providers) -> dict:
     counts = {provider_id: 0 for provider_id in providers}
-    for record in repo.query(campaign_id, kind=KIND_DNS):
-        if record.payload.get("verdict") == INCONCLUSIVE:
-            counts[record.provider_id] = counts.get(record.provider_id, 0) + 1
+    for _domain, provider_id, verdict in repo.summaries(campaign_id, KIND_DNS):
+        if verdict == INCONCLUSIVE:
+            counts[provider_id] = counts.get(provider_id, 0) + 1
     return counts

@@ -1,17 +1,25 @@
 """Durable storage for per-(domain, provider) verdicts.
 
-An append-only JSONL log with a latest-wins in-memory view, chosen over a
-database so campaign data stays auditable and diffable.  One writer per
-repository instance; appends are flushed before the ack so a killed
-campaign can resume from exactly what reached the log.
+An append-only JSONL log, chosen over a database so campaign data stays
+auditable and diffable, indexed by a keydir in the manner of Bitcask: memory
+holds, for each (domain, provider, campaign) key, only its kind, the byte
+offset of its latest line and a small summary (the verdict for ``dns``, the
+status and five tallies for ``ti``, nothing for ``ad``).  Evidence and full
+payloads stay on disk and are read back by offset.  Opening a repository
+streams the log once, validating every line.  One writer per repository
+instance; appends are flushed before the ack so a killed campaign can resume
+from exactly what reached the log.
 """
 
 import json
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+
+from .ticlient import payload_summary
 
 KIND_DNS = "dns"
 KIND_TI = "ti"
@@ -19,6 +27,9 @@ KIND_AD = "ad"
 KINDS = (KIND_DNS, KIND_TI, KIND_AD)
 
 _FSYNC_EVERY = 1000
+
+_FIELDS = ("domain", "provider", "campaign", "kind", "payload", "ts")
+_KEY_FIELDS = ("domain", "provider", "campaign")
 
 
 class StorageError(Exception):
@@ -36,6 +47,42 @@ class RecordSchemaError(ValueError):
 def utc_now_rfc3339() -> str:
     """Current UTC time, RFC3339 with millisecond precision."""
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
+
+
+def _parse_line(line: str | bytes, line_no: int) -> dict:
+    """One log line as a validated record document."""
+    try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        doc = json.loads(line)
+    except UnicodeDecodeError:
+        raise RecordSchemaError(line_no, "not valid UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise RecordSchemaError(line_no, f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise RecordSchemaError(line_no, "record is not an object")
+    for name in _FIELDS:
+        if name not in doc:
+            raise RecordSchemaError(line_no, f"missing field {name!r}")
+    for name in _KEY_FIELDS:
+        if not isinstance(doc[name], str):
+            raise RecordSchemaError(line_no, f"{name} is not a string")
+    if doc["kind"] not in KINDS:
+        raise RecordSchemaError(line_no, f"unknown kind {doc['kind']!r}")
+    if not isinstance(doc["payload"], dict):
+        raise RecordSchemaError(line_no, "payload is not an object")
+    return doc
+
+
+def _summary(kind: str, payload: dict):
+    """What the keydir keeps of a payload; raises ValueError for a ``ti``
+    payload whose partner map disagrees with its tallies."""
+    if kind == KIND_DNS:
+        verdict = payload.get("verdict")
+        return sys.intern(verdict) if type(verdict) is str else verdict
+    if kind == KIND_TI:
+        return payload_summary(payload)
+    return None
 
 
 @dataclass(frozen=True)
@@ -66,33 +113,14 @@ class VerdictRecord:
         )
 
     @classmethod
-    def from_json_line(cls, line: str, line_no: int) -> "VerdictRecord":
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordSchemaError(line_no, f"invalid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise RecordSchemaError(line_no, "record is not an object")
-        try:
-            record = cls(
-                domain=doc["domain"],
-                provider_id=doc["provider"],
-                campaign_id=doc["campaign"],
-                kind=doc["kind"],
-                payload=doc["payload"],
-                recorded_at=doc["ts"],
-            )
-        except KeyError as exc:
-            raise RecordSchemaError(line_no, f"missing field {exc}") from None
-        if record.kind not in KINDS:
-            raise RecordSchemaError(line_no, f"unknown kind {record.kind!r}")
-        if not isinstance(record.payload, dict):
-            raise RecordSchemaError(line_no, "payload is not an object")
-        return record
+    def from_json_line(cls, line: str | bytes, line_no: int) -> "VerdictRecord":
+        doc = _parse_line(line, line_no)
+        return cls(doc["domain"], doc["provider"], doc["campaign"],
+                   doc["kind"], doc["payload"], doc["ts"])
 
 
 class Repository:
-    """Latest-wins view over an append-only log under ``root/records.jsonl``."""
+    """Latest-wins keydir over an append-only log under ``root/records.jsonl``."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -100,53 +128,77 @@ class Repository:
         (self.root / "manifests").mkdir(exist_ok=True)
         self.log_path = self.root / "records.jsonl"
         self._lock = threading.Lock()
-        self._view: dict[tuple[str, str, str], VerdictRecord] = {}
+        # (domain, provider, campaign) -> (kind, byte offset of its line, summary)
+        self._keydir: dict[tuple[str, str, str], tuple[str, int, object]] = {}
+        self._reader = None  # opened on the first read-back
         self._appends_since_sync = 0
-        self._replay()
+        self._size = self._replay()
         try:
-            self._fh = open(self.log_path, "a", encoding="utf-8")
+            self._fh = open(self.log_path, "ab")
         except OSError as exc:
             raise StorageError(f"cannot open log: {exc}") from exc
 
-    def _replay(self):
+    def _replay(self) -> int:
+        """Index every line of the log; returns the log's size in bytes."""
         if not self.log_path.exists():
-            return
+            return 0
+        intern = sys.intern
+        offset = 0
         with open(self.log_path, "rb+") as fh:
-            data = fh.read()
-            complete, tail = data, b""
-            if data and not data.endswith(b"\n"):
-                nl = data.rfind(b"\n")
-                complete, tail = (data[: nl + 1], data[nl + 1 :]) if nl >= 0 else (b"", data)
-            lines = complete.decode("utf-8").split("\n")
-            lines.pop()  # empty element after the final newline
-            for i, line in enumerate(lines, start=1):
-                if not line:
+            for line_no, raw in enumerate(fh, start=1):
+                if raw == b"\n":
+                    offset += 1
                     continue
                 try:
-                    record = VerdictRecord.from_json_line(line, i)
+                    doc = _parse_line(raw, line_no)
                 except RecordSchemaError:
-                    raise StorageError(f"corrupt log record at line {i}") from None
-                self._view[record.key] = record
-            if tail:
-                # a killed writer leaves a partial final line; keep it if it
-                # parses (only the newline was lost), otherwise drop it so the
-                # next append does not concatenate onto garbage
+                    if raw.endswith(b"\n"):
+                        raise StorageError(f"corrupt log record at line {line_no}") from None
+                    # a killed writer leaves a partial final line; drop it so
+                    # the next append does not concatenate onto garbage
+                    fh.truncate(offset)
+                    break
                 try:
-                    record = VerdictRecord.from_json_line(
-                        tail.decode("utf-8"), len(lines) + 1
-                    )
-                except (RecordSchemaError, UnicodeDecodeError):
-                    fh.truncate(len(complete))
-                else:
-                    self._view[record.key] = record
+                    summary = _summary(doc["kind"], doc["payload"])
+                except ValueError as exc:
+                    raise StorageError(f"corrupt log record at line {line_no}: {exc}") from None
+                key = (intern(doc["domain"]), intern(doc["provider"]), intern(doc["campaign"]))
+                self._keydir[key] = (intern(doc["kind"]), offset, summary)
+                offset += len(raw)
+                if not raw.endswith(b"\n"):
+                    # the final line parses and only its newline was lost
+                    fh.seek(offset)
                     fh.write(b"\n")
+                    offset += 1
+        return offset
+
+    def _read(self, offset: int) -> VerdictRecord:
+        """The full record whose line starts at ``offset``; caller holds the lock."""
+        if self._reader is None:
+            self._reader = open(self.log_path, "rb")
+        self._reader.seek(offset)
+        try:
+            return VerdictRecord.from_json_line(self._reader.readline(), 0)
+        except RecordSchemaError:
+            raise StorageError(f"corrupt log record at byte {offset}") from None
+
+    def _sorted_records(self, keys) -> list:
+        """(key, offset) pairs of the given keys in (domain, provider) order."""
+        keydir = self._keydir
+        return sorted(((key, keydir[key][1]) for key in keys), key=lambda item: item[0][:2])
 
     def upsert(self, record: VerdictRecord) -> None:
-        """Append the record; the log write is flushed before returning."""
-        line = record.to_json()
+        """Append the record; the log write is flushed before returning.
+        A ``ti`` payload whose partner map disagrees with its tallies raises
+        ValueError and is not written."""
+        summary = _summary(record.kind, record.payload)
+        line = (record.to_json() + "\n").encode("utf-8")
+        intern = sys.intern
+        key = (intern(record.domain), intern(record.provider_id), intern(record.campaign_id))
         with self._lock:
+            offset = self._size
             try:
-                self._fh.write(line + "\n")
+                self._fh.write(line)
                 self._fh.flush()
                 self._appends_since_sync += 1
                 if self._appends_since_sync >= _FSYNC_EVERY:
@@ -154,11 +206,13 @@ class Repository:
                     self._appends_since_sync = 0
             except OSError as exc:
                 raise StorageError(f"log append failed: {exc}") from exc
-            self._view[record.key] = record
+            self._size += len(line)
+            self._keydir[key] = (intern(record.kind), offset, summary)
 
     def get(self, domain: str, provider_id: str, campaign_id: str) -> VerdictRecord | None:
         with self._lock:
-            return self._view.get((domain, provider_id, campaign_id))
+            entry = self._keydir.get((domain, provider_id, campaign_id))
+            return self._read(entry[1]) if entry is not None else None
 
     def query(
         self,
@@ -168,36 +222,53 @@ class Repository:
     ) -> list[VerdictRecord]:
         """Latest records for a campaign, sorted by (domain, provider)."""
         with self._lock:
-            records = [
-                r
-                for r in self._view.values()
-                if r.campaign_id == campaign_id
-                and (provider_id is None or r.provider_id == provider_id)
-                and (kind is None or r.kind == kind)
+            keys = [
+                key
+                for key, (k, _offset, _summary) in self._keydir.items()
+                if key[2] == campaign_id
+                and (provider_id is None or key[1] == provider_id)
+                and (kind is None or k == kind)
             ]
-        records.sort(key=lambda r: (r.domain, r.provider_id))
-        return records
+            return [self._read(offset) for _key, offset in self._sorted_records(keys)]
+
+    def summaries(self, campaign_id: str, kind: str):
+        """Yield (domain, provider, summary) of a campaign's records of one
+        kind, in no set order, without reading the log.  The summary is the
+        verdict string for ``dns``, (status, harmless, undetected,
+        suspicious, malicious, timeout) for ``ti`` and None for ``ad``."""
+        with self._lock:
+            keys = [key for key, entry in self._keydir.items()
+                    if key[2] == campaign_id and entry[0] == kind]
+        keydir = self._keydir
+        for key in keys:
+            # keys are never removed, but an upsert may have changed the kind
+            entry_kind, _offset, summary = keydir[key]
+            if entry_kind == kind:
+                yield key[0], key[1], summary
 
     def existing_pairs(self, campaign_id: str, kind: str) -> set[tuple[str, str]]:
-        with self._lock:
-            return {
-                (r.domain, r.provider_id)
-                for r in self._view.values()
-                if r.campaign_id == campaign_id and r.kind == kind
-            }
+        return {(domain, provider_id)
+                for domain, provider_id, _summary in self.summaries(campaign_id, kind)}
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._view)
+            return len(self._keydir)
+
+    def _write_sorted(self, fh) -> list:
+        """Write every latest record to ``fh`` in (domain, provider) order;
+        returns (key, new offset) pairs as they would sit in that file."""
+        placed, offset = [], 0
+        for key, old_offset in self._sorted_records(self._keydir):
+            line = (self._read(old_offset).to_json() + "\n").encode("utf-8")
+            fh.write(line)
+            placed.append((key, offset))
+            offset += len(line)
+        return placed
 
     def export(self, path) -> int:
         """Write the latest-wins view as sorted JSONL; returns record count."""
-        with self._lock:
-            records = sorted(self._view.values(), key=lambda r: (r.domain, r.provider_id))
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(record.to_json() + "\n")
-        return len(records)
+        with self._lock, open(path, "wb") as fh:
+            return len(self._write_sorted(fh))
 
     def import_records(self, path) -> int:
         """Ingest an exported JSONL file; idempotent for repeated imports."""
@@ -208,26 +279,34 @@ class Repository:
                 if not line:
                     continue
                 record = VerdictRecord.from_json_line(line, line_no)
-                self.upsert(record)
+                try:
+                    self.upsert(record)
+                except ValueError as exc:
+                    raise RecordSchemaError(line_no, str(exc)) from None
                 count += 1
         return count
 
     def compact(self) -> None:
         """Rewrite the log with only the latest record per key."""
         with self._lock:
-            records = sorted(self._view.values(), key=lambda r: (r.domain, r.provider_id))
             tmp = self.log_path.with_suffix(".jsonl.tmp")
             try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    for record in records:
-                        fh.write(record.to_json() + "\n")
+                with open(tmp, "wb") as fh:
+                    placed = self._write_sorted(fh)
                     fh.flush()
                     os.fsync(fh.fileno())
+                    size = fh.tell()
                 self._fh.close()
+                self._close_reader()
                 os.replace(tmp, self.log_path)
-                self._fh = open(self.log_path, "a", encoding="utf-8")
+                self._fh = open(self.log_path, "ab")
             except OSError as exc:
                 raise StorageError(f"compaction failed: {exc}") from exc
+            keydir = self._keydir
+            for key, offset in placed:
+                kind, _old, summary = keydir[key]
+                keydir[key] = (kind, offset, summary)
+            self._size = size
 
     def manifest_path(self, campaign_id: str) -> Path:
         return self.root / "manifests" / f"{campaign_id}.json"
@@ -249,8 +328,14 @@ class Repository:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
 
+    def _close_reader(self) -> None:
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
+
     def close(self) -> None:
         with self._lock:
+            self._close_reader()
             if not self._fh.closed:
                 self._fh.flush()
                 os.fsync(self._fh.fileno())

@@ -146,6 +146,29 @@ def payload_to_report(domain: str, payload: dict) -> "TiReport | NoReport":
     )
 
 
+def payload_summary(payload: dict) -> tuple:
+    """The (status, harmless, undetected, suspicious, malicious, timeout)
+    tuple a repository keeps in memory for a stored payload.  Reports are
+    rebuilt from it alone, so a partner map is checked against the tallies
+    here; raises ValueError when they disagree."""
+    if payload.get("partners") is not None:
+        try:
+            payload_to_report("", payload)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"bad TI payload: {exc!r}") from None
+    return (payload.get("status"), payload.get("harmless"), payload.get("undetected"),
+            payload.get("suspicious"), payload.get("malicious"), payload.get("timeout", 0))
+
+
+def summary_to_report(domain: str, summary: tuple) -> "TiReport | NoReport":
+    """Rebuild a report from a payload_summary tuple; partner maps are not
+    kept."""
+    status, *tallies = summary
+    if status == "no_report":
+        return NoReport(domain)
+    return TiReport(domain, *map(int, tallies))
+
+
 class FixtureTiProvider:
     """Serve reports from a JSONL file; domains absent from the file get
     NoReport.  Line shape: {"domain": ..., "harmless": n, ...}."""
@@ -153,23 +176,26 @@ class FixtureTiProvider:
     def __init__(self, path: str):
         self.path = path
         self._reports: dict[str, TiReport] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                doc = json.loads(line)
-                domain = doc["domain"]
-                self._reports[domain] = TiReport(
-                    domain=domain,
-                    harmless=int(doc.get("harmless", 0)),
-                    undetected=int(doc.get("undetected", 0)),
-                    suspicious=int(doc.get("suspicious", 0)),
-                    malicious=int(doc.get("malicious", 0)),
-                    timeout=int(doc.get("timeout", 0)),
-                    partner_verdicts=doc.get("partners"),
-                    fetched_at=doc.get("fetched_at", ""),
-                )
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    doc = json.loads(line)
+                    report = TiReport(
+                        domain=doc["domain"],
+                        harmless=int(doc.get("harmless", 0)),
+                        undetected=int(doc.get("undetected", 0)),
+                        suspicious=int(doc.get("suspicious", 0)),
+                        malicious=int(doc.get("malicious", 0)),
+                        timeout=int(doc.get("timeout", 0)),
+                        partner_verdicts=doc.get("partners"),
+                        fetched_at=doc.get("fetched_at", ""),
+                    )
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise ValueError(f"{path} line {line_no}: bad report: {exc}") from None
+                self._reports[report.domain] = report
 
     def lookup(self, domain: str) -> "TiReport | NoReport":
         return self._reports.get(domain) or NoReport(domain)
@@ -304,23 +330,34 @@ class TiClient:
         self._fh = open(cache_path, "a", encoding="utf-8")
 
     def _load_cache(self) -> None:
+        # imported here because the repository imports this module
+        from .repository import StorageError
+
         if not os.path.exists(self.cache_path):
             return
-        with open(self.cache_path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        for i, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                result = payload_to_report(doc["domain"], doc)
-            except (ValueError, KeyError):
-                # a torn final line means the last write was cut short
-                if i == len(lines) or (i == len(lines) - 1 and not lines[-1]):
-                    log.warning("dropping torn cache line in %s", self.cache_path)
-                    continue
-                raise
-            self._cache[result.domain] = result
+        with open(self.cache_path, "rb+") as fh:
+            offset = 0
+            for line_no, raw in enumerate(fh, start=1):
+                if raw.strip():
+                    try:
+                        doc = json.loads(raw.decode("utf-8"))
+                        result = payload_to_report(doc["domain"], doc)
+                    except (ValueError, KeyError, TypeError, AttributeError):
+                        if fh.read(1):
+                            raise StorageError(
+                                f"corrupt TI cache line {line_no} in {self.cache_path}"
+                            ) from None
+                        # a corrupt final line means the last write was cut
+                        # short, perhaps with a later append glued onto it;
+                        # cut it off so the next append starts a fresh line
+                        log.warning("dropping torn cache line in %s", self.cache_path)
+                        fh.truncate(offset)
+                        break
+                    self._cache[result.domain] = result
+                offset += len(raw)
+            else:
+                if offset and not raw.endswith(b"\n"):
+                    fh.write(b"\n")
 
     def fetch(self, domain: str) -> "TiReport | NoReport":
         cached = self._cache.get(domain)

@@ -261,6 +261,52 @@ class TestTiFetch:
         assert docs[-1]["unfetched"] == 1
         assert docs[-1]["fetched"] == 9
 
+    def run_with_log(self, capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, parse_stdout(captured.out), [
+            json.loads(line) for line in captured.err.splitlines()]
+
+    def test_bad_fixture_line_is_config_error(self, env, capsys):
+        cfg = self.fixture_config(env)
+        fixture = env.tmp / "ti.jsonl"
+        fixture.write_text(fixture.read_text() + '{"domain": "d7.example", "harmless": \n')
+        assert run(capsys, "ingest", "--config", cfg)[0] == 0
+        code, docs, logs = self.run_with_log(capsys, "ti-fetch", "--config", cfg)
+        assert code == 1
+        assert docs == []
+        assert logs[-1]["level"] == "error"
+        assert f"{fixture} line 7" in logs[-1]["msg"]
+
+    def test_corrupt_cache_line_is_storage_error(self, env, capsys):
+        cfg = self.fixture_config(env)
+        assert run(capsys, "ingest", "--config", cfg)[0] == 0
+        cache = env.tmp / "repo" / "ti-cache.jsonl"
+        cache.write_text('{"domain": "d0.exa\n{"domain":"d1.example","status":"no_report"}\n')
+        code, _docs, logs = self.run_with_log(capsys, "ti-fetch", "--config", cfg)
+        assert code == 2
+        assert "corrupt TI cache line 1" in logs[-1]["msg"]
+
+    # a write cut short, and one with a later append glued onto it
+    @pytest.mark.parametrize("tail", [
+        '{"domain": "d0.exa',
+        '{"domain": "d0.exa{"domain":"d1.example","status":"no_report"}\n',
+    ])
+    def test_torn_final_cache_line_dropped(self, env, capsys, tail):
+        cfg = self.fixture_config(env)
+        assert run(capsys, "ingest", "--config", cfg)[0] == 0
+        cache = env.tmp / "repo" / "ti-cache.jsonl"
+        cache.write_text('{"domain":"d9.example","status":"no_report"}\n' + tail)
+        code, docs, logs = self.run_with_log(capsys, "ti-fetch", "--config", cfg)
+        assert code == 0
+        assert docs[-1]["fetched"] == 10
+        assert docs[-1]["remote_requests"] == 9
+        assert any("torn cache line" in doc["msg"] for doc in logs)
+        # the fragment is gone, so the appended reports load cleanly
+        lines = cache.read_text().splitlines()
+        assert len(lines) == 10
+        assert all(json.loads(line)["domain"] for line in lines)
+
     def test_fetch_with_ti_off_is_usage_error(self, env, capsys):
         assert run(capsys, "ingest", "--config", env.config)[0] == 0
         code, _ = run(capsys, "ti-fetch", "--config", env.config)

@@ -488,6 +488,23 @@ class TestRunCampaign:
         backward = verdicts(list(reversed(domains)), tmp_path / "b")
         assert forward == backward
 
+    def test_unencodable_name_becomes_inconclusive(self, tmp_path):
+        domains = ["ok.example", "bad..example"]
+        profiles = self.make_profiles(2)
+        with Repository(tmp_path / "repo") as repo:
+            summary = run_campaign(domains, profiles, CampaignLimits(2, 1000.0),
+                                   repo, "c1", query_fn=stub_query_fn(set()))
+            assert summary.written == 4
+            assert summary.inconclusive == {"prov0": 1, "prov1": 1}
+            for provider in ("prov0", "prov1"):
+                payload = repo.get("bad..example", provider, "c1").payload
+                assert payload["verdict"] == INCONCLUSIVE
+                assert payload["reason"] == "unencodable-name"
+            rerun = run_campaign(domains, profiles, CampaignLimits(2, 1000.0),
+                                 repo, "c1", query_fn=stub_query_fn(set()))
+            assert rerun.written == 0
+            assert rerun.skipped_existing == 4
+
     def test_requires_profiles(self, tmp_path):
         with Repository(tmp_path / "repo") as repo:
             with pytest.raises(ValueError):

@@ -3,17 +3,21 @@ import re
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admal.repository import (
     KIND_AD,
     KIND_DNS,
     KIND_TI,
+    KINDS,
     RecordSchemaError,
     Repository,
     StorageError,
     VerdictRecord,
     utc_now_rfc3339,
 )
+from admal.ticlient import payload_to_report, summary_to_report
 
 TS = "2024-06-01T00:00:00.000Z"
 
@@ -83,6 +87,28 @@ class TestLatestWins:
         with Repository(tmp_path) as repo:
             assert len(repo) == 2
             assert repo.get("d.example", "quad9", "c1") is not None
+
+    def test_partner_map_must_match_tallies(self, tmp_path):
+        tallies = {"status": "report", "harmless": 1, "undetected": 0,
+                   "suspicious": 0, "malicious": 1, "timeout": 0}
+        good = rec(provider="ti", kind=KIND_TI,
+                   payload={**tallies, "partners": {"p1": "harmless", "p2": "malicious"}})
+        bad = rec(domain="e.example", provider="ti", kind=KIND_TI,
+                  payload={**tallies, "partners": {"p1": "harmless", "p2": "harmless"}})
+        with Repository(tmp_path) as repo:
+            repo.upsert(good)
+            with pytest.raises(ValueError, match="tally"):
+                repo.upsert(bad)
+            assert len(repo) == 1
+        export = tmp_path / "bad.jsonl"
+        export.write_text(good.to_json() + "\n" + bad.to_json() + "\n")
+        with Repository(tmp_path) as repo:
+            with pytest.raises(RecordSchemaError, match="line 2"):
+                repo.import_records(export)
+        log = tmp_path / "records.jsonl"
+        log.write_text(log.read_text() + bad.to_json() + "\n")
+        with pytest.raises(StorageError, match="corrupt log record at line 3"):
+            Repository(tmp_path)
 
     def test_overwrite_survives_reopen(self, tmp_path):
         with Repository(tmp_path) as repo:
@@ -170,11 +196,12 @@ class TestCrashTolerance:
     def test_interior_corruption_raises(self, tmp_path):
         self.seed(tmp_path)
         log = tmp_path / "records.jsonl"
-        lines = log.read_text().splitlines()
-        lines[0] = lines[0][:20]
-        log.write_text("\n".join(lines) + "\n")
-        with pytest.raises(StorageError, match="line 1"):
-            Repository(tmp_path)
+        good = log.read_bytes()
+        first, rest = good.split(b"\n", 1)
+        for corrupt in (first[:20], first[:20] + b"\xff\xfe" + first[22:]):
+            log.write_bytes(corrupt + b"\n" + rest)
+            with pytest.raises(StorageError, match="corrupt log record at line 1"):
+                Repository(tmp_path)
 
     def test_repeated_kill_recover_cycles(self, tmp_path):
         log = tmp_path / "records.jsonl"
@@ -267,3 +294,103 @@ class TestConcurrency:
             assert len(repo) == 2000
         with Repository(tmp_path) as repo:
             assert len(repo) == 2000
+
+
+# -- keydir against a plain dict model ---------------------------------------
+
+_tally = st.integers(0, 3)
+_payloads = {
+    KIND_DNS: st.builds(
+        lambda verdict, n: {"verdict": verdict, "reason": None, "evidence": {"n": n}},
+        st.sampled_from(["blocked", "not_blocked", "inconclusive"]), st.integers(0, 9)),
+    KIND_TI: st.one_of(
+        st.just({"status": "no_report", "fetched_at": ""}),
+        st.builds(
+            lambda h, u, s, m, t: {"status": "report", "harmless": h, "undetected": u,
+                                   "suspicious": s, "malicious": m, "timeout": t,
+                                   "fetched_at": ""},
+            _tally, _tally, _tally, _tally, _tally)),
+    KIND_AD: st.builds(lambda is_ad: {"is_ad": is_ad}, st.booleans()),
+}
+_records = st.sampled_from(KINDS).flatmap(lambda kind: st.builds(
+    VerdictRecord,
+    domain=st.sampled_from(["a.example", "b.example", "c.example"]),
+    provider_id=st.sampled_from(["quad9", "cisco"]),
+    campaign_id=st.sampled_from(["c1", "c2"]),
+    kind=st.just(kind),
+    payload=_payloads[kind],
+    recorded_at=st.just(TS),
+))
+# a step upserts a record or reopens the repository, optionally after a
+# crash left a torn fragment or a whole last line without its newline
+_steps = st.one_of(
+    st.tuples(st.just("upsert"), _records),
+    st.tuples(st.just("reopen"), st.one_of(st.none(), st.just(b'{"domain":"to'), _records)),
+)
+
+
+def _model_summary(record):
+    """What a summary tells analyze: the verdict, the rebuilt TI report, or
+    nothing."""
+    if record.kind == KIND_DNS:
+        return record.payload["verdict"]
+    if record.kind == KIND_TI:
+        return payload_to_report(record.domain, record.payload)
+    return None
+
+
+def _seen_summary(kind, domain, summary):
+    return summary_to_report(domain, summary) if kind == KIND_TI else summary
+
+
+def _check_against_model(repo, model, export_path):
+    assert len(repo) == len(model)
+    for key, record in model.items():
+        assert repo.get(*key) == record
+    assert repo.get("absent.example", "quad9", "c1") is None
+    in_order = sorted(model.values(), key=lambda r: (r.domain, r.provider_id))
+    for campaign in ("c1", "c2"):
+        mine = [r for r in in_order if r.campaign_id == campaign]
+        assert repo.query(campaign) == mine
+        assert repo.query(campaign, provider_id="cisco") == [
+            r for r in mine if r.provider_id == "cisco"]
+        for kind in KINDS:
+            of_kind = [r for r in mine if r.kind == kind]
+            assert repo.query(campaign, kind=kind) == of_kind
+            assert repo.existing_pairs(campaign, kind) == {
+                (r.domain, r.provider_id) for r in of_kind}
+            seen = [(d, p, _seen_summary(kind, d, s)) for d, p, s in repo.summaries(campaign, kind)]
+            assert sorted(seen, key=repr) == sorted(
+                ((r.domain, r.provider_id, _model_summary(r)) for r in of_kind), key=repr)
+    assert repo.export(export_path) == len(model)
+    assert export_path.read_text() == "".join(r.to_json() + "\n" for r in in_order)
+
+
+class TestKeydirModel:
+    # directories come from the session-scoped factory: hypothesis reruns the
+    # test body many times, and each example needs a fresh repository
+    @given(steps=st.lists(_steps, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dict_model(self, tmp_path_factory, steps):
+        root = tmp_path_factory.mktemp("keydir")
+        model = {}
+        repo = Repository(root)
+        try:
+            for step_no, (action, arg) in enumerate(steps):
+                if action == "upsert":
+                    repo.upsert(arg)
+                    model[arg.key] = arg
+                else:
+                    repo.close()
+                    if isinstance(arg, VerdictRecord):
+                        tail = arg.to_json().encode()
+                        model[arg.key] = arg
+                    else:
+                        tail = arg or b""
+                    with open(root / "records.jsonl", "ab") as fh:
+                        fh.write(tail)
+                    repo = Repository(root)
+                # a fresh file per step: truncating one can force a disk flush
+                _check_against_model(repo, model, root / f"export-{step_no}.jsonl")
+        finally:
+            repo.close()
