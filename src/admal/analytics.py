@@ -431,9 +431,17 @@ def emit_report(report: AnalysisReport, out_dir: str, formats=("json", "plotdata
     written = []
 
     def _write(name: str, text: str):
+        # Write aside, unlink the old file, then rename: truncating an existing
+        # file, or renaming over one, makes ext4 flush it synchronously
+        # (auto_da_alloc), which costs hundreds of ms per rewritten report.
         path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        os.rename(path + ".tmp", path)
         written.append(path)
 
     if "json" in formats:

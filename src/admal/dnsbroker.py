@@ -8,16 +8,12 @@ blocked when the configured signature matches the filtered answer and the
 control (when queried) still resolves it.
 """
 
+import contextvars
 import logging
-import random
-import socket
-import struct
-import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
-from threading import Event, Lock
+from dataclasses import dataclass, field
 
 from . import dnswire
+from .dnsclient import DnsClient, QueryTimeout
 from .dnswire import DnsResponse, MalformedMessage
 from .repository import KIND_DNS, Repository, VerdictRecord, utc_now_rfc3339
 
@@ -34,10 +30,6 @@ SIG_REFUSED = "refused"
 SIG_ZERO_ANSWER = "zero_answer_noerror"
 
 _SINKHOLE_KINDS = (SIG_SINKHOLE_A, SIG_SINKHOLE_AAAA)
-
-
-class QueryTimeout(Exception):
-    """No response within the profile's timeout after all retries."""
 
 
 @dataclass(frozen=True)
@@ -81,8 +73,22 @@ class BlockSignature:
 
 
 def _parse_address(value: str) -> tuple[str, int]:
+    """``host``, ``host:port``, ``[v6]``, ``[v6]:port`` or a bare IPv6
+    address; the port defaults to 53."""
+    if value.startswith("["):
+        host, bracket, rest = value[1:].partition("]")
+        if not bracket or (rest and not rest.startswith(":")):
+            raise ValueError(f"bad resolver address {value!r}")
+        return host, int(rest[1:]) if rest else 53
+    if value.count(":") > 1:
+        return value, 53
     host, _, port = value.rpartition(":")
     return (host or value, int(port) if host else 53)
+
+
+def _format_address(address: tuple[str, int]) -> str:
+    host, port = address
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
 
 
 @dataclass(frozen=True)
@@ -122,14 +128,14 @@ class ResolverProfile:
         doc = {
             "provider_id": self.provider_id,
             "display_name": self.display_name,
-            "filtered_address": "%s:%d" % self.filtered_address,
+            "filtered_address": _format_address(self.filtered_address),
             "transport": self.transport,
             "blocked_signatures": [s.to_config() for s in self.blocked_signatures],
             "timeout_ms": self.timeout_ms,
             "retries": self.retries,
         }
         if self.control_address:
-            doc["control_address"] = "%s:%d" % self.control_address
+            doc["control_address"] = _format_address(self.control_address)
         return doc
 
 
@@ -264,106 +270,10 @@ class ProviderVerdict:
         )
 
 
-def _query_udp(address, message, txid, timeout_ms) -> DnsResponse:
-    deadline = time.monotonic() + timeout_ms / 1000.0
-    started = time.monotonic()
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        sock.sendto(message, address)
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise socket.timeout()
-            sock.settimeout(remaining)
-            data, _ = sock.recvfrom(4096)
-            response = dnswire.parse_response(data)
-            if response.txid == txid:
-                latency = int((time.monotonic() - started) * 1000)
-                return replace(response, latency_ms=latency)
-            # stray datagram with a foreign id: keep waiting
-
-
-def _query_tcp(address, message, txid, timeout_ms) -> DnsResponse:
-    started = time.monotonic()
-    with socket.create_connection(address, timeout=timeout_ms / 1000.0) as sock:
-        sock.settimeout(timeout_ms / 1000.0)
-        sock.sendall(struct.pack("!H", len(message)) + message)
-        header = _recv_exact(sock, 2)
-        (length,) = struct.unpack("!H", header)
-        data = _recv_exact(sock, length)
-    response = dnswire.parse_response(data)
-    if response.txid != txid:
-        raise MalformedMessage("TCP response id mismatch")
-    latency = int((time.monotonic() - started) * 1000)
-    return replace(response, latency_ms=latency)
-
-
-def _recv_exact(sock, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise MalformedMessage("TCP stream closed mid-message")
-        buf += chunk
-    return buf
-
-
-def query_endpoint(
-    address: tuple[str, int],
-    domain: str,
-    qtype: int = dnswire.TYPE_A,
-    *,
-    timeout_ms: int = 3000,
-    retries: int = 2,
-    transport: str = "udp+tcp",
-) -> DnsResponse:
-    """One resolution attempt chain: UDP first, TCP on truncation, retries
-    on timeout.  Raises QueryTimeout / MalformedMessage / OSError."""
-    txid = random.getrandbits(16)
-    message = dnswire.build_query(domain, qtype, txid)
-    for _attempt in range(retries + 1):
-        try:
-            if transport == "tcp":
-                return _query_tcp(address, message, txid, timeout_ms)
-            response = _query_udp(address, message, txid, timeout_ms)
-            if response.truncated:
-                return _query_tcp(address, message, txid, timeout_ms)
-            return response
-        except socket.timeout:
-            continue
-    raise QueryTimeout(f"{domain} via {address[0]}:{address[1]}")
-
-
-class TokenBucket:
-    """Simple blocking rate limiter: ``rate`` acquisitions per second."""
-
-    def __init__(self, rate: float, burst: float | None = None):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = rate
-        self.capacity = burst if burst is not None else max(1.0, rate)
-        self._tokens = self.capacity
-        self._updated = time.monotonic()
-        self._lock = Lock()
-
-    def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                self._tokens = min(
-                    self.capacity, self._tokens + (now - self._updated) * self.rate
-                )
-                self._updated = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self.rate
-            time.sleep(min(wait, 0.05))
-
-
 @dataclass
 class CampaignLimits:
     max_inflight: int = 64
-    per_provider_qps: float = 20.0
+    per_provider_qps: float = 20.0  # per endpoint address, control queries included
 
     def __post_init__(self):
         if self.max_inflight < 1:
@@ -385,15 +295,26 @@ class CampaignSummary:
     interrupted: bool = False
 
 
-def _default_query_fn(address, domain, qtype, profile):
-    return query_endpoint(
-        address,
-        domain,
-        qtype,
-        timeout_ms=profile.timeout_ms,
-        retries=profile.retries,
-        transport=profile.transport,
+# The campaign's DnsClient, for the default query_fn: the query_fn seam,
+# (address, domain, qtype, profile), has no argument to carry it.
+_CLIENT = contextvars.ContextVar("admal_dns_client")
+
+
+async def _default_query_fn(address, domain, qtype, profile):
+    return await _CLIENT.get().query(
+        address, domain, qtype, timeout_ms=profile.timeout_ms,
+        retries=profile.retries, transport=profile.transport,
     )
+
+
+def _pending_pairs(domains, profiles, existing):
+    """Yield (domain, profile, encodable) for every pair not yet stored."""
+    for domain in domains:
+        todo = [p for p in profiles if (domain, p.provider_id) not in existing]
+        if todo:
+            encodable = _encodable(domain)
+            for profile in todo:
+                yield domain, profile, encodable
 
 
 def run_campaign(
@@ -405,112 +326,114 @@ def run_campaign(
     *,
     qtype: int = dnswire.TYPE_A,
     query_fn=None,
-    stop_event: Event | None = None,
 ) -> CampaignSummary:
     """Emit exactly one verdict per (domain, profile) pair into the repo.
 
     Already-stored pairs are skipped, so an interrupted campaign resumes
     cleanly.  Network failures and names the wire format cannot carry become
-    inconclusive verdicts; only storage failures abort the run.
+    inconclusive verdicts; only storage failures abort the run.  ``query_fn``
+    is a coroutine function ``(address, domain, qtype, profile)`` returning
+    a DnsResponse; by default a DnsClient on the campaign's loop answers.
     """
     if not profiles:
         raise ValueError("at least one resolver profile is required")
     query_fn = query_fn or _default_query_fn
-    stop_event = stop_event or Event()
 
     existing = repo.existing_pairs(campaign_id, KIND_DNS)
-    buckets = {p.provider_id: TokenBucket(limits.per_provider_qps) for p in profiles}
-    tasks = [
-        (domain, profile)
-        for domain in domains
-        for profile in profiles
-        if (domain, profile.provider_id) not in existing
-    ]
-    pending = {domain for domain, _profile in tasks}
-    unencodable = {domain for domain in pending if not _encodable(domain)}
+    todo = sum(1 for domain in domains for p in profiles
+               if (domain, p.provider_id) not in existing)
     summary = CampaignSummary(
         campaign_id=campaign_id,
         domains=len(domains),
         providers=[p.provider_id for p in profiles],
-        skipped_existing=len(domains) * len(profiles) - len(tasks),
+        skipped_existing=len(domains) * len(profiles) - todo,
     )
 
     prior = repo.read_manifest(campaign_id) or {}
     summary.started = prior.get("started") or utc_now_rfc3339()
 
-    def work(domain: str, profile: ResolverProfile) -> ProviderVerdict:
-        evidence: dict = {"filtered": None, "control": None, "matched_signature": None}
-        if domain in unencodable:
-            return ProviderVerdict(domain, profile.provider_id, INCONCLUSIVE,
-                                   "unencodable-name", evidence, utc_now_rfc3339())
-        bucket = buckets[profile.provider_id]
-        bucket.acquire()
-        queried_at = utc_now_rfc3339()
-        try:
-            filtered = query_fn(profile.filtered_address, domain, qtype, profile)
-        except QueryTimeout:
-            return ProviderVerdict(domain, profile.provider_id, INCONCLUSIVE,
-                                   "timeout", evidence, queried_at)
-        except MalformedMessage:
-            return ProviderVerdict(domain, profile.provider_id, INCONCLUSIVE,
-                                   "malformed-response", evidence, queried_at)
-        except OSError:
-            return ProviderVerdict(domain, profile.provider_id, INCONCLUSIVE,
-                                   "network-error", evidence, queried_at)
-        evidence["filtered"] = summarize(filtered)
+    async def scan():
+        import asyncio
 
-        control = None
-        needs_control = profile.control_address is not None and any(
-            sig.matches(filtered) for sig in profile.blocked_signatures
-        )
-        if needs_control:
-            bucket.acquire()
+        loop = asyncio.get_running_loop()
+        interval = 1.0 / limits.per_provider_qps
+        next_send: dict[tuple[str, int], float] = {}
+
+        async def pace(address):
+            # one send slot per interval and endpoint, whichever profile asks
+            now = loop.time()
+            due = next_send.get(address, now)
+            next_send[address] = max(due, now) + interval
+            if due > now:
+                await asyncio.sleep(due - now)
+
+        async def ask(address, domain, profile, control):
+            """The response, or the inconclusive reason its failure maps to."""
             try:
-                control = query_fn(profile.control_address, domain, qtype, profile)
+                return await query_fn(address, domain, qtype, profile)
             except QueryTimeout:
-                return ProviderVerdict(domain, profile.provider_id, INCONCLUSIVE,
-                                       "control-timeout", evidence, queried_at)
+                return "control-timeout" if control else "timeout"
             except MalformedMessage:
-                return ProviderVerdict(domain, profile.provider_id, INCONCLUSIVE,
-                                       "control-malformed", evidence, queried_at)
+                return "control-malformed" if control else "malformed-response"
             except OSError:
-                return ProviderVerdict(domain, profile.provider_id, INCONCLUSIVE,
-                                       "control-network-error", evidence, queried_at)
-            evidence["control"] = summarize(control)
+                return "control-network-error" if control else "network-error"
 
-        result = classify(filtered, control, profile)
-        evidence["matched_signature"] = result.matched_signature
-        return ProviderVerdict(domain, profile.provider_id, result.verdict,
-                               result.reason, evidence, queried_at)
+        async def work(domain, profile, encodable):
+            """(verdict, reason, evidence, queried_at) of one pair."""
+            evidence: dict = {"filtered": None, "control": None, "matched_signature": None}
+            if not encodable:
+                return INCONCLUSIVE, "unencodable-name", evidence, utc_now_rfc3339()
+            await pace(profile.filtered_address)
+            queried_at = utc_now_rfc3339()
+            filtered = await ask(profile.filtered_address, domain, profile, False)
+            if isinstance(filtered, str):
+                return INCONCLUSIVE, filtered, evidence, queried_at
+            evidence["filtered"] = summarize(filtered)
+
+            control = None
+            if profile.control_address is not None and any(
+                sig.matches(filtered) for sig in profile.blocked_signatures
+            ):
+                await pace(profile.control_address)
+                control = await ask(profile.control_address, domain, profile, True)
+                if isinstance(control, str):
+                    return INCONCLUSIVE, control, evidence, queried_at
+                evidence["control"] = summarize(control)
+
+            result = classify(filtered, control, profile)
+            evidence["matched_signature"] = result.matched_signature
+            return result.verdict, result.reason, evidence, queried_at
+
+        async def worker(pairs):
+            # the single writer: upserts run on the loop, one at a time, and a
+            # verdict lost before its flush is simply queried again on resume
+            for domain, profile, encodable in pairs:
+                verdict = ProviderVerdict(domain, profile.provider_id,
+                                          *await work(domain, profile, encodable))
+                repo.upsert(VerdictRecord(domain, profile.provider_id, campaign_id,
+                                          KIND_DNS, verdict.to_payload(), utc_now_rfc3339()))
+                summary.written += 1
+
+        pairs = _pending_pairs(domains, profiles, existing)
+        client = DnsClient()
+        _CLIENT.set(client)
+        workers = [asyncio.ensure_future(worker(pairs))
+                   for _ in range(min(limits.max_inflight, todo))]
+        try:
+            await asyncio.gather(*workers)
+        finally:
+            for task in workers:
+                task.cancel()
+            client.close()
 
     try:
-        with ThreadPoolExecutor(max_workers=limits.max_inflight) as pool:
-            futures = {
-                pool.submit(work, domain, profile): (domain, profile)
-                for domain, profile in tasks
-            }
-            try:
-                for future in as_completed(futures):
-                    verdict = future.result()
-                    repo.upsert(
-                        VerdictRecord(
-                            domain=verdict.domain,
-                            provider_id=verdict.provider_id,
-                            campaign_id=campaign_id,
-                            kind=KIND_DNS,
-                            payload=verdict.to_payload(),
-                            recorded_at=utc_now_rfc3339(),
-                        )
-                    )
-                    summary.written += 1
-                    if stop_event.is_set():
-                        summary.interrupted = True
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        break
-            except KeyboardInterrupt:
-                summary.interrupted = True
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
+        if todo:
+            import asyncio
+
+            asyncio.run(scan())
+    except KeyboardInterrupt:
+        summary.interrupted = True
+        raise
     finally:
         summary.finished = utc_now_rfc3339()
         summary.inconclusive = _inconclusive_counts(repo, campaign_id, summary.providers)

@@ -2,7 +2,9 @@
 
 Each provider is a UDP server with a configurable blocklist and block
 behavior (sinkhole A record or NXDOMAIN), so the whole pipeline is
-testable offline.  Responses are a pure function of (spec, seed, query
+testable offline.  A ``truncate`` provider answers UDP with TC=1 and no
+answers, and in full over TCP on the same port, so that clients exercise
+the TCP fallback.  Responses are a pure function of (spec, seed, query
 bytes); the only "randomness" is the drop decision, derived from a hash
 of the seed and the queried name so that repeats behave identically.
 """
@@ -10,6 +12,7 @@ of the seed and the queried name so that repeats behave identically.
 import hashlib
 import json
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +38,7 @@ class MockProviderSpec:
     default_answer: str = "203.0.113.1"
     latency_ms: int = 0
     drop_rate: float = 0.0
+    truncate: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.drop_rate <= 1.0:
@@ -55,6 +59,7 @@ class MockProviderSpec:
             default_answer=doc.get("default_answer", "203.0.113.1"),
             latency_ms=int(doc.get("latency_ms", 0)),
             drop_rate=float(doc.get("drop_rate", 0.0)),
+            truncate=bool(doc.get("truncate", False)),
         )
 
 
@@ -67,7 +72,9 @@ def _should_drop(seed: int, qname: str, drop_rate: float) -> bool:
     return int.from_bytes(digest[:8], "big") / 2**64 < drop_rate
 
 
-def respond(spec: MockProviderSpec, seed: int, data: bytes) -> bytes | None:
+def respond(
+    spec: MockProviderSpec, seed: int, data: bytes, *, tcp: bool = False
+) -> bytes | None:
     """Pure per-query handler; None means the query is silently dropped."""
     try:
         query = dnswire.parse_response(data)
@@ -86,6 +93,8 @@ def respond(spec: MockProviderSpec, seed: int, data: bytes) -> bytes | None:
     if _should_drop(seed, qname, spec.drop_rate):
         return None
 
+    if spec.truncate and not tcp:
+        return dnswire.build_response(query.txid, question, tc=True)
     if question.qtype != dnswire.TYPE_A:
         return dnswire.build_response(query.txid, question)
     if qname in spec.blocklist:
@@ -100,13 +109,15 @@ def respond(spec: MockProviderSpec, seed: int, data: bytes) -> bytes | None:
 
 
 class MockDnsFarm:
-    """Runs one UDP listener per provider spec; start/stop are idempotent."""
+    """Runs one UDP listener per provider spec, plus a TCP listener on the
+    same port for ``truncate`` providers; start/stop are idempotent."""
 
     def __init__(self, specs: list[MockProviderSpec], seed: int = 0):
         self.specs = list(specs)
         self.seed = seed
         self.addresses: dict[str, tuple[str, int]] = {}
         self._sockets: dict[str, socket.socket] = {}
+        self._tcp_sockets: dict[str, socket.socket] = {}
         self._threads: list[threading.Thread] = []
         self._pool: ThreadPoolExecutor | None = None
         self._running = False
@@ -115,11 +126,9 @@ class MockDnsFarm:
         if self._running:
             return self
         for spec in self.specs:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             try:
-                sock.bind(spec.listen)
+                sock = self._bind(spec)
             except OSError as exc:
-                sock.close()
                 self.stop()
                 raise BindError(f"{spec.provider_id}: cannot bind {spec.listen}: {exc}")
             # close() alone does not wake a blocked recvfrom; poll instead
@@ -129,12 +138,29 @@ class MockDnsFarm:
         self._pool = ThreadPoolExecutor(max_workers=4 * len(self.specs) or 1)
         self._running = True
         for spec in self.specs:
-            thread = threading.Thread(
-                target=self._serve_loop, args=(spec,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+            loops = [self._serve_loop] + ([self._accept_loop] if spec.truncate else [])
+            for target in loops:
+                thread = threading.Thread(target=target, args=(spec,), daemon=True)
+                thread.start()
+                self._threads.append(thread)
         return self
+
+    def _bind(self, spec: MockProviderSpec) -> socket.socket:
+        """The UDP socket; a truncating provider also gets a TCP listener on
+        its port, and an ephemeral port that TCP finds taken is retried."""
+        for attempt in range(8):
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                sock.bind(spec.listen)
+                if spec.truncate:
+                    tcp = socket.create_server(sock.getsockname())
+                    tcp.settimeout(0.2)
+                    self._tcp_sockets[spec.provider_id] = tcp
+                return sock
+            except OSError:
+                sock.close()
+                if spec.listen[1] or attempt == 7:
+                    raise
 
     def _serve_loop(self, spec: MockProviderSpec):
         sock = self._sockets[spec.provider_id]
@@ -155,6 +181,32 @@ class MockDnsFarm:
                     except OSError:
                         return
 
+    def _accept_loop(self, spec: MockProviderSpec):
+        listener = self._tcp_sockets[spec.provider_id]
+        while self._running:
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            self._pool.submit(self._serve_tcp, spec, conn)
+
+    def _serve_tcp(self, spec: MockProviderSpec, conn: socket.socket):
+        """Answer one length-prefixed query (RFC 7766), then close."""
+        conn.settimeout(2.0)
+        with conn, conn.makefile("rb") as stream:
+            try:
+                header = stream.read(2)
+                length = struct.unpack("!H", header)[0] if len(header) == 2 else 0
+                data = stream.read(length)
+                reply = respond(spec, self.seed, data, tcp=True)
+                if reply is not None:
+                    time.sleep(spec.latency_ms / 1000.0)
+                    conn.sendall(struct.pack("!H", len(reply)) + reply)
+            except OSError:
+                pass
+
     def _reply_delayed(self, spec, sock, data, addr):
         reply = respond(spec, self.seed, data)
         time.sleep(spec.latency_ms / 1000.0)
@@ -166,7 +218,7 @@ class MockDnsFarm:
 
     def stop(self):
         self._running = False
-        for sock in self._sockets.values():
+        for sock in [*self._sockets.values(), *self._tcp_sockets.values()]:
             sock.close()
         for thread in self._threads:
             thread.join(timeout=2.0)
@@ -175,6 +227,7 @@ class MockDnsFarm:
             self._pool = None
         self._threads.clear()
         self._sockets.clear()
+        self._tcp_sockets.clear()
 
     def manifest(self) -> dict:
         return {
@@ -196,11 +249,6 @@ class MockDnsFarm:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-def serve(specs: list[MockProviderSpec], seed: int = 0) -> MockDnsFarm:
-    """Start a farm for the given specs; caller stops it (or use as context)."""
-    return MockDnsFarm(specs, seed=seed).start()
 
 
 def load_farm_config(path) -> MockDnsFarm:

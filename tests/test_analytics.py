@@ -402,6 +402,17 @@ class TestEmit:
             assert (tmp_path / "one" / name).read_bytes() == \
                 (tmp_path / "two" / name).read_bytes(), name
 
+    def test_rewrite_in_place(self, blockset_repo, tmp_path):
+        """A second emit into the same directory replaces every file with the
+        same bytes and leaves no temporary file behind."""
+        names = ("report.json", "report.csv", "venn.csv", "shares.csv", "ecdf.csv")
+        out = tmp_path / "out"
+        self.emit(blockset_repo, out)
+        first = {name: (out / name).read_bytes() for name in names}
+        self.emit(blockset_repo, out)
+        assert {name: (out / name).read_bytes() for name in names} == first
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
     def test_report_json_contents(self, blockset_repo, tmp_path):
         self.emit(blockset_repo, tmp_path)
         doc = json.loads((tmp_path / "report.json").read_text())

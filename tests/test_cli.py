@@ -103,7 +103,8 @@ class TestIngest:
         assert docs[-1]["domains"] == 10
         assert docs[-1]["records"] == 10
         assert docs[-1]["rejected_lines"] == 0
-        corpus = open(env.corpus).read().split()
+        with open(env.corpus) as fh:
+            corpus = fh.read().split()
         assert sorted(corpus) == sorted(DOMAINS)
 
 
@@ -116,8 +117,8 @@ class TestScanAndAnalyze:
         assert scan["written"] == 30
         assert scan["providers"] == ["p1", "p2", "p3"]
 
-        report = json.loads(
-            open(f"{env.repo}/report-t1/report.json").read())
+        with open(f"{env.repo}/report-t1/report.json") as fh:
+            report = json.load(fh)
         assert report["corpus_size"] == 10
         by_id = {p["provider"]: p for p in report["providers"]}
         assert by_id["p1"]["blocked"] == 3
@@ -153,8 +154,8 @@ class TestScanAndAnalyze:
         assert run(capsys, "analyze", "--config", env.config, "--out", out_a)[0] == 0
         assert run(capsys, "analyze", "--config", env.config, "--out", out_b)[0] == 0
         for name in ("report.json", "venn.csv", "shares.csv", "ecdf.csv"):
-            assert open(f"{out_a}/{name}", "rb").read() == \
-                open(f"{out_b}/{name}", "rb").read(), name
+            with open(f"{out_a}/{name}", "rb") as a, open(f"{out_b}/{name}", "rb") as b:
+                assert a.read() == b.read(), name
 
     def test_analyze_before_scan_is_runtime_error(self, env, capsys):
         code, _ = run(capsys, "analyze", "--config", env.config)
@@ -237,7 +238,8 @@ class TestTiFetch:
     def test_report_includes_ti_section(self, env, capsys):
         cfg = self.fixture_config(env)
         assert run(capsys, "run-all", "--config", cfg)[0] == 0
-        report = json.loads(open(f"{env.repo}/report-t1/report.json").read())
+        with open(f"{env.repo}/report-t1/report.json") as fh:
+            report = json.load(fh)
         assert report["ti"]["with_report"] == 6
         assert report["ti"]["no_report"] == 4
         assert report["ti"]["threat_count"] == 2

@@ -1,9 +1,12 @@
+import asyncio
+import logging
 import socket
 import struct
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admal import dnswire, mockdns
 from admal.dnsbroker import (
@@ -21,12 +24,12 @@ from admal.dnsbroker import (
     SIG_SINKHOLE_A,
     SIG_SINKHOLE_AAAA,
     SIG_ZERO_ANSWER,
-    TokenBucket,
+    _parse_address,
     classify,
     default_profiles,
-    query_endpoint,
     run_campaign,
 )
+from admal.dnsclient import DnsClient
 from admal.dnswire import Question, build_response, parse_response
 from admal.repository import KIND_DNS, Repository, VerdictRecord
 
@@ -189,22 +192,70 @@ class TestProfiles:
         with pytest.raises(ValueError):
             ResolverProfile("x", "X", ("127.0.0.1", 53), timeout_ms=0)
 
+    @pytest.mark.parametrize("text,address", [
+        ("9.9.9.9", ("9.9.9.9", 53)),
+        ("127.0.0.1:5353", ("127.0.0.1", 5353)),
+        ("2620:fe::fe", ("2620:fe::fe", 53)),
+        ("[2620:fe::fe]", ("2620:fe::fe", 53)),
+        ("[2620:fe::fe]:5353", ("2620:fe::fe", 5353)),
+    ])
+    def test_address_forms(self, text, address):
+        assert _parse_address(text) == address
 
-class TestTokenBucket:
-    def test_burst_then_spacing(self):
-        bucket = TokenBucket(rate=5.0)
-        start = time.monotonic()
-        for _ in range(5):
-            bucket.acquire()
-        burst_elapsed = time.monotonic() - start
-        assert burst_elapsed < 0.5
-        bucket.acquire()
-        bucket.acquire()
-        assert time.monotonic() - start >= 0.25
+    @pytest.mark.parametrize("text", ["[2620:fe::fe", "[2620:fe::fe]53", "1.1.1.1:x"])
+    def test_bad_address_rejected(self, text):
+        with pytest.raises(ValueError):
+            _parse_address(text)
+
+    def test_ipv6_config_round_trip(self):
+        p = ResolverProfile("q6", "Q6", ("2620:fe::fe", 53), control_address=("::1", 5353))
+        doc = p.to_config()
+        assert doc["filtered_address"] == "[2620:fe::fe]:53"
+        assert doc["control_address"] == "[::1]:5353"
+        assert ResolverProfile.from_config(doc) == p
+
+
+def recording_query_fn(sent):
+    """Async resolver that notes (loop time, address) of every query and
+    answers like stub_query_fn with every domain blocked."""
+    inner = stub_query_fn(blocked=None)
+
+    async def fn(address, domain, qtype, prof):
+        sent.append((asyncio.get_running_loop().time(), address))
+        return await inner(address, domain, qtype, prof)
+
+    return fn
+
+
+class TestPacing:
+    def test_shared_control_endpoint_paced(self, tmp_path):
+        """Two profiles send their control queries to one endpoint; the rate
+        holds at that endpoint, not once per profile."""
+        control = ("198.51.100.250", 53)
+        profiles = [
+            ResolverProfile(f"prov{i}", f"P{i}", ("198.51.100.1", 53 + i),
+                            control_address=control, blocked_signatures=(SINK_A,))
+            for i in range(2)
+        ]
+        sent = []
+        qps = 40.0
+        with Repository(tmp_path / "repo") as repo:
+            summary = run_campaign([f"d{i}.example" for i in range(8)], profiles,
+                                   CampaignLimits(16, qps), repo, "c1",
+                                   query_fn=recording_query_fn(sent))
+        assert summary.written == 16
+        for address in {a for _t, a in sent}:
+            # the k-th query to an endpoint waits for slot k of its schedule
+            times = sorted(t for t, a in sent if a == address)
+            for k, t in enumerate(times):
+                assert t - times[0] >= k / qps - 1e-3, (address, k, t - times[0])
+        assert sum(1 for _t, a in sent if a == control) == 16
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
-            TokenBucket(0)
+            CampaignLimits(per_provider_qps=0)
+        with pytest.raises(ValueError):
+            CampaignLimits(max_inflight=0)
 
 
 def udp_oneshot_server(replies):
@@ -228,12 +279,24 @@ def udp_oneshot_server(replies):
     return addr
 
 
+def query_endpoint(address, domain, **kwargs):
+    """One DnsClient.query on a fresh loop."""
+    async def run():
+        client = DnsClient()
+        try:
+            return await client.query(address, domain, **kwargs)
+        finally:
+            client.close()
+
+    return asyncio.run(run())
+
+
 class TestQueryEndpoint:
     def test_mock_roundtrip(self):
         spec = mockdns.MockProviderSpec(
             "p", ("127.0.0.1", 0), frozenset({"bad.example"}), "sinkhole_a"
         )
-        with mockdns.serve([spec]) as farm:
+        with mockdns.MockDnsFarm([spec]) as farm:
             r = query_endpoint(farm.addresses["p"], "bad.example", timeout_ms=1000)
             assert r.address_answers() == ("0.0.0.0",)
             assert r.latency_ms >= 0
@@ -242,10 +305,12 @@ class TestQueryEndpoint:
         spec = mockdns.MockProviderSpec(
             "p", ("127.0.0.1", 0), frozenset(), "nxdomain", drop_rate=1.0
         )
-        with mockdns.serve([spec]) as farm:
+        with mockdns.MockDnsFarm([spec]) as farm:
+            started = time.monotonic()
             with pytest.raises(QueryTimeout):
                 query_endpoint(farm.addresses["p"], "x.example",
                                timeout_ms=150, retries=1)
+            assert time.monotonic() - started >= 0.3  # two full attempts
 
     def test_stray_txid_ignored(self):
         def wrong_then_right(data):
@@ -330,16 +395,57 @@ class TestQueryEndpoint:
         r = query_endpoint(addr, "t.example", timeout_ms=2000, transport="tcp")
         assert r.rcode == dnswire.RCODE_NXDOMAIN
 
+    def test_closed_port_times_out(self):
+        """ICMP port-unreachable errors on the shared connected sockets are
+        not failures of their own: every query times out, as it would on an
+        unconnected socket."""
+        probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        probe.bind(("127.0.0.1", 0))
+        addr = probe.getsockname()[:2]
+        probe.close()
+
+        async def run():
+            client = DnsClient()
+            try:
+                return await asyncio.gather(*(
+                    client.query(addr, f"c{i}.example", timeout_ms=100, retries=2)
+                    for i in range(32)), return_exceptions=True)
+            finally:
+                client.close()
+
+        outcomes = asyncio.run(run())
+        assert {type(o) for o in outcomes} == {QueryTimeout}
+
+    def test_ipv6_endpoint(self):
+        try:
+            sock = socket.socket(socket.AF_INET6, socket.SOCK_DGRAM)
+            sock.bind(("::1", 0))
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+        addr = sock.getsockname()[:2]
+
+        def run():
+            data, peer = sock.recvfrom(4096)
+            parsed = parse_response(data)
+            question = parsed.questions[0]
+            sock.sendto(build_response(parsed.txid, question, answers=(
+                (question.name, dnswire.TYPE_A, 60, "7.7.7.7"),)), peer)
+            sock.close()
+
+        threading.Thread(target=run, daemon=True).start()
+        r = query_endpoint(addr, "v6.example", timeout_ms=2000)
+        assert r.address_answers() == ("7.7.7.7",)
+
 
 def stub_query_fn(blocked, calls=None):
     """Canned resolver: filtered address sinkholes blocked domains, the
     control (any other address) always resolves."""
 
-    def fn(address, domain, qtype, prof):
+    async def fn(address, domain, qtype, prof):
         if calls is not None:
             calls.append((address, domain))
         question = Question(domain, qtype)
-        if address == prof.filtered_address and domain in blocked:
+        if address == prof.filtered_address and (blocked is None or domain in blocked):
             wire = build_response(1, question, answers=((domain, dnswire.TYPE_A, 60, "0.0.0.0"),))
         else:
             wire = build_response(1, question, answers=((domain, dnswire.TYPE_A, 60, "93.184.216.34"),))
@@ -413,7 +519,7 @@ class TestRunCampaign:
             mockdns.MockProviderSpec("nx", ("127.0.0.1", 0), frozenset(), "nxdomain"),
             mockdns.MockProviderSpec("ctrl", ("127.0.0.1", 0), frozenset(), "nxdomain"),
         ]
-        with mockdns.serve(specs) as farm:
+        with mockdns.MockDnsFarm(specs) as farm:
             profiles = [
                 ResolverProfile("sink", "S", farm.addresses["sink"],
                                 control_address=farm.addresses["ctrl"],
@@ -434,7 +540,7 @@ class TestRunCampaign:
     def test_timeouts_become_inconclusive(self, tmp_path):
         spec = mockdns.MockProviderSpec("drop", ("127.0.0.1", 0), frozenset(), "nxdomain",
                                         drop_rate=1.0)
-        with mockdns.serve([spec]) as farm:
+        with mockdns.MockDnsFarm([spec]) as farm:
             profiles = [ResolverProfile("drop", "D", farm.addresses["drop"],
                                         blocked_signatures=(SINK_A,),
                                         timeout_ms=100, retries=0)]
@@ -505,10 +611,151 @@ class TestRunCampaign:
             assert rerun.written == 0
             assert rerun.skipped_existing == 4
 
+    def test_truncating_farm_matches_plain_farm(self, tmp_path):
+        """TC=1 over UDP sends every query to the farm's TCP listener; the
+        verdicts are those of a farm that answers in full over UDP."""
+        blocked = {f"bad{i}.example" for i in range(4)}
+        corpus = sorted(blocked | {f"ok{i}.example" for i in range(4)})
+
+        def verdicts(truncate, root):
+            specs = [
+                mockdns.MockProviderSpec("sink", blocklist=frozenset(blocked),
+                                         truncate=truncate),
+                mockdns.MockProviderSpec("nx", blocklist=frozenset(blocked),
+                                         block_behavior="nxdomain", truncate=truncate),
+                mockdns.MockProviderSpec("ctrl", truncate=truncate),
+            ]
+            with mockdns.MockDnsFarm(specs) as farm:
+                profiles = [
+                    ResolverProfile("sink", "S", farm.addresses["sink"],
+                                    blocked_signatures=(SINK_A,), timeout_ms=1000),
+                    ResolverProfile("nx", "N", farm.addresses["nx"],
+                                    control_address=farm.addresses["ctrl"],
+                                    blocked_signatures=(NX,), timeout_ms=1000),
+                ]
+                with Repository(root) as repo:
+                    run_campaign(corpus, profiles, CampaignLimits(8, 10_000.0), repo, "c")
+                    records = repo.query("c", kind=KIND_DNS)
+            return {
+                (r.domain, r.provider_id): (
+                    r.payload["verdict"], r.payload["reason"],
+                    r.payload["evidence"]["matched_signature"],
+                    r.payload["evidence"]["filtered"]["tc"],
+                )
+                for r in records
+            }
+
+        truncated = verdicts(True, tmp_path / "tc")
+        assert truncated == verdicts(False, tmp_path / "plain")
+        assert len(truncated) == 16
+        assert {d for (d, p), v in truncated.items() if v[0] == BLOCKED} == blocked
+
+    def test_keyboard_interrupt_marks_manifest(self, tmp_path):
+        inner = stub_query_fn(set())
+        calls = []
+
+        async def interrupting(address, domain, qtype, prof):
+            calls.append(domain)
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+            return await inner(address, domain, qtype, prof)
+
+        domains = [f"d{i}.example" for i in range(20)]
+        with Repository(tmp_path / "repo") as repo:
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(domains, self.make_profiles(1), CampaignLimits(1, 1000.0),
+                             repo, "c1", query_fn=interrupting)
+            assert repo.read_manifest("c1")["interrupted"] is True
+            assert len(repo.query("c1", kind=KIND_DNS)) == 4
+            resumed = run_campaign(domains, self.make_profiles(1),
+                                   CampaignLimits(1, 1000.0), repo, "c1",
+                                   query_fn=stub_query_fn(set()))
+            assert (resumed.skipped_existing, resumed.written) == (4, 16)
+            assert repo.read_manifest("c1")["interrupted"] is False
+
     def test_requires_profiles(self, tmp_path):
         with Repository(tmp_path / "repo") as repo:
             with pytest.raises(ValueError):
                 run_campaign(["d.example"], [], CampaignLimits(), repo, "c")
+
+
+DECOYS = ("wrong-txid", "query-echo", "wrong-name", "wrong-qtype")
+
+
+def decoy(kind, parsed):
+    """A datagram that must not complete the query ``parsed``."""
+    question = parsed.questions[0]
+    answer = ((question.name, dnswire.TYPE_A, 60, "0.0.0.0"),)
+    if kind == "wrong-txid":
+        return build_response(parsed.txid ^ 0x5A5A, question, answers=answer)
+    if kind == "query-echo":  # QR bit clear
+        return dnswire.build_query(question.name, question.qtype, parsed.txid)
+    if kind == "wrong-name":
+        return build_response(parsed.txid, Question("other." + question.name,
+                                                    question.qtype), answers=answer)
+    return build_response(parsed.txid, Question(question.name, dnswire.TYPE_AAAA))
+
+
+def hostile_responder(noise, blocked):
+    """UDP resolver that sends ``noise`` (raw bytes and decoys) before each
+    true answer; returns (address, stop)."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.settimeout(0.05)
+    running = [True]
+
+    def run():
+        while running[0]:
+            try:
+                data, peer = sock.recvfrom(4096)
+            except socket.timeout:
+                continue
+            parsed = parse_response(data)
+            question = parsed.questions[0]
+            for item in noise:
+                sock.sendto(item if isinstance(item, bytes) else decoy(item, parsed), peer)
+            ip = "0.0.0.0" if question.name in blocked else "203.0.113.7"
+            sock.sendto(build_response(parsed.txid, question, answers=(
+                (question.name, dnswire.TYPE_A, 60, ip),)), peer)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+
+    def stop():
+        running[0] = False
+        thread.join(timeout=2)
+        sock.close()
+
+    return sock.getsockname()[:2], stop
+
+
+class TestHostileReplies:
+    @settings(max_examples=25, deadline=None)
+    @given(noise=st.lists(st.one_of(st.binary(max_size=40), st.sampled_from(DECOYS)),
+                          max_size=6))
+    def test_every_pair_gets_its_true_verdict(self, tmp_path_factory, noise):
+        domains = [f"h{i}.example" for i in range(6)]
+        blocked = set(domains[::2])
+        errors = []
+        handler = logging.Handler(logging.ERROR)
+        handler.emit = errors.append
+        logging.getLogger("asyncio").addHandler(handler)
+        address, stop = hostile_responder(noise, blocked)
+        try:
+            profiles = [ResolverProfile("h", "H", address, blocked_signatures=(SINK_A,),
+                                        timeout_ms=1000, retries=0)]
+            with Repository(tmp_path_factory.mktemp("repo")) as repo:
+                summary = run_campaign(domains, profiles, CampaignLimits(4, 10_000.0),
+                                       repo, "c")
+                records = repo.query("c", kind=KIND_DNS)
+        finally:
+            stop()
+            logging.getLogger("asyncio").removeHandler(handler)
+        assert errors == []
+        assert summary.written == len(domains) == len(records)
+        assert {r.domain: r.payload["verdict"] for r in records} == {
+            d: BLOCKED if d in blocked else NOT_BLOCKED for d in domains
+        }
 
 
 class TestProviderVerdictPayload:

@@ -1,5 +1,6 @@
 import json
 import socket
+import struct
 
 import pytest
 
@@ -12,7 +13,6 @@ from admal.mockdns import (
     MockProviderSpec,
     load_farm_config,
     respond,
-    serve,
 )
 
 
@@ -48,10 +48,12 @@ class TestSpec:
             "blocklist": ["bad.example"],
             "block_behavior": "nxdomain",
             "drop_rate": 0.25,
+            "truncate": True,
         })
         assert s.listen == ("127.0.0.1", 9953)
         assert s.block_behavior == BEHAVIOR_NXDOMAIN
         assert s.drop_rate == 0.25
+        assert s.truncate is True
 
 
 class TestRespond:
@@ -92,6 +94,13 @@ class TestRespond:
         assert parsed.txid == 0xABCD
         assert parsed.rcode == dnswire.RCODE_FORMERR
 
+    def test_truncate_only_over_udp(self):
+        s = spec(truncate=True)
+        udp = dnswire.parse_response(respond(s, 0, query_bytes("bad.example")))
+        assert udp.truncated and udp.answers == ()
+        tcp = dnswire.parse_response(respond(s, 0, query_bytes("bad.example"), tcp=True))
+        assert not tcp.truncated and tcp.address_answers() == ("0.0.0.0",)
+
     def test_tiny_garbage_dropped(self):
         assert respond(spec(), 0, b"\x01") is None
 
@@ -125,6 +134,14 @@ def udp_ask(address, payload, timeout=2.0):
         sock.sendto(payload, address)
         data, _ = sock.recvfrom(4096)
     return data
+
+
+def tcp_ask(address, payload, timeout=2.0):
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(struct.pack("!H", len(payload)) + payload)
+        with sock.makefile("rb") as stream:
+            (length,) = struct.unpack("!H", stream.read(2))
+            return stream.read(length)
 
 
 class TestFarm:
@@ -180,13 +197,14 @@ class TestFarm:
         farm.stop()
         farm.stop()  # no-op
 
-    def test_serve_helper(self):
-        farm = serve([spec()])
-        try:
-            reply = udp_ask(farm.addresses["p1"], query_bytes("bad.example"))
-            assert dnswire.parse_response(reply).address_answers() == ("0.0.0.0",)
-        finally:
-            farm.stop()
+    def test_truncating_provider_answers_over_tcp(self):
+        with MockDnsFarm([spec(truncate=True)]) as farm:
+            addr = farm.addresses["p1"]
+            udp = dnswire.parse_response(udp_ask(addr, query_bytes("bad.example")))
+            assert udp.truncated and udp.answers == ()
+            tcp = dnswire.parse_response(tcp_ask(addr, query_bytes("bad.example")))
+            assert not tcp.truncated
+            assert tcp.address_answers() == ("0.0.0.0",)
 
     def test_latency_applied(self):
         import time
