@@ -9,10 +9,10 @@ than silently skipped.
 """
 
 import hashlib
-import ipaddress
 from dataclasses import dataclass
 
 from .ingest import InvalidHostError, IpLiteralError, normalize_hostname
+from .ingest import is_ip_literal as _is_ip
 
 AUTO = "auto"
 HOSTS = "hosts"
@@ -44,14 +44,6 @@ class ListParseResult:
     rejects: tuple[RuleReject, ...]
     source_list: str
     digest: str  # sha256 of the raw list text
-
-
-def _is_ip(token: str) -> bool:
-    try:
-        ipaddress.ip_address(token)
-        return True
-    except ValueError:
-        return False
 
 
 def _normalize_pattern(raw: str) -> tuple[str | None, str | None]:
@@ -232,19 +224,6 @@ class AdMatcher:
         return self.match(domain) is not None
 
 
-def compile_entries(
-    entries,
-    *,
-    subdomain_matching: str = STRICT,
-    source_digests: dict | None = None,
-) -> AdMatcher:
-    return AdMatcher(
-        entries,
-        subdomain_matching=subdomain_matching,
-        source_digests=source_digests,
-    )
-
-
 def load_lists(
     paths,
     format_hint: str = AUTO,
@@ -260,7 +239,7 @@ def load_lists(
         entries.extend(result.entries)
         rejects.extend(result.rejects)
         digests[result.source_list] = result.digest
-    matcher = compile_entries(
+    matcher = AdMatcher(
         entries, subdomain_matching=subdomain_matching, source_digests=digests
     )
     return matcher, rejects

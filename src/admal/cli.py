@@ -67,8 +67,13 @@ class _JsonLogFormatter(logging.Formatter):
         return json.dumps(doc, separators=(",", ":"))
 
 
+class _StderrHandler(logging.StreamHandler):
+    # sys.stderr as it is at each emit, never a stream swapped out since setup
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
 def _setup_logging(verbose: bool) -> None:
-    handler = logging.StreamHandler(sys.stderr)
+    handler = _StderrHandler()
     handler.setFormatter(_JsonLogFormatter())
     root = logging.getLogger()
     root.handlers[:] = [handler]
@@ -234,18 +239,19 @@ def cmd_ti_fetch(args, cfg: PipelineConfig) -> int:
                     unfetched += 1
                     log.warning("unfetched %s: %s", domain, exc)
                     continue
+                payload = report_to_payload(result)
                 repo.upsert(
                     VerdictRecord(
                         domain=domain,
                         provider_id=TI_PROVIDER_ID,
                         campaign_id=campaign,
                         kind=KIND_TI,
-                        payload=report_to_payload(result),
+                        payload=payload,
                         recorded_at=utc_now_rfc3339(),
                     )
                 )
                 fetched += 1
-                if report_to_payload(result)["status"] == "no_report":
+                if payload["status"] == "no_report":
                     no_report += 1
     _emit(
         {

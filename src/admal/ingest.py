@@ -48,6 +48,8 @@ class RequestRecord:
     url: str
     source_page: str | None = None
     observed_at: datetime | None = None
+    # raw host, "" if none; set when parse_url_list split the URL, else None
+    host: str | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,7 @@ def normalize_hostname(host: str) -> str:
     host = host.strip().rstrip(".")
     if not host:
         raise InvalidHostError("empty hostname")
-    if host.startswith("[") and host.endswith("]"):
-        raise IpLiteralError(host)
-    try:
-        ipaddress.ip_address(host)
-    except ValueError:
-        pass
-    else:
+    if host.startswith("[") and host.endswith("]") or is_ip_literal(host):
         raise IpLiteralError(host)
 
     labels = []
@@ -100,6 +96,19 @@ def normalize_hostname(host: str) -> str:
     if len(name) > MAX_NAME_LEN:
         raise InvalidHostError(f"name longer than {MAX_NAME_LEN} chars")
     return name
+
+
+def is_ip_literal(text: str) -> bool:
+    """True when ``ipaddress.ip_address`` accepts the text.  Every IPv4
+    literal ends in an ASCII digit and every IPv6 literal holds a colon, so
+    other text skips the parse and the ValueError it would raise."""
+    if ":" not in text and not "0" <= text[-1:] <= "9":
+        return False
+    try:
+        ipaddress.ip_address(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _normalize_label(label: str, host: str) -> str:
@@ -126,30 +135,29 @@ def _normalize_label(label: str, host: str) -> str:
 
 def extract_domain(url: str) -> str:
     """Extract and normalize the hostname of an absolute http(s) URL."""
-    try:
-        parts = urlsplit(url)
-        host = parts.hostname
-    except ValueError as exc:
-        raise InvalidHostError(f"unparseable URL {url!r}: {exc}") from None
-    if parts.scheme not in ("http", "https"):
-        raise InvalidHostError(f"not an absolute http(s) URL: {url!r}")
+    host = _url_host(url)
     if not host:
-        raise InvalidHostError(f"URL has no host: {url!r}")
+        raise InvalidHostError(f"not an absolute http(s) URL with a host: {url!r}")
     return normalize_hostname(host)
 
 
-def _is_absolute_http_url(line: str) -> bool:
+def _url_host(url: str) -> str | None:
+    """The raw host of an absolute http(s) URL ("" when it has none), or None
+    when the URL is not one."""
     try:
-        parts = urlsplit(line)
+        parts = urlsplit(url)
     except ValueError:
-        return False
-    return parts.scheme in ("http", "https") and bool(parts.netloc)
+        return None
+    if parts.scheme not in ("http", "https") or not parts.netloc:
+        return None
+    return parts.hostname or ""
 
 
 def parse_url_list(text: str) -> tuple[list[RequestRecord], list[LineReject]]:
     """Parse a newline-delimited URL list; '#' lines are comments.
 
     Total function: malformed lines land in the rejects list, never raise.
+    Each URL is split once; its raw host rides on the record for dedupe.
     """
     records: list[RequestRecord] = []
     rejects: list[LineReject] = []
@@ -157,10 +165,11 @@ def parse_url_list(text: str) -> tuple[list[RequestRecord], list[LineReject]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if _is_absolute_http_url(line):
-            records.append(RequestRecord(url=line))
-        else:
+        host = _url_host(line)
+        if host is None:
             rejects.append(LineReject(line_no, line, "not-absolute-http-url"))
+        else:
+            records.append(RequestRecord(url=line, host=host))
     return records, rejects
 
 
@@ -219,21 +228,31 @@ def dedupe(
     registrable form (off by default; FQDNs are the unit otherwise).
     """
     result = CorpusResult()
-    seen: set[str] = set()
+    domains: dict[str, None] = {}  # insertion-ordered set
+    # raw host -> (domain, None) or (None, reject reason); hosts repeat across
+    # a crawl's URLs far more often than not
+    outcomes: dict[str, tuple[str | None, str | None]] = {}
     for record in records:
-        try:
-            domain = extract_domain(record.url)
-        except IpLiteralError:
-            result.rejects.append(DomainReject(record.url, "ip-literal"))
-            continue
-        except InvalidHostError:
-            result.rejects.append(DomainReject(record.url, "invalid-host"))
-            continue
-        if psl is not None:
-            domain = psl.registrable(domain)
-        if domain not in seen:
-            seen.add(domain)
-            result.domains.append(domain)
+        host = record.host
+        if host is None:
+            host = _url_host(record.url) or ""
+        outcome = outcomes.get(host)
+        if outcome is None:
+            try:
+                domain = normalize_hostname(host)
+            except IpLiteralError:
+                outcome = (None, "ip-literal")
+            except InvalidHostError:
+                outcome = (None, "invalid-host")
+            else:
+                outcome = (psl.registrable(domain) if psl is not None else domain, None)
+            outcomes[host] = outcome
+        domain, reason = outcome
+        if reason is not None:
+            result.rejects.append(DomainReject(record.url, reason))
+        else:
+            domains[domain] = None
+    result.domains = list(domains)
     return result
 
 

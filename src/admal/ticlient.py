@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import requests
-
 log = logging.getLogger(__name__)
 
 DEFAULT_API_KEY_ENV = "ADMAL_TI_API_KEY"
@@ -108,10 +106,6 @@ def agreement_fraction(report: TiReport, denominator: str = OPINIONS) -> Fractio
     if base == 0:
         raise UndefinedRatio(report.domain)
     return Fraction(flagged, base)
-
-
-def agreement_ratio(report: TiReport, denominator: str = OPINIONS) -> float:
-    return float(agreement_fraction(report, denominator))
 
 
 def report_to_payload(result: "TiReport | NoReport") -> dict:
@@ -233,8 +227,10 @@ class LiveTiProvider:
         timeout_s: float = 30.0,
         retries: int = 3,
         backoff_s: float = 1.0,
-        session: requests.Session | None = None,
+        session: "requests.Session | None" = None,
     ):
+        import requests  # here, so that no other command pays for loading it
+
         if api_key is None:
             api_key = os.environ.get(DEFAULT_API_KEY_ENV)
         if not api_key:
@@ -252,6 +248,8 @@ class LiveTiProvider:
         self._session.headers[api_key_header] = api_key
 
     def lookup(self, domain: str) -> "TiReport | NoReport":
+        import requests
+
         url = self.url_template.format(base_url=self.base_url, domain=domain)
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
@@ -383,9 +381,6 @@ class TiClient:
         doc = {"domain": result.domain, **report_to_payload(result)}
         self._fh.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
         self._fh.flush()
-
-    def cached_domains(self) -> set[str]:
-        return set(self._cache)
 
     def close(self) -> None:
         if not self._fh.closed:

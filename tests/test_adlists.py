@@ -14,7 +14,6 @@ from admal.adlists import (
     STRICT,
     AdMatcher,
     FilterEntry,
-    compile_entries,
     load_lists,
     parse_list,
     parse_list_file,
@@ -195,7 +194,7 @@ class TestMatcher:
         rng = random.Random(7)
         patterns = [f"p{rng.randrange(6000)}.example" for _ in range(10_000)]
         entries = [entry(p, rng.random() < 0.5, f"l{i%3}", i) for i, p in enumerate(patterns)]
-        matcher = compile_entries(entries)
+        matcher = AdMatcher(entries)
         assert matcher.entry_count == len(set(patterns))
         for p in set(patterns):
             assert matcher.is_ad(p)

@@ -381,3 +381,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestLogging:
+    def test_log_stream_follows_current_stderr(self, tmp_path):
+        import io
+        import logging
+        from contextlib import redirect_stderr
+
+        absent = str(tmp_path / "absent.json")
+        streams = [io.StringIO(), io.StringIO()]
+        for stream in streams:
+            with redirect_stderr(stream):
+                assert main(["ingest", "--config", absent]) == 1
+            assert "config error" in stream.getvalue()
+            stream.close()
+        current = io.StringIO()
+        with redirect_stderr(current):
+            logging.getLogger("admal").warning("after the swap")
+        assert "after the swap" in current.getvalue()
+        assert "Logging error" not in current.getvalue()

@@ -1,7 +1,11 @@
+import ipaddress
+from urllib.parse import urlsplit
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admal.adlists import _is_ip
 from admal.ingest import (
     CorpusResult,
     InvalidHostError,
@@ -11,6 +15,7 @@ from admal.ingest import (
     SchemaError,
     dedupe,
     extract_domain,
+    is_ip_literal,
     normalize_hostname,
     parse_capture,
     parse_url_list,
@@ -206,3 +211,138 @@ class TestPublicSuffixList:
         records = [RequestRecord(url="https://x.site.com/a"),
                    RequestRecord(url="https://y.site.com/b")]
         assert dedupe(records, psl=psl).domains == ["site.com"]
+
+
+def _reference_is_ip(text):
+    try:
+        ipaddress.ip_address(text)
+    except ValueError:
+        return False
+    return True
+
+
+_scope_ids = st.text(st.characters(blacklist_characters="%"), min_size=1, max_size=6)
+_address_texts = st.one_of(
+    st.ip_addresses().map(str),
+    st.ip_addresses(v=6).map(lambda a: a.exploded.upper()),
+    st.tuples(st.ip_addresses(v=6), _scope_ids).map(lambda t: f"{t[0]}%{t[1]}"),
+    st.text(alphabet="0123456789abcdefABCDEF.:[]%١٢٣٤٥٦٧٨٩٠ x", max_size=24),
+    st.text(max_size=12),
+)
+
+
+class TestIpPreCheck:
+    """The cheap pre-check skips only text that ipaddress would refuse."""
+
+    @given(_address_texts)
+    @settings(max_examples=600)
+    def test_agrees_with_ipaddress(self, text):
+        expected = _reference_is_ip(text)
+        assert is_ip_literal(text) is expected
+        assert _is_ip(text) is expected
+
+    @given(_address_texts)
+    @settings(max_examples=600)
+    def test_normalize_rejects_exactly_the_literals(self, text):
+        host = text.strip().rstrip(".")
+        expected = bool(host) and (
+            (host.startswith("[") and host.endswith("]")) or _reference_is_ip(host)
+        )
+        try:
+            normalize_hostname(text)
+        except IpLiteralError:
+            raised = True
+        except InvalidHostError:
+            raised = False
+        else:
+            raised = False
+        assert raised is expected
+
+    @pytest.mark.parametrize("text", ["١٢٣.١.١.١", "1.2.3.٤", "::1", "fe80::1%eth0",
+                                      "1.2.3.4", "01.2.3.4", "1.2.3", "[::1]"])
+    def test_edge_cases(self, text):
+        assert is_ip_literal(text) is _reference_is_ip(text)
+
+
+_url_hosts = st.sampled_from([
+    "ads.example.com", "ADS.Example.COM", "ads.example.com.", "ads.example.org",
+    "cdn.example.net", "192.0.2.700", "2001.example",
+    "bücher.example", "BÜCHER.example", "例え.テスト", "xn--bcher-kva.example",
+    "192.0.2.7", "[2001:db8::1]", "[2001:DB8::1]", "[fe80::1%25eth0]",
+    "a..b", "-bad-.example", "_dmarc.example", "a" * 64 + ".example", "",
+])
+_url_lines = st.one_of(
+    st.builds(
+        "{}://{}{}{}".format,
+        st.sampled_from(["http", "https", "HTTPS"]),
+        _url_hosts,
+        st.sampled_from(["", ":80", ":8443", ":"]),
+        st.sampled_from(["", "/", "/p?q=1", "/x#frag"]),
+    ),
+    st.sampled_from([
+        "not a url", "ftp://example.com/a", "http://:80/", "http:///x", "https://[::1",
+        "# comment", "", "   ", "//example.com/x", "mailto:a@example.com",
+    ]),
+    st.text(max_size=16).filter(lambda t: "\n" not in t and "\r" not in t),
+)
+
+
+def _reference_domain(url):
+    """A URL's domain or reject reason, split and normalized on its own."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        return "invalid-host"
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        return "invalid-host"
+    try:
+        return normalize_hostname(parts.hostname)
+    except IpLiteralError:
+        return "ip-literal"
+    except InvalidHostError:
+        return "invalid-host"
+
+
+class TestIngestPathEquivalence:
+    """Splitting once and memoizing per raw host gives what extract_domain
+    on each URL gives."""
+
+    @given(st.lists(_url_lines, max_size=40))
+    @settings(max_examples=300)
+    def test_matches_extract_domain_per_url(self, lines):
+        records, line_rejects = parse_url_list("\n".join(lines))
+        accepted = []
+        for raw in "\n".join(lines).splitlines():
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                parts = urlsplit(line)
+            except ValueError:
+                continue
+            if parts.scheme in ("http", "https") and parts.netloc:
+                accepted.append(line)
+        assert [r.url for r in records] == accepted
+        assert len(records) + len(line_rejects) == sum(
+            1 for raw in "\n".join(lines).splitlines()
+            if raw.strip() and not raw.strip().startswith("#"))
+
+        domains, rejects = [], []
+        for record in records:
+            expected = _reference_domain(record.url)
+            try:
+                assert extract_domain(record.url) == expected
+            except IpLiteralError:
+                assert expected == "ip-literal"
+                rejects.append((record.url, "ip-literal"))
+                continue
+            except InvalidHostError:
+                assert expected == "invalid-host"
+                rejects.append((record.url, "invalid-host"))
+                continue
+            if expected not in domains:
+                domains.append(expected)
+        for given_records in (records, [RequestRecord(url=r.url) for r in records]):
+            result = dedupe(given_records)
+            assert result.domains == domains
+            assert [(r.value, r.reason) for r in result.rejects] == rejects

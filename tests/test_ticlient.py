@@ -18,7 +18,6 @@ from admal.ticlient import (
     TransportError,
     UndefinedRatio,
     agreement_fraction,
-    agreement_ratio,
     payload_to_report,
     report_to_payload,
     threat_flag,
@@ -77,7 +76,7 @@ class TestThreatFlag:
     def test_equivalent_to_positive_ratio(self, h, u, s, m, t):
         r = report(h, u, s, m, t)
         try:
-            ratio = agreement_ratio(r)
+            ratio = float(agreement_fraction(r))
         except UndefinedRatio:
             return
         assert threat_flag(r) == (ratio > 0)
@@ -85,15 +84,15 @@ class TestThreatFlag:
 
 class TestAgreementRatio:
     def test_five_of_fifty(self):
-        assert agreement_ratio(report(h=45, u=20, s=3, m=2)) == 0.10
+        assert float(agreement_fraction(report(h=45, u=20, s=3, m=2))) == 0.10
         assert agreement_fraction(report(h=45, u=20, s=3, m=2)) == Fraction(1, 10)
 
     def test_unanimous_threat(self):
-        assert agreement_ratio(report(u=5, m=7)) == 1.0
+        assert float(agreement_fraction(report(u=5, m=7))) == 1.0
 
     def test_opinionless_undefined(self):
         with pytest.raises(UndefinedRatio):
-            agreement_ratio(report(u=80))
+            float(agreement_fraction(report(u=80)))
 
     def test_all_partners_denominator(self):
         r = report(h=45, u=20, s=3, m=2, t=0)
@@ -101,7 +100,7 @@ class TestAgreementRatio:
 
     def test_undetected_excluded_by_default(self):
         # 1 flag of 1 opinion, despite 99 undetected
-        assert agreement_ratio(report(u=99, m=1)) == 1.0
+        assert float(agreement_fraction(report(u=99, m=1))) == 1.0
 
     @given(counts, counts, counts, counts)
     @settings(max_examples=200)
@@ -322,3 +321,37 @@ class TestLiveProvider:
         monkeypatch.delenv("ADMAL_TI_API_KEY", raising=False)
         with pytest.raises(AuthError):
             LiveTiProvider("https://ti.example", session=FakeSession([]))
+
+
+class TestRequestsImport:
+    def test_cli_import_leaves_requests_out(self):
+        import os
+        import subprocess
+        import sys
+
+        import admal
+
+        src = os.path.dirname(os.path.dirname(admal.__file__))
+        code = "import admal.cli, sys; assert 'requests' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+
+    def test_default_session_is_requests_session(self):
+        import requests
+
+        provider = LiveTiProvider("https://ti.example", api_key="k")
+        assert isinstance(provider._session, requests.Session)
+        provider._session.close()
+
+    def test_connection_error_is_transport_error(self):
+        import requests
+
+        class RefusingSession(FakeSession):
+            def get(self, url, timeout=None):
+                self.requests.append(url)
+                raise requests.ConnectionError("refused")
+
+        session = RefusingSession([])
+        with pytest.raises(TransportError):
+            live(session).lookup("d.example")
+        assert len(session.requests) == 3
