@@ -19,6 +19,9 @@ MAX_LABEL_LEN = 63
 MAX_NAME_LEN = 253
 
 _ASCII_LABEL_RE = re.compile(r"^[a-z0-9_-]+$")
+# a final label a URL parser reads as an IPv4 number (WHATWG URL, "ends in a
+# number"); no DNS top-level domain is numeric (RFC 3696 section 2)
+_NUMERIC_LABEL_RE = re.compile(r"[0-9]+|0x[0-9a-f]*")
 
 
 class IngestError(ValueError):
@@ -78,7 +81,8 @@ def normalize_hostname(host: str) -> str:
 
     Lowercase, ASCII-only (IDN labels punycode-encoded), no trailing dot.
     Raises IpLiteralError for IPv4/IPv6 literals and InvalidHostError for
-    anything that is not a plausible DNS name.
+    anything that is not a plausible DNS name, including a name whose last
+    label is numeric (``127.1``, ``example.123``, ``a.0x7f``).
     """
     host = host.strip().rstrip(".")
     if not host:
@@ -91,6 +95,8 @@ def normalize_hostname(host: str) -> str:
         if not label:
             raise InvalidHostError(f"empty label in {host!r}")
         labels.append(_normalize_label(label, host))
+    if _NUMERIC_LABEL_RE.fullmatch(labels[-1]):
+        raise InvalidHostError(f"numeric final label in {host!r}")
 
     name = ".".join(labels)
     if len(name) > MAX_NAME_LEN:

@@ -151,6 +151,21 @@ class TestNormalizeHostname:
         assert once.isascii()
         assert normalize_hostname(once) == once
 
+    @pytest.mark.parametrize("host", ["127.1", "300.1.1.1", "1.2.3", "0x7f.1", "2130706433",
+                                      "example.123", "example.123.", "a.0x", "a.0XFF",
+                                      "bücher.１２"])
+    def test_numeric_final_label_is_invalid(self, host):
+        with pytest.raises(InvalidHostError, match="numeric final label"):
+            normalize_hostname(host)
+        result = dedupe([RequestRecord(url=f"http://{host}/x")])
+        assert result.domains == []
+        assert [r.reason for r in result.rejects] == ["invalid-host"]
+
+    @pytest.mark.parametrize("host", ["2001.example", "a1.example", "123.example",
+                                      "example.0xg", "example.x0", "example.1a"])
+    def test_numeric_inner_label_is_valid(self, host):
+        assert normalize_hostname(host) == host
+
 
 class TestDedupe:
     def test_case_insensitive_first_seen(self):

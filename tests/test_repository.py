@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import shutil
 import threading
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admal.repository import (
+    HINT_NAME,
     KIND_AD,
     KIND_DNS,
     KIND_TI,
@@ -117,6 +120,29 @@ class TestLatestWins:
         with Repository(tmp_path) as repo:
             assert len(repo) == 1
             assert repo.get("d.example", "quad9", "c1").payload["verdict"] == "inconclusive"
+
+    @pytest.mark.parametrize("bad", [
+        rec(kind="weird"),
+        rec(kind=None),
+        rec(domain=7),
+        rec(provider=None),
+        rec(campaign=("c1",)),
+        rec(payload=["blocked"]),
+        rec(payload="blocked"),
+        rec(payload={"verdict": {1, 2}}),
+    ], ids=["kind", "kind-none", "domain", "provider", "campaign", "payload-list",
+            "payload-str", "payload-not-json"])
+    def test_upsert_refuses_what_replay_refuses(self, tmp_path, bad):
+        log = tmp_path / "records.jsonl"
+        with Repository(tmp_path) as repo:
+            repo.upsert(rec())
+            before = log.read_bytes()
+            with pytest.raises(ValueError):
+                repo.upsert(bad)
+            assert log.read_bytes() == before
+            assert len(repo) == 1
+        with Repository(tmp_path) as repo:
+            assert len(repo) == 1
 
 
 class TestQuery:
@@ -296,6 +322,190 @@ class TestConcurrency:
             assert len(repo) == 2000
 
 
+def _replayed(root, scratch):
+    """What a full replay of ``root``'s log gives: ("keydir", dict) or
+    ("error", message); opens a copy, without the hint, in the new directory
+    ``scratch``."""
+    scratch.mkdir()
+    shutil.copyfile(root / "records.jsonl", scratch / "records.jsonl")
+    try:
+        repo = Repository(scratch)
+    except StorageError as exc:
+        return "error", str(exc)
+    with repo:
+        assert repo._hinted is None
+        return "keydir", dict(repo._keydir)
+
+
+def _opened(root):
+    """What opening ``root`` gives, in _replayed's terms; the repository is
+    left open when it opens."""
+    try:
+        repo = Repository(root)
+    except StorageError as exc:
+        return None, ("error", str(exc))
+    return repo, ("keydir", dict(repo._keydir))
+
+
+class TestHint:
+    def fill(self, root, n=30):
+        with Repository(root) as repo:
+            for i in range(n):
+                repo.upsert(rec(domain=f"d{i % 12}.example", provider=("quad9", "cisco")[i % 2],
+                                payload={"verdict": ("blocked", "not_blocked")[i % 3 == 0],
+                                         "i": i}))
+                repo.upsert(rec(domain=f"d{i}.example", provider="ti", kind=KIND_TI,
+                                payload={"status": "report", "harmless": i, "undetected": 1,
+                                         "suspicious": 0, "malicious": i % 2, "timeout": 0}))
+            repo.upsert(rec(domain="ad.example", provider="adlists", kind=KIND_AD,
+                            payload={"is_ad": True}))
+
+    def test_reopen_reads_the_hint_not_the_log(self, tmp_path, monkeypatch):
+        self.fill(tmp_path)
+        expected = _replayed(tmp_path, tmp_path / "ref")
+        hint = tmp_path / HINT_NAME
+        inode = hint.stat().st_ino
+        monkeypatch.setattr("admal.repository._parse_line", None)  # replay would fail
+        repo, got = _opened(tmp_path)
+        with repo:
+            assert repo._hinted == (tmp_path / "records.jsonl").stat().st_size
+            assert got == expected
+        # nothing changed, so close left the hint alone
+        assert hint.stat().st_ino == inode
+
+    def test_log_appended_behind_the_hint(self, tmp_path):
+        self.fill(tmp_path)
+        log = tmp_path / "records.jsonl"
+        hinted = log.stat().st_size
+        with open(log, "ab") as fh:
+            fh.write((rec(domain="late.example").to_json() + "\n").encode())
+            fh.write(b'{"domain":"torn')
+        expected = _replayed(tmp_path, tmp_path / "ref")
+        repo, got = _opened(tmp_path)
+        with repo:
+            assert repo._hinted == hinted
+            assert got == expected
+            assert repo.get("late.example", "quad9", "c1") is not None
+        # the tail made close rewrite the hint, and the next open takes it whole
+        repo, got = _opened(tmp_path)
+        with repo:
+            assert repo._hinted == log.stat().st_size
+            assert got == expected
+
+    @pytest.mark.parametrize("hint", ["kept", "deleted"])
+    def test_corrupt_line_behind_the_hint_keeps_its_line_number(self, tmp_path, hint):
+        self.fill(tmp_path)
+        log = tmp_path / "records.jsonl"
+        # a torn fragment is cut off, not counted as a line
+        with open(log, "ab") as fh:
+            fh.write(b'{"domain":"torn')
+        if hint == "deleted":
+            (tmp_path / HINT_NAME).unlink()
+        with Repository(tmp_path) as repo:
+            repo.upsert(rec(domain="late.example"))
+        lines = len(log.read_bytes().splitlines())
+        with open(log, "ab") as fh:
+            fh.write((rec(domain="later.example").to_json() + "\n").encode() + b"{garbage}\n")
+        with pytest.raises(StorageError, match=f"corrupt log record at line {lines + 2}$"):
+            Repository(tmp_path)
+        assert _replayed(tmp_path, tmp_path / "ref") == (
+            "error", f"corrupt log record at line {lines + 2}")
+
+    def test_interior_line_rewritten_at_same_length(self, tmp_path):
+        self.fill(tmp_path)
+        log = tmp_path / "records.jsonl"
+        good = log.read_bytes()
+        first, rest = good.split(b"\n", 1)
+        garbled = first[:20] + b"#" * (len(first) - 20)
+        log.write_bytes(garbled + b"\n" + rest)
+        assert (tmp_path / HINT_NAME).exists()
+        with pytest.raises(StorageError, match="corrupt log record at line 1$"):
+            Repository(tmp_path)
+        # a valid line with other bytes at the same length is read, not hinted
+        at = good.rindex(b'"verdict":"blocked"') + len(b'"verdict":"bl')
+        log.write_bytes(good[:at] + b"0" + good[at + 1:])
+        expected = _replayed(tmp_path, tmp_path / "ref")
+        repo, got = _opened(tmp_path)
+        with repo:
+            assert repo._hinted is None
+            assert got == expected
+            assert "bl0cked" in {s for _d, _p, s in repo.summaries("c1", KIND_DNS)}
+
+    def test_log_shorter_than_the_hint(self, tmp_path):
+        self.fill(tmp_path)
+        log = tmp_path / "records.jsonl"
+        data = log.read_bytes()
+        log.write_bytes(data[:data.rindex(b"\n", 0, len(data) - 1) + 1])
+        expected = _replayed(tmp_path, tmp_path / "ref")
+        repo, got = _opened(tmp_path)
+        with repo:
+            assert repo._hinted is None
+            assert got == expected
+
+    @pytest.mark.parametrize("damage", ["delete", "truncate", "garble", "not-json",
+                                        "foreign-version", "empty"])
+    def test_damaged_hint_falls_back_to_replay(self, tmp_path, damage):
+        self.fill(tmp_path)
+        hint = tmp_path / HINT_NAME
+        data = hint.read_bytes()
+        if damage == "delete":
+            hint.unlink()
+        elif damage == "truncate":
+            hint.write_bytes(data[:len(data) // 2])
+        elif damage == "garble":
+            middle = len(data) // 2
+            hint.write_bytes(data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1:])
+        elif damage == "not-json":
+            hint.write_bytes(b"\x80\x81 pickle?\n")
+        elif damage == "foreign-version":
+            hint.write_bytes(data.replace(b'"keydir_hint":1', b'"keydir_hint":9', 1))
+        else:
+            hint.write_bytes(b"")
+        expected = _replayed(tmp_path, tmp_path / "ref")
+        repo, got = _opened(tmp_path)
+        with repo:
+            assert repo._hinted is None
+            assert got == expected
+        # close replaced the damaged hint with one the next open uses
+        repo, got = _opened(tmp_path)
+        with repo:
+            assert repo._hinted is not None
+            assert got == expected
+
+    def test_summary_values_keep_their_json_type(self, tmp_path):
+        verdicts = [None, 1, True, 1.0, {"a": [1]}, "blocked", "1"]
+        with Repository(tmp_path) as repo:
+            for i, verdict in enumerate(verdicts):
+                repo.upsert(rec(domain=f"d{i}.example", payload={"verdict": verdict}))
+                repo.upsert(rec(domain=f"d{i}.example", provider="ti", kind=KIND_TI,
+                                payload={"status": verdict, "harmless": verdict}))
+        expected = _replayed(tmp_path, tmp_path / "ref")
+        repo, got = _opened(tmp_path)
+        with repo:
+            assert repo._hinted is not None
+            assert repr(got) == repr(expected)
+
+    def test_compact_then_reopen(self, tmp_path):
+        self.fill(tmp_path)
+        with Repository(tmp_path) as repo:
+            repo.compact()
+            compacted = dict(repo._keydir)
+            # compact wrote the hint itself, before any close
+            copy = tmp_path / "copy"
+            copy.mkdir()
+            for name in ("records.jsonl", HINT_NAME):
+                shutil.copyfile(tmp_path / name, copy / name)
+            repo_copy, got = _opened(copy)
+            with repo_copy:
+                assert repo_copy._hinted is not None
+                assert got == ("keydir", compacted)
+        assert _replayed(tmp_path, tmp_path / "ref") == ("keydir", compacted)
+        repo, got = _opened(tmp_path)
+        with repo:
+            assert repo._hinted is not None
+            assert got == ("keydir", compacted)
+
+
 # -- keydir against a plain dict model ---------------------------------------
 
 _tally = st.integers(0, 3)
@@ -321,12 +531,30 @@ _records = st.sampled_from(KINDS).flatmap(lambda kind: st.builds(
     payload=_payloads[kind],
     recorded_at=st.just(TS),
 ))
-# a step upserts a record or reopens the repository, optionally after a
-# crash left a torn fragment or a whole last line without its newline
+# a step upserts a record or reopens the repository.  Before a reopen, a
+# crash may have left a torn fragment or a last line without its newline,
+# something else may have appended a whole line or a corrupt one behind the
+# hint, and the hint may be gone, cut short or garbled.
+_tails = st.one_of(
+    st.none(), st.just(b'{"domain":"to'), st.just(b'{"domain":"corrupt"}\n'),
+    st.tuples(_records, st.booleans()),
+)
 _steps = st.one_of(
     st.tuples(st.just("upsert"), _records),
-    st.tuples(st.just("reopen"), st.one_of(st.none(), st.just(b'{"domain":"to'), _records)),
+    st.tuples(st.just("reopen"),
+              st.tuples(_tails, st.sampled_from([None, "delete", "truncate", "garble"]))),
 )
+
+
+def _damage(hint, how):
+    if how == "delete":
+        hint.unlink()
+    elif how is not None:
+        data = hint.read_bytes()
+        middle = len(data) // 2
+        hint.unlink()
+        hint.write_bytes(data[:middle] if how == "truncate"
+                         else data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1:])
 
 
 def _model_summary(record):
@@ -373,6 +601,8 @@ class TestKeydirModel:
     @settings(max_examples=60, deadline=None)
     def test_matches_dict_model(self, tmp_path_factory, steps):
         root = tmp_path_factory.mktemp("keydir")
+        scratch = tmp_path_factory.mktemp("replay")
+        log = root / "records.jsonl"
         model = {}
         repo = Repository(root)
         try:
@@ -380,17 +610,30 @@ class TestKeydirModel:
                 if action == "upsert":
                     repo.upsert(arg)
                     model[arg.key] = arg
-                else:
-                    repo.close()
-                    if isinstance(arg, VerdictRecord):
-                        tail = arg.to_json().encode()
-                        model[arg.key] = arg
-                    else:
-                        tail = arg or b""
-                    with open(root / "records.jsonl", "ab") as fh:
-                        fh.write(tail)
+                    _check_against_model(repo, model, root / f"export-{step_no}.jsonl")
+                    continue
+                tail, damage = arg
+                repo.close()
+                size = log.stat().st_size
+                if isinstance(tail, tuple):
+                    record, newline = tail
+                    tail = (record.to_json() + "\n" * newline).encode()
+                    model[record.key] = record
+                with open(log, "ab") as fh:
+                    fh.write(tail or b"")
+                _damage(root / HINT_NAME, damage)
+                # every reopen gives what a full replay gives, error included
+                expected = _replayed(root, scratch / str(step_no))
+                repo, got = _opened(root)
+                assert got == expected
+                if repo is None:
+                    # both refused the corrupt whole line; cut it off
+                    os.truncate(log, size)
                     repo = Repository(root)
+                # and takes the keydir from the hint whenever it is intact
+                assert (repo._hinted is None) is (damage is not None)
                 # a fresh file per step: truncating one can force a disk flush
                 _check_against_model(repo, model, root / f"export-{step_no}.jsonl")
         finally:
-            repo.close()
+            if repo is not None:
+                repo.close()
