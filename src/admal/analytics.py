@@ -21,7 +21,7 @@ from .ticlient import (
     OPINIONS,
     NoReport,
     UndefinedRatio,
-    agreement_fraction,
+    agreement_terms,
     summary_to_report,
     threat_flag,
 )
@@ -120,24 +120,16 @@ def venn3(a: set, b: set, c: set) -> Venn3:
 def blocked_sets(repo: Repository, campaign_id: str) -> dict[str, set[str]]:
     """Per-provider sets of domains with a blocked verdict; inconclusive
     verdicts never enter a set (see dns_counts for their tally)."""
-    sets: dict[str, set[str]] = {}
-    for domain, provider_id, verdict in repo.summaries(campaign_id, KIND_DNS):
-        blocked = sets.setdefault(provider_id, set())
-        if verdict == BLOCKED:
-            blocked.add(domain)
+    sets = {provider_id: set(repo.verdict_domains(campaign_id, provider_id, BLOCKED))
+            for provider_id in repo.verdict_counts(campaign_id)}
     if not sets:
         raise UnknownCampaign(campaign_id)
     return sets
 
 
 def dns_counts(repo: Repository, campaign_id: str) -> dict[str, dict[str, int]]:
-    counts: dict[str, dict[str, int]] = {}
-    for _domain, provider_id, verdict in repo.summaries(campaign_id, KIND_DNS):
-        per = counts.setdefault(
-            provider_id, {BLOCKED: 0, NOT_BLOCKED: 0, INCONCLUSIVE: 0}
-        )
-        if verdict in per:
-            per[verdict] += 1
+    counts = {provider_id: {v: verdicts[v] for v in (BLOCKED, NOT_BLOCKED, INCONCLUSIVE)}
+              for provider_id, verdicts in repo.verdict_counts(campaign_id).items()}
     if not counts:
         raise UnknownCampaign(campaign_id)
     return counts
@@ -213,7 +205,7 @@ def ti_stats(
     numbers.  The threat share uses the with-report count as its base; a
     fixed figure_base adds a second share without replacing the first."""
     stats = TiStats(figure_base=figure_base, denominator=denominator)
-    ratio_counts: Counter = Counter()
+    terms: Counter = Counter()  # (flagged, base) -> reports
     for result in results:
         if isinstance(result, NoReport):
             stats.no_report += 1
@@ -225,9 +217,13 @@ def ti_stats(
             if matcher is not None and matcher.is_ad(result.domain):
                 stats.ad_threat_count += 1
         try:
-            ratio_counts[agreement_fraction(result, denominator)] += 1
+            terms[agreement_terms(result, denominator)] += 1
         except UndefinedRatio:
             stats.undefined_ratio += 1
+    # one Fraction per distinct pair; pairs like 1/2 and 2/4 merge into one step
+    ratio_counts: Counter = Counter()
+    for (flagged, base), reports in terms.items():
+        ratio_counts[Fraction(flagged, base)] += reports
     if stats.with_report:
         stats.threat_share_pct = percent(
             stats.threat_count, stats.with_report, TRUNCATE1

@@ -99,16 +99,28 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_corpus(path: str) -> list[str]:
+def _read_corpus(path: str) -> tuple[list[str], int]:
+    """The corpus file's domains, normalized as ingest normalizes hosts, each
+    kept once in first-seen order, and how many lines were rejected."""
+    domains: dict[str, None] = {}
+    rejected = 0
     try:
         with open(path, encoding="utf-8") as fh:
-            return [
-                line.strip()
-                for line in fh
-                if line.strip() and not line.startswith("#")
-            ]
+            for line in fh:
+                host = line.strip()
+                if not host or line.startswith("#"):
+                    continue
+                if not ingest.is_canonical(host):
+                    try:
+                        host = ingest.normalize_hostname(host)
+                    except ingest.IngestError as exc:
+                        rejected += 1
+                        log.warning("corpus line rejected: %s", exc)
+                        continue
+                domains[host] = None
     except OSError as exc:
         raise ConfigError(f"cannot read corpus {path}: {exc}") from exc
+    return list(domains), rejected
 
 
 def _build_matcher(cfg: PipelineConfig):
@@ -182,7 +194,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
 def cmd_dns_scan(args, cfg: PipelineConfig) -> int:
     campaign = _campaign_id(args, cfg)
     corpus_path = args.corpus or cfg.corpus_path(campaign)
-    domains = _read_corpus(corpus_path)
+    domains, rejected = _read_corpus(corpus_path)
     if not domains:
         raise ConfigError(f"corpus {corpus_path} is empty")
     with Repository(cfg.repository) as repo:
@@ -197,6 +209,7 @@ def cmd_dns_scan(args, cfg: PipelineConfig) -> int:
             "written": summary.written,
             "skipped_existing": summary.skipped_existing,
             "inconclusive": summary.inconclusive,
+            "rejected_domains": rejected,
         }
     )
     return EXIT_OK
@@ -218,19 +231,19 @@ def _ti_provider(cfg: PipelineConfig):
 def cmd_ti_fetch(args, cfg: PipelineConfig) -> int:
     campaign = _campaign_id(args, cfg)
     corpus_path = args.corpus or cfg.corpus_path(campaign)
-    domains = _read_corpus(corpus_path)
+    domains, rejected = _read_corpus(corpus_path)
     provider = _ti_provider(cfg)
 
     fetched = no_report = unfetched = skipped = 0
     with Repository(cfg.repository) as repo:
-        done = {d for d, _ in repo.existing_pairs(campaign, KIND_TI)}
+        done = repo.held(campaign, KIND_TI, domains, [TI_PROVIDER_ID])[TI_PROVIDER_ID]
         with TiClient(
             provider,
             cfg.ti_cache_path(),
             requests_per_minute=cfg.ti_requests_per_minute,
         ) as client:
-            for domain in domains:
-                if domain in done:
+            for domain, stored in zip(domains, done):
+                if stored:
                     skipped += 1
                     continue
                 try:
@@ -261,6 +274,7 @@ def cmd_ti_fetch(args, cfg: PipelineConfig) -> int:
             "unfetched": unfetched,
             "skipped_existing": skipped,
             "remote_requests": client.requests_made,
+            "rejected_domains": rejected,
         }
     )
     return EXIT_OK if unfetched == 0 else EXIT_RUNTIME
@@ -281,7 +295,7 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
     domains_path = args.domains or (campaign and cfg.corpus_path(campaign))
     if not domains_path:
         raise ConfigError("no domains file: pass --domains or configure a campaign")
-    domains = _read_corpus(domains_path)
+    domains, _rejected = _read_corpus(domains_path)
 
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     repo = Repository(cfg.repository) if args.store else None

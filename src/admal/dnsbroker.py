@@ -307,11 +307,12 @@ async def _default_query_fn(address, domain, qtype, profile):
     )
 
 
-def _pending_pairs(domains, profiles, existing):
-    """Yield (domain, profile, encodable) for every pair not yet stored."""
-    for domain in domains:
-        todo = [p for p in profiles if (domain, p.provider_id) not in existing]
-        if todo:
+def _pending_pairs(domains, profiles, held):
+    """Yield (domain, profile, encodable) for every pair not yet stored;
+    ``held`` maps a provider to one stored flag per domain."""
+    for domain, stored in zip(domains, zip(*(held[p.provider_id] for p in profiles))):
+        if 0 in stored:
+            todo = [p for p, done in zip(profiles, stored) if not done]
             encodable = _encodable(domain)
             for profile in todo:
                 yield domain, profile, encodable
@@ -339,9 +340,8 @@ def run_campaign(
         raise ValueError("at least one resolver profile is required")
     query_fn = query_fn or _default_query_fn
 
-    existing = repo.existing_pairs(campaign_id, KIND_DNS)
-    todo = sum(1 for domain in domains for p in profiles
-               if (domain, p.provider_id) not in existing)
+    held = repo.held(campaign_id, KIND_DNS, domains, {p.provider_id for p in profiles})
+    todo = sum(len(domains) - held[p.provider_id].count(1) for p in profiles)
     summary = CampaignSummary(
         campaign_id=campaign_id,
         domains=len(domains),
@@ -414,7 +414,7 @@ def run_campaign(
                                           KIND_DNS, verdict.to_payload(), utc_now_rfc3339()))
                 summary.written += 1
 
-        pairs = _pending_pairs(domains, profiles, existing)
+        pairs = _pending_pairs(domains, profiles, held)
         client = DnsClient()
         _CLIENT.set(client)
         workers = [asyncio.ensure_future(worker(pairs))
@@ -437,17 +437,18 @@ def run_campaign(
     finally:
         summary.finished = utc_now_rfc3339()
         summary.inconclusive = _inconclusive_counts(repo, campaign_id, summary.providers)
-        repo.write_manifest(
-            campaign_id,
-            {
-                "started": summary.started,
-                "finished": summary.finished,
-                "providers": summary.providers,
-                "domains": summary.domains,
-                "inconclusive": summary.inconclusive,
-                "interrupted": summary.interrupted,
-            },
-        )
+        manifest = {
+            "started": summary.started,
+            "finished": summary.finished,
+            "providers": summary.providers,
+            "domains": summary.domains,
+            "inconclusive": summary.inconclusive,
+            "interrupted": summary.interrupted,
+        }
+        # a run that changed nothing but the clock leaves the manifest alone:
+        # rewriting it costs an fsync and a rename
+        if {**manifest, "finished": None} != {**prior, "finished": None}:
+            repo.write_manifest(campaign_id, manifest)
         log.info(
             "campaign %s: %d written, %d skipped", campaign_id,
             summary.written, summary.skipped_existing,
@@ -465,7 +466,7 @@ def _encodable(domain: str) -> bool:
 
 def _inconclusive_counts(repo, campaign_id, providers) -> dict:
     counts = {provider_id: 0 for provider_id in providers}
-    for _domain, provider_id, verdict in repo.summaries(campaign_id, KIND_DNS):
-        if verdict == INCONCLUSIVE:
-            counts[provider_id] = counts.get(provider_id, 0) + 1
+    for provider_id, verdicts in repo.verdict_counts(campaign_id).items():
+        if verdicts[INCONCLUSIVE]:
+            counts[provider_id] = verdicts[INCONCLUSIVE]
     return counts

@@ -22,6 +22,10 @@ _ASCII_LABEL_RE = re.compile(r"^[a-z0-9_-]+$")
 # a final label a URL parser reads as an IPv4 number (WHATWG URL, "ends in a
 # number"); no DNS top-level domain is numeric (RFC 3696 section 2)
 _NUMERIC_LABEL_RE = re.compile(r"[0-9]+|0x[0-9a-f]*")
+# a name normalize_hostname returns unchanged: at most 253 characters of
+# lowercase ASCII labels of 1 to 63 characters, the last one not numeric
+_CANONICAL_RE = re.compile(
+    r"(?=.{1,253}\Z)(?:[a-z0-9_-]{1,63}\.)*(?![0-9]+\Z|0x[0-9a-f]*\Z)[a-z0-9_-]{1,63}")
 
 
 class IngestError(ValueError):
@@ -102,6 +106,12 @@ def normalize_hostname(host: str) -> str:
     if len(name) > MAX_NAME_LEN:
         raise InvalidHostError(f"name longer than {MAX_NAME_LEN} chars")
     return name
+
+
+def is_canonical(host: str) -> bool:
+    """True when ``normalize_hostname`` would return ``host`` unchanged; a
+    cheap test that lets already normalized names skip it."""
+    return _CANONICAL_RE.fullmatch(host) is not None
 
 
 def is_ip_literal(text: str) -> bool:

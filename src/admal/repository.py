@@ -4,42 +4,46 @@ An append-only JSONL log, chosen over a database so campaign data stays
 auditable and diffable, indexed by a keydir in the manner of Bitcask: memory
 holds, for each (domain, provider, campaign) key, only its kind, the byte
 offset of its latest line and a small summary (the verdict for ``dns``, the
-status and five tallies for ``ti``, nothing for ``ad``).  Evidence and full
-payloads stay on disk and are read back by offset.  Opening a repository
-streams the log once, validating every line, unless a keydir hint file
-(Bitcask's hint file) covers a prefix of the log: then the keydir is read
-from the hint, the prefix is only hashed, and just the lines after it are
-replayed.  One writer per repository instance; appends are flushed before the
-ack so a killed campaign can resume from exactly what reached the log.
+status and five tallies for ``ti``, nothing for ``ad``).  The keydir is laid
+out by column (``keydir.py``): per campaign one ``domain -> row`` dict shared
+by its providers, per (campaign, provider) typed columns indexed by row, DNS
+verdicts and TI statuses as codes into one value table, and a side table for
+a TI summary the tally columns cannot hold exactly.  Evidence and full
+payloads stay on disk and are read back by offset.
+
+Opening a repository streams the log once, validating every line, unless the
+keydir hint file (Bitcask's hint file, version 2: the value table, then per
+campaign its domain list and per provider its columns as JSON int lists)
+covers a prefix of the log: then the keydir is read from the hint, the prefix
+is only hashed, and just the lines after it are replayed.  One writer per
+repository instance; appends are flushed before the ack so a killed campaign
+can resume from exactly what reached the log.
 """
 
 import hashlib
 import json
 import os
-import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import compress, count, repeat
+from operator import and_, itemgetter
 from pathlib import Path
 
+from .keydir import AD, ANY, DNS, ONLY, TI, UNTALLY, Column, read_hint, value_key, write_hint
 from .ticlient import payload_summary
 
 KIND_DNS = "dns"
 KIND_TI = "ti"
 KIND_AD = "ad"
 KINDS = (KIND_DNS, KIND_TI, KIND_AD)
+_KIND_CODE = {KIND_DNS: DNS, KIND_TI: TI, KIND_AD: AD}
 
 _FSYNC_EVERY = 1000
 
 HINT_NAME = "keydir.hint"
-_HINT_VERSION = 1
-_HINT_KEYS_PER_LINE = 1024
-_HASH_READ = 1 << 16
-# entries of a hint row, by kind: domain, provider, campaign, kind, offset,
-# then the summary (a value reference, or a status reference and five tallies)
-_ROW_LEN = {KIND_DNS: 6, KIND_TI: 11, KIND_AD: 5}
-_KIND_INDEX = {kind: i for i, kind in enumerate(KINDS)}
+_NO_CAMPAIGN = ({}, {})  # the rows and columns of a campaign with no record
 
 _FIELDS = ("domain", "provider", "campaign", "kind", "payload", "ts")
 _KEY_FIELDS = ("domain", "provider", "campaign")
@@ -100,8 +104,7 @@ def _summary(kind: str, payload: dict):
     """What the keydir keeps of a payload; raises ValueError for a ``ti``
     payload whose partner map disagrees with its tallies."""
     if kind == KIND_DNS:
-        verdict = payload.get("verdict")
-        return sys.intern(verdict) if type(verdict) is str else verdict
+        return payload.get("verdict")
     if kind == KIND_TI:
         return payload_summary(payload)
     return None
@@ -141,126 +144,6 @@ class VerdictRecord:
                    doc["kind"], doc["payload"], doc["ts"])
 
 
-# -- keydir hint file ----------------------------------------------------------
-#
-# JSON lines, never pickle, since a repository directory may come from
-# elsewhere.  A header names the log prefix the hint indexes (size, line count,
-# SHA-256); each following line holds up to _HINT_KEYS_PER_LINE keys as
-# [new names, new values, domains, rows]; a trailer holds the SHA-256 of every
-# line before it.  Provider and campaign names and the verdict and TI-status
-# values are written on the line that first uses them and referred to by index
-# from then on; domains are listed once per line.  A row is [domain, provider,
-# campaign, kind index, offset] plus, for ``dns``, a value index, and for
-# ``ti`` a status value index and the five tallies.
-
-
-class _Refs(dict):
-    """Value -> index in order of first use; ``fresh`` collects the values
-    added since it was last cleared."""
-
-    def __init__(self):
-        super().__init__()
-        self.fresh = []
-
-    def __missing__(self, value):
-        index = self[value] = len(self)
-        self.fresh.append(value)
-        return index
-
-
-def _value_key(value):
-    # a string stands for itself; any other value by its JSON text, so that
-    # values Python calls equal but JSON spells apart (1, 1.0, true) stay apart
-    return value if type(value) is str else (json.dumps(value),)
-
-
-def _write_hint(path: Path, keydir: dict, size: int, lines: int, log_sha256: str) -> None:
-    """Save ``keydir`` as the hint for a log whose first ``size`` bytes hold
-    ``lines`` lines and hash to ``log_sha256``.  Written aside, then the old
-    hint is unlinked and the new one renamed in: renaming over an existing
-    file makes ext4 flush it synchronously.  No fsync: a hint that did not
-    reach the disk whole fails its own digest and is not used."""
-    tmp = path.with_name(path.name + ".tmp")
-    digest = hashlib.sha256()
-    names, values = _Refs(), _Refs()
-    with open(tmp, "wb") as fh:
-        def put(doc) -> None:
-            raw = (json.dumps(doc, separators=(",", ":")) + "\n").encode("ascii")
-            digest.update(raw)
-            fh.write(raw)
-
-        put({"keydir_hint": _HINT_VERSION, "log_size": size, "log_lines": lines,
-             "log_sha256": log_sha256})
-        items = iter(keydir.items())
-        while chunk := list(islice(items, _HINT_KEYS_PER_LINE)):
-            domains, rows = _Refs(), []
-            for (domain, provider, campaign), (kind, offset, summary) in chunk:
-                row = [domains[domain], names[provider], names[campaign], _KIND_INDEX[kind], offset]
-                if kind == KIND_DNS:
-                    row.append(values[_value_key(summary)])
-                elif kind == KIND_TI:
-                    row.append(values[_value_key(summary[0])])
-                    row += summary[1:]
-                rows.append(row)
-            fresh_values = [k if type(k) is str else json.loads(k[0]) for k in values.fresh]
-            put([names.fresh, fresh_values, domains.fresh, rows])
-            names.fresh, values.fresh = [], []
-        fh.write((json.dumps({"sha256": digest.hexdigest()}) + "\n").encode("ascii"))
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    os.rename(tmp, path)
-
-
-def _read_hint(path: Path):
-    """(keydir, log size, log lines, log SHA-256) from a whole, well-formed
-    hint file; None for a missing, torn, garbled or foreign one."""
-    intern = sys.intern
-    digest = hashlib.sha256()
-    keydir: dict = {}
-    names: list = []
-    values: list = []
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.readline()
-            digest.update(raw)
-            head = json.loads(raw)
-            if type(head) is not dict or head.get("keydir_hint") != _HINT_VERSION:
-                return None
-            size, lines, log_sha256 = head["log_size"], head["log_lines"], head["log_sha256"]
-            if type(size) is not int or type(lines) is not int or size < 0 or lines < 0 \
-                    or type(log_sha256) is not str:
-                return None
-            for raw in fh:
-                doc = json.loads(raw)
-                if type(doc) is dict:  # the trailer
-                    if doc.get("sha256") != digest.hexdigest():
-                        return None
-                    return keydir, size, lines, log_sha256
-                digest.update(raw)
-                new_names, new_values, domains, rows = doc
-                names += map(intern, new_names)
-                values += [intern(v) if type(v) is str else v for v in new_values]
-                domains = list(map(intern, domains))
-                for row in rows:
-                    kind = KINDS[row[3]]
-                    offset = row[4]
-                    if type(offset) is not int or not 0 <= offset < size \
-                            or len(row) != _ROW_LEN[kind]:
-                        return None
-                    if kind is KIND_DNS:
-                        summary = values[row[5]]
-                    elif kind is KIND_TI:
-                        summary = (values[row[5]], *row[6:])
-                    else:
-                        summary = None
-                    keydir[domains[row[0]], names[row[1]], names[row[2]]] = (kind, offset, summary)
-    except (OSError, ValueError, TypeError, KeyError, IndexError):
-        return None
-    return None  # no trailer: the hint is torn
-
-
 class Repository:
     """Latest-wins keydir over an append-only log under ``root/records.jsonl``,
     with its hint in ``root/keydir.hint``."""
@@ -274,49 +157,31 @@ class Repository:
         self._lock = threading.Lock()
         self._reader = None  # opened on the first read-back
         self._appends_since_sync = 0
-        # (domain, provider, campaign) -> (kind, byte offset of its line, summary)
-        # for the log's first _size bytes, which hold _lines lines and hash to
-        # _digest
-        self._keydir: dict[tuple[str, str, str], tuple[str, int, object]] = {}
+        # the keydir of the log's first _size bytes, which hold _lines lines
+        # and hash to _digest: campaign -> (domain -> row, provider ->
+        # Column), and the summary values that code columns point into
+        self._campaigns: dict[str, tuple[dict, dict]] = {}
+        self._values: list = []
+        self._codes: dict = {}  # value_key(value) -> index in _values
         self._size = self._lines = 0
         self._digest = hashlib.sha256()
         # how many log bytes the hint file on disk indexes; None for none
-        self._hinted = self._load_hint()
+        self._hinted = None
+        hint = read_hint(self.hint_path, self.log_path)
+        if hint is not None:
+            self._values, self._campaigns, self._size, self._lines, self._digest = hint
+            self._codes = {value_key(value): i for i, value in enumerate(self._values)}
+            self._hinted = self._size
         self._replay()
         try:
             self._fh = open(self.log_path, "ab")
         except OSError as exc:
             raise StorageError(f"cannot open log: {exc}") from exc
 
-    def _load_hint(self) -> int | None:
-        """Take the keydir from the hint file if the log's first bytes still
-        hash as the hint says; returns how many bytes it covers, or None."""
-        hint = _read_hint(self.hint_path)
-        if hint is None:
-            return None
-        keydir, size, lines, log_sha256 = hint
-        digest = hashlib.sha256()
-        try:
-            with open(self.log_path, "rb") as fh:
-                remaining = size
-                while remaining:
-                    block = fh.read(min(remaining, _HASH_READ))
-                    if not block:
-                        return None  # the log is shorter than the hint says
-                    digest.update(block)
-                    remaining -= len(block)
-        except OSError:
-            return None
-        if digest.hexdigest() != log_sha256:
-            return None
-        self._keydir, self._size, self._lines, self._digest = keydir, size, lines, digest
-        return size
-
     def _replay(self) -> None:
         """Index, validating each, the log lines after the first ``_size``
         bytes, which the keydir already covers."""
-        intern = sys.intern
-        keydir, digest = self._keydir, self._digest
+        digest = self._digest
         offset, line_no = self._size, self._lines
         try:
             fh = open(self.log_path, "rb+")
@@ -343,8 +208,8 @@ class Repository:
                     summary = _summary(doc["kind"], doc["payload"])
                 except ValueError as exc:
                     raise StorageError(f"corrupt log record at line {line_no}: {exc}") from None
-                key = (intern(doc["domain"]), intern(doc["provider"]), intern(doc["campaign"]))
-                keydir[key] = (intern(doc["kind"]), offset, summary)
+                self._put(doc["domain"], doc["provider"], doc["campaign"], doc["kind"],
+                          offset, line_no, summary)
                 offset += len(raw)
                 digest.update(raw)
                 if not raw.endswith(b"\n"):
@@ -355,11 +220,34 @@ class Repository:
                     offset += 1
         self._size, self._lines = offset, line_no
 
+    def _code(self, value) -> int:
+        """Index of ``value`` in the summary value table, added if new."""
+        key = value_key(value)
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self._values)
+            self._values.append(value)
+        return code
+
+    def _put(self, domain, provider, campaign, kind, offset, line_no, summary) -> None:
+        """Point a key at line ``line_no``, which starts at ``offset``; caller
+        holds the lock."""
+        rows, columns = self._campaigns.setdefault(campaign, ({}, {}))
+        row = rows.get(domain)
+        if row is None:
+            row = rows[domain] = len(rows)
+            for col in columns.values():
+                col.grow()
+        col = columns.get(provider)
+        if col is None:
+            col = columns[provider] = Column(len(rows))
+        col.put(row, _KIND_CODE[kind], offset, line_no, summary, self._code)
+
     def _save_hint(self) -> None:
         """Rewrite the hint for the whole log; caller holds the lock."""
         try:
-            _write_hint(self.hint_path, self._keydir, self._size, self._lines,
-                        self._digest.hexdigest())
+            write_hint(self.hint_path, self._values, self._campaigns, self._size,
+                       self._lines, self._digest.hexdigest())
         except OSError:
             return  # a hint is only a shortcut: the next open replays the log
         self._hinted = self._size
@@ -374,10 +262,19 @@ class Repository:
         except RecordSchemaError:
             raise StorageError(f"corrupt log record at byte {offset}") from None
 
-    def _sorted_records(self, keys) -> list:
-        """(key, offset) pairs of the given keys in (domain, provider) order."""
-        keydir = self._keydir
-        return sorted(((key, keydir[key][1]) for key in keys), key=lambda item: item[0][:2])
+    def _located(self, campaign_id=None, provider_id=None, kind=None) -> list:
+        """(domain, provider, first line, offset, column, row) of every
+        record, or of one campaign's, provider's or kind's, in (domain,
+        provider) order and then in the order the keys first reached the
+        log; caller holds the lock."""
+        wanted, found = ANY if kind is None else ONLY[_KIND_CODE[kind]], []
+        for campaign, (rows, columns) in self._campaigns.items():
+            for provider, col in columns.items():
+                if campaign_id in (None, campaign) and provider_id in (None, provider):
+                    found += compress(zip(rows, repeat(provider), col.born, col.offsets,
+                                          repeat(col), count()), col.kinds.translate(wanted))
+        found.sort(key=itemgetter(0, 1, 2))
+        return found
 
     def upsert(self, record: VerdictRecord) -> None:
         """Append the record; the log write is flushed before returning.
@@ -393,8 +290,6 @@ class Repository:
             line = (record.to_json() + "\n").encode("utf-8")
         except TypeError as exc:
             raise ValueError(f"record is not JSON-serializable: {exc}") from None
-        intern = sys.intern
-        key = (intern(record.domain), intern(record.provider_id), intern(record.campaign_id))
         with self._lock:
             offset = self._size
             try:
@@ -409,12 +304,16 @@ class Repository:
             self._size += len(line)
             self._lines += 1
             self._digest.update(line)
-            self._keydir[key] = (intern(record.kind), offset, summary)
+            self._put(record.domain, record.provider_id, record.campaign_id, record.kind,
+                      offset, self._lines, summary)
 
     def get(self, domain: str, provider_id: str, campaign_id: str) -> VerdictRecord | None:
         with self._lock:
-            entry = self._keydir.get((domain, provider_id, campaign_id))
-            return self._read(entry[1]) if entry is not None else None
+            rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
+            row, col = rows.get(domain), columns.get(provider_id)
+            if row is None or col is None or col.offsets[row] < 0:
+                return None
+            return self._read(col.offsets[row])
 
     def query(
         self,
@@ -424,50 +323,86 @@ class Repository:
     ) -> list[VerdictRecord]:
         """Latest records for a campaign, sorted by (domain, provider)."""
         with self._lock:
-            keys = [
-                key
-                for key, (k, _offset, _summary) in self._keydir.items()
-                if key[2] == campaign_id
-                and (provider_id is None or key[1] == provider_id)
-                and (kind is None or k == kind)
-            ]
-            return [self._read(offset) for _key, offset in self._sorted_records(keys)]
+            return [self._read(entry[3])
+                    for entry in self._located(campaign_id, provider_id, kind)]
 
     def summaries(self, campaign_id: str, kind: str):
         """Yield (domain, provider, summary) of a campaign's records of one
         kind, in no set order, without reading the log.  The summary is the
-        verdict string for ``dns``, (status, harmless, undetected,
-        suspicious, malicious, timeout) for ``ti`` and None for ``ad``."""
+        verdict for ``dns``, (status, harmless, undetected, suspicious,
+        malicious, timeout) for ``ti`` and None for ``ad``.  The records are
+        those held when the first one is asked for."""
+        want, values, taken = _KIND_CODE[kind], self._values, []
         with self._lock:
-            keys = [key for key, entry in self._keydir.items()
-                    if key[2] == campaign_id and entry[0] == kind]
-        keydir = self._keydir
-        for key in keys:
-            # keys are never removed, but an upsert may have changed the kind
-            entry_kind, _offset, summary = keydir[key]
-            if entry_kind == kind:
-                yield key[0], key[1], summary
+            rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
+            domains = list(rows)
+            for provider, col in columns.items():
+                hit = col.kinds.translate(ONLY[want])
+                if 1 in hit:
+                    taken.append((provider, hit, col.codes[:],
+                                  [column[:] for column in col.tallies or ()], dict(col.odd)))
+        for provider, hit, codes, tallies, odd in taken:
+            tallies = zip(*tallies) if tallies else repeat(())
+            for row, domain, code, tally in compress(zip(count(), domains, codes, tallies), hit):
+                if want == TI:
+                    yield domain, provider, (odd[row] if code < 0 else
+                                             (values[code], *map(UNTALLY.get, tally, tally)))
+                else:
+                    yield domain, provider, values[code] if want == DNS else None
 
-    def existing_pairs(self, campaign_id: str, kind: str) -> set[tuple[str, str]]:
-        return {(domain, provider_id)
-                for domain, provider_id, _summary in self.summaries(campaign_id, kind)}
+    def held(self, campaign_id: str, kind: str, domains: list, providers) -> dict[str, bytes]:
+        """For each provider, one byte per domain: 1 where the domain's latest
+        record from that provider in the campaign is of ``kind``, else 0."""
+        with self._lock:
+            rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
+            at = list(map(rows.get, domains, repeat(len(rows))))  # len(rows): no row
+            flags = {}
+            for provider in providers:
+                col = columns.get(provider)
+                hit = col.kinds.translate(ONLY[_KIND_CODE[kind]]) if col else bytes(len(rows))
+                flags[provider] = bytes(map((hit + b"\0").__getitem__, at))
+            return flags
+
+    def verdict_counts(self, campaign_id: str) -> dict[str, Counter]:
+        """{provider: Counter of verdicts} over a campaign's ``dns`` records,
+        for each provider holding one.  A string verdict counts under itself,
+        any other value under the 1-tuple of its JSON text."""
+        with self._lock:
+            keys, columns = list(self._codes), self._campaigns.get(campaign_id, _NO_CAMPAIGN)[1]
+            counts = {provider: Counter(compress(col.codes, col.kinds.translate(ONLY[DNS])))
+                      for provider, col in columns.items()}
+            return {provider: Counter({keys[code]: n for code, n in codes.items()})
+                    for provider, codes in counts.items() if codes}
+
+    def verdict_domains(self, campaign_id: str, provider_id: str, verdict) -> list[str]:
+        """Domains whose latest record from the provider in the campaign is
+        a ``dns`` one with this verdict, in the order the campaign first
+        stored each domain."""
+        with self._lock:
+            rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
+            code, col = self._codes.get(value_key(verdict)), columns.get(provider_id)
+            if code is None or col is None:
+                return []
+            return list(compress(rows, map(and_, col.kinds.translate(ONLY[DNS]),
+                                           map(code.__eq__, col.codes))))
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._keydir)
+            return sum(len(col.kinds) - col.kinds.count(0)
+                       for _rows, columns in self._campaigns.values() for col in columns.values())
 
     def _write_sorted(self, fh):
         """Write every latest record to ``fh`` in (domain, provider) order;
-        returns (key, new offset) pairs as they would sit in that file, and
+        returns the ``_located`` entries, their offsets in that file, and
         the SHA-256 of what was written."""
-        placed, offset, digest = [], 0, hashlib.sha256()
-        for key, old_offset in self._sorted_records(self._keydir):
-            line = (self._read(old_offset).to_json() + "\n").encode("utf-8")
+        placed, offsets, offset, digest = self._located(), [], 0, hashlib.sha256()
+        for entry in placed:
+            line = (self._read(entry[3]).to_json() + "\n").encode("utf-8")
             fh.write(line)
             digest.update(line)
-            placed.append((key, offset))
+            offsets.append(offset)
             offset += len(line)
-        return placed, digest
+        return placed, offsets, digest
 
     def export(self, path) -> int:
         """Write the latest-wins view as sorted JSONL; returns record count."""
@@ -496,7 +431,7 @@ class Repository:
             tmp = self.log_path.with_suffix(".jsonl.tmp")
             try:
                 with open(tmp, "wb") as fh:
-                    placed, digest = self._write_sorted(fh)
+                    placed, offsets, digest = self._write_sorted(fh)
                     fh.flush()
                     os.fsync(fh.fileno())
                     size = fh.tell()
@@ -506,10 +441,9 @@ class Repository:
                 self._fh = open(self.log_path, "ab")
             except OSError as exc:
                 raise StorageError(f"compaction failed: {exc}") from exc
-            keydir = self._keydir
-            for key, offset in placed:
-                kind, _old, summary = keydir[key]
-                keydir[key] = (kind, offset, summary)
+            for line_no, (entry, offset) in enumerate(zip(placed, offsets), start=1):
+                col, row = entry[4:]
+                col.offsets[row], col.born[row] = offset, line_no
             self._size, self._lines, self._digest = size, len(placed), digest
             self._hinted = None
             self._save_hint()

@@ -96,6 +96,11 @@ def threat_flag(report: TiReport) -> bool:
 
 
 def agreement_fraction(report: TiReport, denominator: str = OPINIONS) -> Fraction:
+    return Fraction(*agreement_terms(report, denominator))
+
+
+def agreement_terms(report: TiReport, denominator: str = OPINIONS) -> tuple[int, int]:
+    """(flagged, base) of the agreement ratio, unreduced."""
     flagged = report.suspicious + report.malicious
     if denominator == OPINIONS:
         base = report.opinions
@@ -105,7 +110,7 @@ def agreement_fraction(report: TiReport, denominator: str = OPINIONS) -> Fractio
         raise ValueError(f"unknown denominator mode {denominator!r}")
     if base == 0:
         raise UndefinedRatio(report.domain)
-    return Fraction(flagged, base)
+    return flagged, base
 
 
 def report_to_payload(result: "TiReport | NoReport") -> dict:

@@ -318,6 +318,37 @@ class TestTiStats:
         assert stats.ad_threat_share_pct == 0.0
 
 
+_ti_results = st.lists(st.one_of(
+    st.builds(lambda i: NoReport(f"n{i}.example"), st.integers(0, 9)),
+    st.builds(lambda i, h, u, s, m, t: TiReport(f"r{i}.example", h, u, s, m, t),
+              st.integers(0, 9), st.integers(0, 6), st.integers(0, 4), st.integers(0, 4),
+              st.integers(0, 4), st.integers(0, 2)),
+), max_size=60)
+
+
+def _reference_ecdf(results, denominator):
+    """ECDF points with one Fraction per report, as ti_stats once made them."""
+    ratios = []
+    for r in results:
+        if isinstance(r, TiReport):
+            base = r.opinions if denominator == "opinions" else r.partners
+            if base:
+                ratios.append(Fraction(r.suspicious + r.malicious, base))
+    return ecdf(ratios) if ratios else []
+
+
+class TestTiStatsReduction:
+    @given(_ti_results, st.sampled_from(["opinions", ALL_PARTNERS]))
+    @settings(max_examples=300)
+    def test_matches_one_fraction_per_report(self, results, denominator):
+        stats = ti_stats(results, matcher_for({"r1.example", "r2.example"}),
+                         denominator=denominator)
+        assert stats.ecdf_points == _reference_ecdf(results, denominator)
+        assert stats.with_report + stats.no_report == len(results)
+        # equal ratios with different terms (1/2, 2/4) are one step
+        assert len({p.ratio for p in stats.ecdf_points}) == len(stats.ecdf_points)
+
+
 AD_DOMAINS = (
     {f"c{i}.blocked.example" for i in range(72)}
     | {f"b{i}.blocked.example" for i in range(7)}

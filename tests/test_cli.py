@@ -5,7 +5,7 @@ import pytest
 
 from admal.cli import main
 from admal.mockdns import BEHAVIOR_NXDOMAIN, MockDnsFarm, MockProviderSpec
-from admal.repository import KIND_AD, KIND_TI, Repository
+from admal.repository import KIND_AD, KIND_TI, Repository, VerdictRecord
 from admal.ticlient import NoReport, TransportError
 
 DOMAINS = [f"d{i}.example" for i in range(10)]
@@ -147,6 +147,29 @@ class TestScanAndAnalyze:
         assert docs[-1]["written"] == 0
         assert docs[-1]["skipped_existing"] == 30
 
+    def test_corpus_idn_line_is_scanned_as_punycode(self, env, capsys):
+        corpus = env.tmp / "corpus.txt"
+        corpus.write_text("b\u00fccher.example\n")
+        code, docs = run(capsys, "dns-scan", "--config", env.config, "--corpus", str(corpus))
+        assert code == 0
+        assert docs[-1]["written"] == 3
+        assert docs[-1]["rejected_domains"] == 0
+        assert docs[-1]["inconclusive"] == {"p1": 0, "p2": 0, "p3": 0}
+        with Repository(env.repo) as repo:
+            assert {r.domain for r in repo.query("t1")} == {"xn--bcher-kva.example"}
+
+    def test_corpus_case_variants_are_one_domain(self, env, capsys):
+        corpus = env.tmp / "corpus.txt"
+        corpus.write_text("Ads.Example.COM\nads.example.com\nads.example.com.\n"
+                          "# a comment\n127.0.0.1\nbad..example\n")
+        code, docs = run(capsys, "dns-scan", "--config", env.config, "--corpus", str(corpus))
+        assert code == 0
+        assert (docs[-1]["domains"], docs[-1]["written"]) == (1, 3)
+        assert docs[-1]["rejected_domains"] == 2
+        with Repository(env.repo) as repo:
+            assert {r.domain for r in repo.query("t1")} == {"ads.example.com"}
+            assert repo.read_manifest("t1")["domains"] == 1
+
     def test_analyze_byte_identical(self, env, capsys):
         assert run(capsys, "run-all", "--config", env.config)[0] == 0
         out_a = str(env.tmp / "rep-a")
@@ -232,8 +255,28 @@ class TestTiFetch:
         assert docs[-1]["fetched"] == 0
         assert docs[-1]["skipped_existing"] == 10
         assert docs[-1]["remote_requests"] == 0
+        assert docs[-1]["rejected_domains"] == 0
         with Repository(env.repo) as repo:
             assert len(repo.query("t1", kind=KIND_TI)) == 10
+
+    def test_fetch_skips_only_pairs_held_as_ti(self, env, capsys):
+        cfg = self.fixture_config(env)
+        corpus = env.tmp / "corpus.txt"
+        corpus.write_text("D0.example\nd1.example\nd2.example\n0x7f.1\n")
+        with Repository(env.repo) as repo:
+            repo.upsert(VerdictRecord("d0.example", "ti", "t1", KIND_TI,
+                                      {"status": "no_report"}, "x"))
+            # a TI record under another provider, and a key whose latest
+            # record is not TI, do not count as fetched
+            repo.upsert(VerdictRecord("d1.example", "other", "t1", KIND_TI,
+                                      {"status": "no_report"}, "x"))
+            repo.upsert(VerdictRecord("d2.example", "ti", "t1", KIND_TI,
+                                      {"status": "no_report"}, "x"))
+            repo.upsert(VerdictRecord("d2.example", "ti", "t1", KIND_AD, {}, "x"))
+        code, docs = run(capsys, "ti-fetch", "--config", cfg, "--corpus", str(corpus))
+        assert code == 0
+        assert (docs[-1]["skipped_existing"], docs[-1]["fetched"]) == (1, 2)
+        assert docs[-1]["rejected_domains"] == 1
 
     def test_report_includes_ti_section(self, env, capsys):
         cfg = self.fixture_config(env)

@@ -31,7 +31,7 @@ from admal.dnsbroker import (
 )
 from admal.dnsclient import DnsClient
 from admal.dnswire import Question, build_response, parse_response
-from admal.repository import KIND_DNS, Repository, VerdictRecord
+from admal.repository import KIND_DNS, KIND_TI, Repository, VerdictRecord
 
 
 def resp(rcode=0, answers=(), txid=0):
@@ -576,6 +576,45 @@ class TestRunCampaign:
             assert manifest["providers"] == ["prov0", "prov1"]
             assert manifest["started"] <= manifest["finished"]
             assert manifest["inconclusive"] == {"prov0": 0, "prov1": 0}
+
+    def test_noop_resume_leaves_manifest_alone(self, tmp_path):
+        profiles = self.make_profiles(2)
+        with Repository(tmp_path / "repo") as repo:
+            run_campaign(["d.example"], profiles, CampaignLimits(2, 1000.0),
+                         repo, "c9", query_fn=stub_query_fn(set()))
+            path = repo.manifest_path("c9")
+            before, inode = path.read_bytes(), path.stat().st_ino
+            rerun = run_campaign(["d.example"], profiles, CampaignLimits(2, 1000.0),
+                                 repo, "c9", query_fn=stub_query_fn(set()))
+            assert rerun.written == 0
+            assert (path.read_bytes(), path.stat().st_ino) == (before, inode)
+
+    def test_rerun_after_interrupt_rewrites_manifest(self, tmp_path):
+        profiles = self.make_profiles(2)
+        with Repository(tmp_path / "repo") as repo:
+            run_campaign(["d.example"], profiles, CampaignLimits(2, 1000.0),
+                         repo, "c9", query_fn=stub_query_fn(set()))
+            manifest = repo.read_manifest("c9")
+            repo.write_manifest("c9", {**manifest, "interrupted": True})
+            run_campaign(["d.example"], profiles, CampaignLimits(2, 1000.0),
+                         repo, "c9", query_fn=stub_query_fn(set()))
+            rewritten = repo.read_manifest("c9")
+            assert rewritten["interrupted"] is False
+            assert {**rewritten, "finished": None} == {**manifest, "finished": None}
+
+    def test_pair_whose_record_changed_kind_is_pending(self, tmp_path):
+        profiles = self.make_profiles(1)
+        with Repository(tmp_path / "repo") as repo:
+            run_campaign(["a.example", "b.example"], profiles, CampaignLimits(2, 1000.0),
+                         repo, "c1", query_fn=stub_query_fn(set()))
+            repo.upsert(VerdictRecord("a.example", "prov0", "c1", KIND_TI,
+                                      {"status": "no_report"}, "x"))
+            assert [d for d, _p, _v in repo.summaries("c1", KIND_DNS)] == ["b.example"]
+            rerun = run_campaign(["a.example", "b.example"], profiles,
+                                 CampaignLimits(2, 1000.0), repo, "c1",
+                                 query_fn=stub_query_fn(set()))
+            assert (rerun.written, rerun.skipped_existing) == (1, 1)
+            assert repo.get("a.example", "prov0", "c1").kind == KIND_DNS
 
     def test_order_invariant_verdicts(self, tmp_path):
         domains = [f"d{i}.example" for i in range(12)]

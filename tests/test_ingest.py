@@ -12,9 +12,11 @@ from admal.ingest import (
     IpLiteralError,
     PublicSuffixList,
     RequestRecord,
+    IngestError,
     SchemaError,
     dedupe,
     extract_domain,
+    is_canonical,
     is_ip_literal,
     normalize_hostname,
     parse_capture,
@@ -165,6 +167,41 @@ class TestNormalizeHostname:
                                       "example.0xg", "example.x0", "example.1a"])
     def test_numeric_inner_label_is_valid(self, host):
         assert normalize_hostname(host) == host
+
+
+_host_texts = st.one_of(
+    st.lists(st.text(alphabet="abz019xX-_.\u00fc ", max_size=8), min_size=1, max_size=5)
+    .map(".".join),
+    # names around the 63-character label and 253-character name limits
+    st.lists(st.sampled_from(["a" * 63, "b" * 62, "c" * 61, "d", "0x1f", "12"]),
+             min_size=1, max_size=5).map(".".join),
+    st.text(max_size=20),
+)
+
+
+class TestCanonicalPreCheck:
+    """The pre-check that lets corpus lines skip normalize_hostname accepts
+    exactly the names normalize_hostname returns unchanged."""
+
+    @given(_host_texts)
+    @settings(max_examples=800)
+    def test_agrees_with_normalize_hostname(self, host):
+        try:
+            unchanged = normalize_hostname(host) == host
+        except IngestError:
+            unchanged = False
+        assert is_canonical(host) is unchanged
+
+    @pytest.mark.parametrize("host", ["a.example", "xn--bcher-kva.example", "_dmarc.a-b.c",
+                                      "a.0xg", "2001.example", "a" * 63 + ".b"])
+    def test_canonical(self, host):
+        assert is_canonical(host)
+
+    @pytest.mark.parametrize("host", ["A.example", "b\u00fccher.example", "a.example.", "a..b",
+                                      "127.1", "a.0x7f", "a.0x", "a" * 64 + ".b", "",
+                                      ".".join(["a" * 63] * 4) + ".bc", " a.example"])
+    def test_not_canonical(self, host):
+        assert not is_canonical(host)
 
 
 class TestDedupe:

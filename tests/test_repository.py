@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admal.keydir import NO_TALLY
 from admal.repository import (
     HINT_NAME,
     KIND_AD,
@@ -176,13 +178,44 @@ class TestQuery:
             self.fill(repo)
             assert repo.query("nope") == []
 
+    def test_kind_change_moves_the_key(self, tmp_path):
+        with Repository(tmp_path) as repo:
+            repo.upsert(rec(domain="a.example"))
+            repo.upsert(rec(domain="b.example"))
+            repo.upsert(rec(domain="a.example", kind=KIND_TI, payload={"status": "no_report"}))
+            domains = ["a.example", "b.example"]
+            assert repo.held("c1", KIND_DNS, domains, ["quad9"]) == {"quad9": b"\x00\x01"}
+            assert repo.held("c1", KIND_TI, domains, ["quad9"]) == {"quad9": b"\x01\x00"}
+            assert [d for d, _p, _s in repo.summaries("c1", KIND_DNS)] == ["b.example"]
+            assert [d for d, _p, _s in repo.summaries("c1", KIND_TI)] == ["a.example"]
+            assert repo.verdict_counts("c1") == {"quad9": {"blocked": 1}}
+            assert repo.verdict_domains("c1", "quad9", "blocked") == ["b.example"]
+
+    def test_verdict_counts_keep_json_types_apart(self, tmp_path):
+        with Repository(tmp_path) as repo:
+            for i, verdict in enumerate(["blocked", "1", 1, True, 1.0, None, "blocked"]):
+                repo.upsert(rec(domain=f"d{i}.example", payload={"verdict": verdict}))
+            repo.upsert(rec(domain="x.example", provider="cisco", payload={"verdict": "1"}))
+            repo.upsert(rec(domain="y.example", provider="adlists", kind=KIND_AD, payload={}))
+            assert repo.verdict_counts("c1") == {
+                "quad9": {"blocked": 2, "1": 1, ("1",): 1, ("true",): 1, ("1.0",): 1,
+                          ("null",): 1},
+                "cisco": {"1": 1}}
+            assert repo.verdict_domains("c1", "quad9", "1") == ["d1.example"]
+            assert repo.verdict_domains("c1", "quad9", 1) == ["d2.example"]
+            assert repo.verdict_domains("c1", "quad9", "blocked") == ["d0.example", "d6.example"]
+            assert repo.verdict_domains("c1", "quad9", "absent") == []
+            assert repo.verdict_domains("c2", "quad9", "blocked") == []
+            assert repo.verdict_counts("c2") == {}
+
     def test_existing_pairs(self, tmp_path):
         with Repository(tmp_path) as repo:
             repo.upsert(rec(domain="a.example", provider="quad9"))
             repo.upsert(rec(domain="a.example", provider="cisco"))
-            assert repo.existing_pairs("c1", KIND_DNS) == {
-                ("a.example", "quad9"), ("a.example", "cisco")}
-            assert repo.existing_pairs("c1", KIND_TI) == set()
+            domains = ["a.example", "b.example"]
+            assert repo.held("c1", KIND_DNS, domains, ["quad9", "cisco", "ti"]) == {
+                "quad9": b"\x01\x00", "cisco": b"\x01\x00", "ti": b"\x00\x00"}
+            assert repo.held("c1", KIND_TI, domains, ["quad9"]) == {"quad9": b"\x00\x00"}
 
 
 class TestBlocksetFixture:
@@ -322,6 +355,29 @@ class TestConcurrency:
             assert len(repo) == 2000
 
 
+def _keydir(repo):
+    """The keydir as {(domain, provider, campaign): (kind, offset, summary)}
+    in key order, read from the repository's columns."""
+    keydir = {}
+    for campaign, (rows, columns) in repo._campaigns.items():
+        for provider, col in columns.items():
+            for domain, row in rows.items():
+                if col.offsets[row] < 0:
+                    continue
+                kind, code = KINDS[col.kinds[row] - 1], col.codes[row]
+                if kind == KIND_DNS:
+                    summary = repo._values[code]
+                elif kind == KIND_AD:
+                    summary = None
+                elif code < 0:
+                    summary = col.odd[row]
+                else:
+                    summary = (repo._values[code], *(
+                        None if column[row] == NO_TALLY else column[row] for column in col.tallies))
+                keydir[domain, provider, campaign] = (kind, col.offsets[row], summary)
+    return dict(sorted(keydir.items()))
+
+
 def _replayed(root, scratch):
     """What a full replay of ``root``'s log gives: ("keydir", dict) or
     ("error", message); opens a copy, without the hint, in the new directory
@@ -334,7 +390,7 @@ def _replayed(root, scratch):
         return "error", str(exc)
     with repo:
         assert repo._hinted is None
-        return "keydir", dict(repo._keydir)
+        return "keydir", _keydir(repo)
 
 
 def _opened(root):
@@ -344,7 +400,7 @@ def _opened(root):
         repo = Repository(root)
     except StorageError as exc:
         return None, ("error", str(exc))
-    return repo, ("keydir", dict(repo._keydir))
+    return repo, ("keydir", _keydir(repo))
 
 
 class TestHint:
@@ -458,7 +514,7 @@ class TestHint:
         elif damage == "not-json":
             hint.write_bytes(b"\x80\x81 pickle?\n")
         elif damage == "foreign-version":
-            hint.write_bytes(data.replace(b'"keydir_hint":1', b'"keydir_hint":9', 1))
+            hint.write_bytes(data.replace(b'"keydir_hint":2', b'"keydir_hint":9', 1))
         else:
             hint.write_bytes(b"")
         expected = _replayed(tmp_path, tmp_path / "ref")
@@ -485,11 +541,48 @@ class TestHint:
             assert repo._hinted is not None
             assert repr(got) == repr(expected)
 
+    @pytest.mark.parametrize("edit", [None, "offset-past-prefix", "record-without-offset",
+                                      "unknown-kind", "dns-without-code",
+                                      "code-past-table", "short-column",
+                                      "side-table-row-not-ti", "duplicate-domain"])
+    def test_hint_whose_columns_do_not_fit_falls_back_to_replay(self, tmp_path, edit):
+        self.fill(tmp_path)
+        hint = tmp_path / HINT_NAME
+        head, *body, _trailer = [json.loads(line) for line in hint.read_bytes().splitlines()]
+        cisco = next(doc for doc in body if doc[:2] == ["provider", "cisco"])
+        ti = next(doc for doc in body if doc[:2] == ["provider", "ti"])
+        row = cisco[4].index(1)  # the first row holding a DNS record
+        if edit == "offset-past-prefix":
+            cisco[2][row] = head["log_size"]
+        elif edit == "record-without-offset":
+            cisco[2][row] = -1
+        elif edit == "unknown-kind":
+            cisco[4][row] = 7
+        elif edit == "dns-without-code":
+            cisco[5][row] = -1
+        elif edit == "code-past-table":
+            cisco[5][row] = len(body[0][1])
+        elif edit == "short-column":
+            ti[6][2].pop()
+        elif edit == "side-table-row-not-ti":
+            cisco[7].append([row, ["report", 1, 1, 1, 1, 1]])
+        elif edit == "duplicate-domain":
+            campaign = next(doc for doc in body if doc[0] == "campaign")
+            campaign[2][1] = campaign[2][0]
+        lines = [json.dumps(doc, separators=(",", ":")).encode() + b"\n" for doc in [head, *body]]
+        trailer = json.dumps({"sha256": hashlib.sha256(b"".join(lines)).hexdigest()})
+        hint.write_bytes(b"".join(lines) + trailer.encode() + b"\n")
+        expected = _replayed(tmp_path, tmp_path / "ref")
+        repo, got = _opened(tmp_path)
+        with repo:
+            assert (repo._hinted is None) is (edit is not None)
+            assert got == expected
+
     def test_compact_then_reopen(self, tmp_path):
         self.fill(tmp_path)
         with Repository(tmp_path) as repo:
             repo.compact()
-            compacted = dict(repo._keydir)
+            compacted = _keydir(repo)
             # compact wrote the hint itself, before any close
             copy = tmp_path / "copy"
             copy.mkdir()
@@ -585,8 +678,10 @@ def _check_against_model(repo, model, export_path):
         for kind in KINDS:
             of_kind = [r for r in mine if r.kind == kind]
             assert repo.query(campaign, kind=kind) == of_kind
-            assert repo.existing_pairs(campaign, kind) == {
-                (r.domain, r.provider_id) for r in of_kind}
+            domains = ["a.example", "b.example", "c.example", "absent.example"]
+            assert repo.held(campaign, kind, domains, ["quad9", "cisco"]) == {
+                p: bytes((d, p) in {(r.domain, r.provider_id) for r in of_kind} for d in domains)
+                for p in ("quad9", "cisco")}
             seen = [(d, p, _seen_summary(kind, d, s)) for d, p, s in repo.summaries(campaign, kind)]
             assert sorted(seen, key=repr) == sorted(
                 ((r.domain, r.provider_id, _model_summary(r)) for r in of_kind), key=repr)
