@@ -11,7 +11,7 @@ than silently skipped.
 import hashlib
 from dataclasses import dataclass
 
-from .ingest import InvalidHostError, IpLiteralError, normalize_hostname
+from .ingest import InvalidHostError, IpLiteralError, is_canonical, normalize_hostname
 from .ingest import is_ip_literal as _is_ip
 
 AUTO = "auto"
@@ -48,6 +48,8 @@ class ListParseResult:
 
 def _normalize_pattern(raw: str) -> tuple[str | None, str | None]:
     """Returns (pattern, reject_reason); exactly one is set."""
+    if is_canonical(raw):
+        return raw, None
     if "/" in raw:
         return None, "path-rule"
     try:
@@ -56,10 +58,8 @@ def _normalize_pattern(raw: str) -> tuple[str | None, str | None]:
         return None, "invalid-domain"
 
 
-def _parse_hosts_line(line: str, line_no: int, source: str):
-    tokens = line.split()
-    if not tokens or not _is_ip(tokens[0]):
-        return None, RuleReject(line_no, line, "not-hosts-syntax")
+def _parse_hosts_line(tokens: list[str], line: str, line_no: int, source: str):
+    """A hosts line, split into tokens, whose first token is an address."""
     if len(tokens) == 1:
         return None, RuleReject(line_no, line, "missing-hostname")
     entries, reject = [], None
@@ -131,20 +131,15 @@ def parse_list(
         # inline trailing comments are common in hosts lists
         line = line.split("#", 1)[0].strip() if " #" in line else line
 
-        if format_hint == HOSTS:
-            parsed, reject = _parse_hosts_line(line, line_no, source_list)
-        elif format_hint == ADBLOCK:
+        tokens = line.split()
+        if format_hint in (AUTO, HOSTS) and tokens and _is_ip(tokens[0]):
+            parsed, reject = _parse_hosts_line(tokens, line, line_no, source_list)
+        elif format_hint == HOSTS:
+            parsed, reject = None, RuleReject(line_no, line, "not-hosts-syntax")
+        elif format_hint == ADBLOCK or format_hint == AUTO and line.startswith(("||", "|", "@@")):
             parsed, reject = _parse_adblock_line(line, line_no, source_list)
-        elif format_hint == PLAIN:
-            parsed, reject = _parse_plain_line(line, line_no, source_list)
         else:
-            tokens = line.split()
-            if tokens and _is_ip(tokens[0]):
-                parsed, reject = _parse_hosts_line(line, line_no, source_list)
-            elif line.startswith(("||", "|", "@@")):
-                parsed, reject = _parse_adblock_line(line, line_no, source_list)
-            else:
-                parsed, reject = _parse_plain_line(line, line_no, source_list)
+            parsed, reject = _parse_plain_line(line, line_no, source_list)
 
         if parsed:
             entries.extend(parsed)

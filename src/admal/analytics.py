@@ -8,8 +8,10 @@ coarser threat figures.  Overlap counts are exclusive regions: "ab" counts
 elements in a and b but not c.
 """
 
+import contextlib
 import json
 import os
+import stat
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -416,6 +418,28 @@ def _flatten(doc, prefix=""):
         yield prefix, doc
 
 
+@contextlib.contextmanager
+def open_aside(path: str):
+    """A text file that replaces ``path`` if the block ends without raising: it
+    is written aside, then the old file is unlinked and the new one renamed in,
+    as truncating a file or renaming over one makes ext4 flush it (auto_da_alloc).
+    A path that is not a regular file (``/dev/stdout``, a symlink) is written in place."""
+    aside = not os.path.lexists(path) or stat.S_ISREG(os.lstat(path).st_mode)
+    tmp = path + ".tmp" if aside else path
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if aside:
+            os.unlink(tmp)
+        raise
+    if aside:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        os.rename(tmp, path)
+
+
 def emit_report(report: AnalysisReport, out_dir: str, formats=("json", "plotdata")):
     """Write the selected artifacts; returns the paths written.
 
@@ -427,17 +451,9 @@ def emit_report(report: AnalysisReport, out_dir: str, formats=("json", "plotdata
     written = []
 
     def _write(name: str, text: str):
-        # Write aside, unlink the old file, then rename: truncating an existing
-        # file, or renaming over one, makes ext4 flush it synchronously
-        # (auto_da_alloc), which costs hundreds of ms per rewritten report.
         path = os.path.join(out_dir, name)
-        with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
+        with open_aside(path) as fh:
             fh.write(text)
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
-        os.rename(path + ".tmp", path)
         written.append(path)
 
     if "json" in formats:

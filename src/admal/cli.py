@@ -10,6 +10,7 @@ Logs are JSONL on stderr; data goes to stdout or files.
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -52,6 +53,7 @@ EXIT_RUNTIME = 2
 
 TI_PROVIDER_ID = "ti"
 ADLIST_PROVIDER_ID = "adlists"
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class _JsonLogFormatter(logging.Formatter):
@@ -297,11 +299,11 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
         raise ConfigError("no domains file: pass --domains or configure a campaign")
     domains, _rejected = _read_corpus(domains_path)
 
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    repo = Repository(cfg.repository) if args.store else None
-    try:
-        if repo is not None and not campaign:
-            raise ConfigError("--store needs a campaign id")
+    if args.store and not campaign:
+        raise ConfigError("--store needs a campaign id")
+    out_file = analytics.open_aside(args.out) if args.out else contextlib.nullcontext(sys.stdout)
+    with out_file as out, \
+            Repository(cfg.repository) if args.store else contextlib.nullcontext() as repo:
         for domain in domains:
             entry = matcher.match(domain)
             doc = {
@@ -310,7 +312,7 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
                 "matched_entry": entry.pattern if entry else None,
                 "source_list": entry.source_list if entry else None,
             }
-            out.write(json.dumps(doc, separators=(",", ":")) + "\n")
+            out.write(_encode(doc) + "\n")
             if repo is not None:
                 repo.upsert(
                     VerdictRecord(
@@ -322,11 +324,6 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
                         recorded_at=utc_now_rfc3339(),
                     )
                 )
-    finally:
-        if out is not sys.stdout:
-            out.close()
-        if repo is not None:
-            repo.close()
     log.info(
         "classified %d domains against %d entries (%d rejects across lists)",
         len(domains), matcher.entry_count, len(rejects),

@@ -24,9 +24,9 @@ import hashlib
 import json
 import os
 import threading
+import time
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from itertools import compress, count, repeat
 from operator import and_, itemgetter
 from pathlib import Path
@@ -47,6 +47,8 @@ _NO_CAMPAIGN = ({}, {})  # the rows and columns of a campaign with no record
 
 _FIELDS = ("domain", "provider", "campaign", "kind", "payload", "ts")
 _KEY_FIELDS = ("domain", "provider", "campaign")
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_clock = (None, "")  # (a UTC second, its date-time text), replaced whole
 
 
 class StorageError(Exception):
@@ -62,8 +64,15 @@ class RecordSchemaError(ValueError):
 
 
 def utc_now_rfc3339() -> str:
-    """Current UTC time, RFC3339 with millisecond precision."""
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
+    """Current UTC time, RFC3339 with milliseconds; formatted once a second."""
+    global _clock
+    ms = time.time_ns() // 1_000_000
+    second, text = _clock
+    if second != ms // 1000:
+        second = ms // 1000
+        text = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(second))
+        _clock = (second, text)
+    return f"{text}.{ms % 1000:03d}Z"
 
 
 def _parse_line(line: str | bytes, line_no: int) -> dict:
@@ -125,7 +134,7 @@ class VerdictRecord:
 
     def to_json(self) -> str:
         # canonical field order: domain, provider, campaign, kind, payload, ts
-        return json.dumps(
+        return _encode(
             {
                 "domain": self.domain,
                 "provider": self.provider_id,
@@ -133,8 +142,7 @@ class VerdictRecord:
                 "kind": self.kind,
                 "payload": self.payload,
                 "ts": self.recorded_at,
-            },
-            separators=(",", ":"),
+            }
         )
 
     @classmethod
@@ -408,22 +416,6 @@ class Repository:
         """Write the latest-wins view as sorted JSONL; returns record count."""
         with self._lock, open(path, "wb") as fh:
             return len(self._write_sorted(fh)[0])
-
-    def import_records(self, path) -> int:
-        """Ingest an exported JSONL file; idempotent for repeated imports."""
-        count = 0
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                record = VerdictRecord.from_json_line(line, line_no)
-                try:
-                    self.upsert(record)
-                except ValueError as exc:
-                    raise RecordSchemaError(line_no, str(exc)) from None
-                count += 1
-        return count
 
     def compact(self) -> None:
         """Rewrite the log with only the latest record per key, and its hint."""

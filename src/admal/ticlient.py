@@ -22,6 +22,7 @@ OPINIONS = "opinions"
 ALL_PARTNERS = "all_partners"
 
 _TALLY_FIELDS = ("harmless", "undetected", "suspicious", "malicious", "timeout")
+_encode_sorted = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 class TiError(Exception):
@@ -384,7 +385,7 @@ class TiClient:
     def _store(self, result) -> None:
         self._cache[result.domain] = result
         doc = {"domain": result.domain, **report_to_payload(result)}
-        self._fh.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
+        self._fh.write(_encode_sorted(doc) + "\n")
         self._fh.flush()
 
     def close(self) -> None:

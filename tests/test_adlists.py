@@ -14,10 +14,12 @@ from admal.adlists import (
     STRICT,
     AdMatcher,
     FilterEntry,
+    _normalize_pattern,
     load_lists,
     parse_list,
     parse_list_file,
 )
+from admal.ingest import IngestError, normalize_hostname
 
 
 def entry(pattern, subdomains=False, source="list", line_no=1):
@@ -126,6 +128,15 @@ class TestParseList:
     def test_unknown_hint_rejected(self):
         with pytest.raises(ValueError):
             parse_list("x", "csv")
+
+    @given(st.text("aZ09.-_/:\u00e9 ", max_size=12))
+    @settings(max_examples=500)
+    def test_canonical_skip_matches_normalizer(self, raw):
+        try:
+            expected = (None, "path-rule") if "/" in raw else (normalize_hostname(raw), None)
+        except IngestError:
+            expected = (None, "invalid-domain")
+        assert _normalize_pattern(raw) == expected
 
     def test_total_over_garbage(self):
         # every non-blank line lands in entries or rejects, never vanishes

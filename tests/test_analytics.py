@@ -20,6 +20,7 @@ from admal.analytics import (
     dns_counts,
     ecdf,
     emit_report,
+    open_aside,
     percent,
     ti_stats,
     venn3,
@@ -443,6 +444,25 @@ class TestEmit:
         self.emit(blockset_repo, out)
         assert {name: (out / name).read_bytes() for name in names} == first
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+    def test_open_aside_failure_keeps_old_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with open_aside(str(path)) as fh:
+                fh.write("half")
+                raise RuntimeError
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_open_aside_writes_through_non_regular_path(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        (tmp_path / "link.json").symlink_to(target)
+        with open_aside(str(tmp_path / "link.json")) as fh:
+            fh.write("new\n")
+        assert (tmp_path / "link.json").is_symlink()
+        assert target.read_text() == "new\n"
 
     def test_report_json_contents(self, blockset_repo, tmp_path):
         self.emit(blockset_repo, tmp_path)

@@ -216,6 +216,14 @@ class TestAdsClassify:
             assert len(records) == 10
             assert sum(r.payload["is_ad"] for r in records) == 3
 
+    def test_rerun_replaces_out_file(self, env, capsys):
+        out_path = env.tmp / "ads.jsonl"
+        assert self.classify(env, capsys, "--out", str(out_path))[0] == 0
+        first = out_path.read_bytes()
+        assert self.classify(env, capsys, "--out", str(out_path))[0] == 0
+        assert out_path.read_bytes() == first
+        assert not (env.tmp / "ads.jsonl.tmp").exists()
+
     def test_explicit_lists_flag(self, env, capsys):
         other = env.tmp / "other.txt"
         other.write_text("d5.example\n")

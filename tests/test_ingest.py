@@ -14,6 +14,8 @@ from admal.ingest import (
     RequestRecord,
     IngestError,
     SchemaError,
+    _PLAIN_URL_RE,
+    _url_host,
     dedupe,
     extract_domain,
     is_canonical,
@@ -398,3 +400,57 @@ class TestIngestPathEquivalence:
             result = dedupe(given_records)
             assert result.domains == domains
             assert [(r.value, r.reason) for r in result.rejects] == rejects
+
+
+_PLAIN_HOST = "aZ09.-_"
+# characters where a plain-host rule could part from urlsplit: "\u017f" and
+# "\u212a" fold to "s" and "k" under IGNORECASE, urlsplit drops tabs, and the
+# others open userinfo, brackets, escapes, ports or non-ASCII hosts
+_EDGY_HOST = _PLAIN_HOST + "\t \\@%[]:\u017f\u212a\u00e9\u0663"
+_ports = st.sampled_from(["", ":", ":80", ":80x", "::80", ":\u0663", ":8\t0", "@h", "%41"])
+_tails = st.sampled_from(["", "/", "/p?q", "?q", "#f", "\\x", " x", "\t", "\n", "/\u00e9"])
+_edge_urls = st.one_of(
+    st.builds("{}://{}{}{}".format, st.sampled_from(["http", "https", "HTTP", "hTtPs"]),
+              st.text(_PLAIN_HOST, max_size=10), _ports, _tails),
+    st.builds(
+        "{}{}{}{}{}".format,
+        st.sampled_from(["http", "https", "HTTP", "http\u017f", "\u212ahttp", " http",
+                         "htt\tp", "ftp", "https\u212a"]),
+        st.sampled_from(["://", ":/", ":///", "://\t", ":\\\\"]),
+        st.text(_EDGY_HOST, max_size=10), _ports, _tails),
+)
+
+
+def _reference_url_host(url):
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        return None
+    if parts.scheme not in ("http", "https") or not parts.netloc:
+        return None
+    return parts.hostname or ""
+
+
+class TestUrlHostFastPath:
+    """URLs the plain-host regex takes give what urlsplit gives."""
+
+    @given(_edge_urls)
+    @settings(max_examples=3000)
+    def test_matches_urlsplit(self, url):
+        assert _url_host(url) == _reference_url_host(url)
+
+    @pytest.mark.parametrize("url,host", [
+        ("https://Ads.Example.COM/x", "ads.example.com"), ("HTTP://a.b:8080?q", "a.b"),
+        ("http://a_b-c.d:#f", "a_b-c.d"), ("http://1.2.3.4", "1.2.3.4"),
+    ])
+    def test_plain_urls_take_it(self, url, host):
+        assert _PLAIN_URL_RE.match(url) and _url_host(url) == host
+
+    @pytest.mark.parametrize("url", [
+        "http\u017f://a.b/", "https://a.b:80x/", "http://a.b::80/", "http://a.b:\u0663/",
+        "http://u@a.b/", "http://a.b\t/", "http://:80/", "http:///x", "http://[::1]/",
+        "http://a.b%41/", "http://\u00e9.b/", "http://a.b\n",
+    ])
+    def test_other_urls_fall_back(self, url):
+        assert not _PLAIN_URL_RE.match(url)
+        assert _url_host(url) == _reference_url_host(url)

@@ -3,12 +3,17 @@ import json
 import os
 import re
 import shutil
+import sys
 import threading
+import time
+from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admal import repository
 from admal.keydir import NO_TALLY
 from admal.repository import (
     HINT_NAME,
@@ -31,6 +36,11 @@ def rec(domain="d.example", provider="quad9", campaign="c1", kind=KIND_DNS,
         payload=None, ts=TS):
     return VerdictRecord(domain, provider, campaign, kind,
                          payload if payload is not None else {"verdict": "blocked"}, ts)
+
+
+def _reference_timestamp(ns: int) -> str:
+    then = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=ns // 1000)
+    return then.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
 
 
 class TestRecord:
@@ -60,6 +70,51 @@ class TestRecord:
     def test_timestamp_format(self):
         assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z",
                             utc_now_rfc3339())
+
+    def test_timestamp_matches_datetime_formatting(self, monkeypatch):
+        # the text cached per second gives what formatting a datetime gives,
+        # across .999 -> .000, within one second, and back to an older second
+        base = 1_717_200_000 * 10**9  # 2024-06-01T00:00:00Z
+        ticks = [base - 1, base, base + 999_999_999, base + 10**9, base + 10**9 + 1_000_000,
+                 base + 10**9 + 999_999_999, base + 60 * 10**9, base - 10**6, base - 10**6,
+                 base + 86_400 * 10**9 - 1, 0, 10**18]
+        clock = iter(ticks)
+        monkeypatch.setattr(repository, "time", SimpleNamespace(
+            time_ns=lambda: next(clock), gmtime=time.gmtime, strftime=time.strftime))
+        for ns in ticks:
+            assert utc_now_rfc3339() == _reference_timestamp(ns)
+
+    def test_timestamp_threads_never_mix_seconds(self, monkeypatch):
+        # every call reads a tick about a third of a second on from the last,
+        # so threads keep replacing each other's cached second
+        seen, ticks = threading.local(), iter(range(1_717_200_000 * 10**9, 2**62, 333_333_337))
+
+        def time_ns():
+            seen.ns = next(ticks)
+            return seen.ns
+
+        monkeypatch.setattr(repository, "time", SimpleNamespace(
+            time_ns=time_ns, gmtime=time.gmtime, strftime=time.strftime))
+        wrong = []
+
+        def work():
+            for _ in range(3000):
+                text = utc_now_rfc3339()
+                if text != _reference_timestamp(seen.ns):
+                    wrong.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestLatestWins:
@@ -105,14 +160,9 @@ class TestLatestWins:
             with pytest.raises(ValueError, match="tally"):
                 repo.upsert(bad)
             assert len(repo) == 1
-        export = tmp_path / "bad.jsonl"
-        export.write_text(good.to_json() + "\n" + bad.to_json() + "\n")
-        with Repository(tmp_path) as repo:
-            with pytest.raises(RecordSchemaError, match="line 2"):
-                repo.import_records(export)
         log = tmp_path / "records.jsonl"
         log.write_text(log.read_text() + bad.to_json() + "\n")
-        with pytest.raises(StorageError, match="corrupt log record at line 3"):
+        with pytest.raises(StorageError, match="corrupt log record at line 2"):
             Repository(tmp_path)
 
     def test_overwrite_survives_reopen(self, tmp_path):
@@ -282,31 +332,13 @@ class TestExportImport:
         assert src.export(out1) == 7
         src.close()
 
-        dst = Repository(tmp_path / "dst")
-        assert dst.import_records(out1) == 7
+        # an export is itself a log: opened as one, it exports the same bytes
+        (tmp_path / "dst").mkdir()
+        shutil.copy(out1, tmp_path / "dst" / "records.jsonl")
         out2 = tmp_path / "export2.jsonl"
-        dst.export(out2)
-        dst.close()
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_reimport_idempotent(self, tmp_path):
-        with Repository(tmp_path / "src") as src:
-            for i in range(4):
-                src.upsert(rec(domain=f"d{i}.example"))
-            out = tmp_path / "export.jsonl"
-            src.export(out)
         with Repository(tmp_path / "dst") as dst:
-            dst.import_records(out)
-            dst.import_records(out)
-            assert len(dst) == 4
-
-    def test_import_reports_bad_line_number(self, tmp_path):
-        path = tmp_path / "in.jsonl"
-        path.write_text(rec().to_json() + "\n" + "garbage\n")
-        with Repository(tmp_path / "repo") as repo:
-            with pytest.raises(RecordSchemaError) as exc:
-                repo.import_records(path)
-            assert exc.value.line_no == 2
+            assert dst.export(out2) == 7
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestCompaction:
