@@ -1,11 +1,13 @@
 """Turn stored verdicts into the headline numbers: per-provider blocked
-sets and their three-way overlap, ad shares, threat-intel agreement
-statistics, and a deterministic report with plot-ready CSV series.
+sets and their overlap, ad shares, threat-intel agreement statistics, and a
+deterministic report with plot-ready CSV series.
 
 Display percentages are truncated, not rounded (floor at the last shown
 digit); the two modes are two decimals for shares and one decimal for
-coarser threat figures.  Overlap counts are exclusive regions: "ab" counts
-elements in a and b but not c.
+coarser threat figures.  The overlap of N blocked sets is a Counter of
+per-domain provider bitmasks, whose counts are UpSet's exclusive regions
+(Lex et al., IEEE TVCG 2014); the report names the regions ("ab": in a and
+b but not c) and carries them only when exactly three providers report.
 """
 
 import contextlib
@@ -13,12 +15,13 @@ import json
 import os
 import stat
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .adlists import AdMatcher
 from .dnsbroker import BLOCKED, INCONCLUSIVE, NOT_BLOCKED
-from .repository import KIND_DNS, KIND_TI, Repository
+from .repository import KIND_DNS, KIND_TI, Repository, StorageError
 from .ticlient import (
     OPINIONS,
     NoReport,
@@ -56,85 +59,55 @@ def percent(count: int, base: int, mode: str = TRUNCATE2) -> float:
     raise ValueError(f"unknown percent mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class Venn3:
-    a_only: int
-    b_only: int
-    c_only: int
-    ab: int
-    ac: int
-    bc: int
-    abc: int
-    total_a: int
-    total_b: int
-    total_c: int
+# the report's names for the exclusive regions of three sets
+VENN3_REGIONS = {0b001: "a_only", 0b010: "b_only", 0b100: "c_only",
+                 0b011: "ab", 0b101: "ac", 0b110: "bc", 0b111: "abc"}
+
+
+class Overlap(Counter):
+    """The overlap of N sets as exclusive regions: mask -> how many elements
+    lie in exactly the sets whose bits the mask sets (bit i: the i-th set)."""
+
+    @classmethod
+    def of(cls, sets) -> "Overlap":
+        """One pass over the sets, each an iterable of distinct elements."""
+        masks: dict = {}
+        for i, elements in enumerate(sets):
+            bit = 1 << i
+            for element in elements:
+                masks[element] = masks.get(element, 0) | bit
+        return cls(masks.values())
 
     @property
     def union(self) -> int:
-        return (
-            self.a_only + self.b_only + self.c_only
-            + self.ab + self.ac + self.bc + self.abc
-        )
+        return sum(self.values())
 
-    def __post_init__(self):
-        regions = (self.a_only, self.b_only, self.c_only,
-                   self.ab, self.ac, self.bc, self.abc)
-        if any(r < 0 for r in regions):
-            raise ValueError("negative region count")
-        if self.total_a != self.a_only + self.ab + self.ac + self.abc:
-            raise ValueError("total_a inconsistent with its regions")
-        if self.total_b != self.b_only + self.ab + self.bc + self.abc:
-            raise ValueError("total_b inconsistent with its regions")
-        if self.total_c != self.c_only + self.ac + self.bc + self.abc:
-            raise ValueError("total_c inconsistent with its regions")
-
-    @classmethod
-    def from_sets(cls, a: set, b: set, c: set) -> "Venn3":
-        return cls(
-            a_only=len(a - b - c),
-            b_only=len(b - a - c),
-            c_only=len(c - a - b),
-            ab=len((a & b) - c),
-            ac=len((a & c) - b),
-            bc=len((b & c) - a),
-            abc=len(a & b & c),
-            total_a=len(a),
-            total_b=len(b),
-            total_c=len(c),
-        )
+    def size(self, i: int) -> int:
+        """How many elements the i-th set holds."""
+        return sum(n for mask, n in self.items() if mask >> i & 1)
 
     def regions(self) -> dict:
-        return {
-            "a_only": self.a_only,
-            "b_only": self.b_only,
-            "c_only": self.c_only,
-            "ab": self.ab,
-            "ac": self.ac,
-            "bc": self.bc,
-            "abc": self.abc,
-        }
+        """The regions of three sets by their report names, empty ones included."""
+        return {name: self[mask] for mask, name in VENN3_REGIONS.items()}
 
 
-def venn3(a: set, b: set, c: set) -> Venn3:
-    return Venn3.from_sets(a, b, c)
+def venn3(a: set, b: set, c: set) -> Overlap:
+    return Overlap.of((a, b, c))
+
+
+def _blocked_lists(repo: Repository, campaign_id: str, providers) -> dict[str, list[str]]:
+    """Per provider, the domains with a blocked verdict, each once."""
+    if not providers:
+        raise UnknownCampaign(campaign_id)
+    return {provider_id: repo.verdict_domains(campaign_id, provider_id, BLOCKED)
+            for provider_id in providers}
 
 
 def blocked_sets(repo: Repository, campaign_id: str) -> dict[str, set[str]]:
     """Per-provider sets of domains with a blocked verdict; inconclusive
-    verdicts never enter a set (see dns_counts for their tally)."""
-    sets = {provider_id: set(repo.verdict_domains(campaign_id, provider_id, BLOCKED))
-            for provider_id in repo.verdict_counts(campaign_id)}
-    if not sets:
-        raise UnknownCampaign(campaign_id)
-    return sets
-
-
-def dns_counts(repo: Repository, campaign_id: str) -> dict[str, dict[str, int]]:
-    counts = {provider_id: {v: verdicts[v] for v in (BLOCKED, NOT_BLOCKED, INCONCLUSIVE)}
-              for provider_id, verdicts in repo.verdict_counts(campaign_id).items()}
-    if not counts:
-        raise UnknownCampaign(campaign_id)
-    return counts
+    verdicts never enter a set."""
+    lists = _blocked_lists(repo, campaign_id, repo.verdict_counts(campaign_id))
+    return {provider_id: set(domains) for provider_id, domains in lists.items()}
 
 
 @dataclass(frozen=True)
@@ -144,7 +117,8 @@ class AdShare:
     empty_base: bool  # blocked set was empty, share forced to 0
 
 
-def ad_share(blocked: set[str], matcher: AdMatcher) -> AdShare:
+def ad_share(blocked: Collection[str], matcher: AdMatcher) -> AdShare:
+    """The ad share of a blocked set, given as any collection of distinct domains."""
     ad_count = sum(1 for domain in blocked if matcher.is_ad(domain))
     if not blocked:
         return AdShare(0, 0.0, True)
@@ -257,7 +231,7 @@ class AnalysisReport:
     campaign_id: str
     corpus_size: int
     providers: list
-    venn: Venn3 | None
+    venn: Overlap | None
     venn_order: list
     ti: TiStats | None
     provenance: dict
@@ -290,11 +264,7 @@ class AnalysisReport:
                 **self.venn.regions(),
                 "union": self.venn.union,
                 "union_pct": percent(self.venn.union, self.corpus_size),
-                "totals": {
-                    "a": self.venn.total_a,
-                    "b": self.venn.total_b,
-                    "c": self.venn.total_c,
-                },
+                "totals": {name: self.venn.size(i) for i, name in enumerate("abc")},
             }
         if self.ti is not None:
             doc["ti"] = {
@@ -331,15 +301,20 @@ def build_report(
     Pure given a repository snapshot: no clocks, no network, so identical
     inputs produce identical reports.
     """
-    sets = blocked_sets(repo, campaign_id)
-    counts = dns_counts(repo, campaign_id)
+    counts = repo.verdict_counts(campaign_id)
+    lists = _blocked_lists(repo, campaign_id, counts)
 
     manifest = repo.read_manifest(campaign_id) or {}
-    provider_order = [p for p in manifest.get("providers", []) if p in sets]
-    provider_order += [p for p in sorted(sets) if p not in provider_order]
+    listed, domains = manifest.get("providers", []), manifest.get("domains")
+    if not isinstance(listed, list) or any(type(p) is not str for p in listed):
+        raise StorageError(f"manifest of campaign {campaign_id}: providers is not a list of str")
+    if domains is not None and (type(domains) is not int or domains <= 0):
+        raise StorageError(f"manifest of campaign {campaign_id}: domains is not a positive int")
+    provider_order = [p for p in dict.fromkeys(listed) if p in lists]
+    provider_order += [p for p in sorted(lists) if p not in provider_order]
 
     if corpus_size is None:
-        corpus_size = manifest.get("domains") or len(
+        corpus_size = domains or len(
             {domain for domain, _p, _v in repo.summaries(campaign_id, KIND_DNS)}
         )
     if corpus_size <= 0:
@@ -347,7 +322,7 @@ def build_report(
 
     providers = []
     for provider_id in provider_order:
-        blocked = sets[provider_id]
+        blocked = lists[provider_id]
         share = (
             ad_share(blocked, matcher) if matcher is not None else AdShare(0, 0.0, not blocked)
         )
@@ -369,13 +344,17 @@ def build_report(
     venn_order: list[str] = []
     if len(provider_order) == 3:
         venn_order = provider_order
-        venn = Venn3.from_sets(*(sets[p] for p in venn_order))
+        venn = Overlap.of(lists[p] for p in venn_order)
 
     ti = None
-    results = [
-        summary_to_report(domain, summary)
-        for domain, _provider, summary in repo.summaries(campaign_id, KIND_TI)
-    ]
+    try:
+        results = [
+            summary_to_report(domain, summary)
+            for domain, _provider, summary in repo.summaries(campaign_id, KIND_TI)
+        ]
+    except (TypeError, ValueError) as exc:
+        raise StorageError(f"a stored TI report of campaign {campaign_id} "
+                           f"cannot be rebuilt: {exc}") from None
     if results:
         ti = ti_stats(
             results,

@@ -454,11 +454,18 @@ class Repository:
         os.replace(tmp, path)
 
     def read_manifest(self, campaign_id: str) -> dict | None:
+        """The campaign's manifest, or None for none; StorageError for a file
+        that does not hold a JSON object."""
         path = self.manifest_path(campaign_id)
         if not path.exists():
             return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            manifest = json.loads(path.read_bytes())
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
+            raise StorageError(f"corrupt manifest {path}: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise StorageError(f"corrupt manifest {path}: not a JSON object")
+        return manifest
 
     def _close_reader(self) -> None:
         if self._reader is not None:

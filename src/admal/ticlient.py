@@ -149,15 +149,20 @@ def payload_to_report(domain: str, payload: dict) -> "TiReport | NoReport":
 def payload_summary(payload: dict) -> tuple:
     """The (status, harmless, undetected, suspicious, malicious, timeout)
     tuple a repository keeps in memory for a stored payload.  Reports are
-    rebuilt from it alone, so a partner map is checked against the tallies
-    here; raises ValueError when they disagree."""
+    rebuilt from it alone, so a report's tallies must be nonnegative ints and
+    its partner map must agree with them; raises ValueError otherwise."""
+    summary = (payload.get("status"), payload.get("harmless"), payload.get("undetected"),
+               payload.get("suspicious"), payload.get("malicious"), payload.get("timeout", 0))
+    if summary[0] == "report":
+        for name, value in zip(_TALLY_FIELDS, summary[1:]):
+            if type(value) is not int or value < 0:
+                raise ValueError(f"bad TI payload: {name} is {value!r}, not a nonnegative int")
     if payload.get("partners") is not None:
         try:
             payload_to_report("", payload)
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"bad TI payload: {exc!r}") from None
-    return (payload.get("status"), payload.get("harmless"), payload.get("undetected"),
-            payload.get("suspicious"), payload.get("malicious"), payload.get("timeout", 0))
+    return summary
 
 
 def summary_to_report(domain: str, summary: tuple) -> "TiReport | NoReport":
@@ -171,9 +176,14 @@ def summary_to_report(domain: str, summary: tuple) -> "TiReport | NoReport":
 
 class FixtureTiProvider:
     """Serve reports from a JSONL file; domains absent from the file get
-    NoReport.  Line shape: {"domain": ..., "harmless": n, ...}."""
+    NoReport.  Line shape: {"domain": ..., "harmless": n, ...}.  Each line's
+    domain is normalized as corpus domains are, so that a case, trailing-dot
+    or IDN spelling of a corpus domain finds it."""
 
     def __init__(self, path: str):
+        # here, as the repository imports this module and need not load idna
+        from .ingest import is_canonical, normalize_hostname
+
         self.path = path
         self._reports: dict[str, TiReport] = {}
         with open(path, "rb") as fh:
@@ -183,8 +193,9 @@ class FixtureTiProvider:
                     if not line or line.startswith("#"):
                         continue
                     doc = json.loads(line)
+                    domain = doc["domain"]
                     report = TiReport(
-                        domain=doc["domain"],
+                        domain=domain if is_canonical(domain) else normalize_hostname(domain),
                         harmless=int(doc.get("harmless", 0)),
                         undetected=int(doc.get("undetected", 0)),
                         suspicious=int(doc.get("suspicious", 0)),

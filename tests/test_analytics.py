@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,12 @@ from admal.analytics import (
     TRUNCATE1,
     AdShare,
     EmptyInput,
+    Overlap,
     UnknownCampaign,
-    Venn3,
     ZeroBase,
     ad_share,
     blocked_sets,
     build_report,
-    dns_counts,
     ecdf,
     emit_report,
     open_aside,
@@ -100,12 +100,12 @@ class TestVenn3:
         sets = provider_sets()
         v = venn3(sets["quad9"], sets["cisco"], sets["cloudflare"])
         assert v.regions() == FIXTURE_REGIONS
-        assert (v.total_a, v.total_b, v.total_c) == (3_395, 472, 2_229)
+        assert (v.size(0), v.size(1), v.size(2)) == (3_395, 472, 2_229)
         assert v.union == 5_784
 
     def test_identity(self):
         v = venn3({"x"}, {"x"}, {"x"})
-        assert v.abc == 1
+        assert v.regions()["abc"] == 1
         assert v.union == 1
         assert sum(v.regions().values()) == 1
 
@@ -114,36 +114,25 @@ class TestVenn3:
         assert v.regions() == {"a_only": 1, "b_only": 1, "c_only": 1,
                                "ab": 0, "ac": 0, "bc": 0, "abc": 0}
 
-    def test_inconsistent_totals_rejected(self):
-        with pytest.raises(ValueError):
-            Venn3(1, 0, 0, 0, 0, 0, 0, total_a=5, total_b=0, total_c=0)
 
-    def test_negative_region_rejected(self):
-        with pytest.raises(ValueError):
-            Venn3(-1, 0, 0, 0, 0, 0, 0, total_a=-1, total_b=0, total_c=0)
-
-    small_set = st.sets(st.integers(0, 60), max_size=40)
-
-    @given(small_set, small_set, small_set)
+class TestOverlap:
+    @given(st.lists(st.sets(st.integers(0, 60), max_size=40), min_size=1, max_size=5))
     @settings(max_examples=300)
-    def test_matches_per_element_enumeration(self, a, b, c):
-        expected = {"a_only": 0, "b_only": 0, "c_only": 0,
-                    "ab": 0, "ac": 0, "bc": 0, "abc": 0}
-        for x in a | b | c:
-            member = (x in a, x in b, x in c)
-            key = {
-                (True, False, False): "a_only",
-                (False, True, False): "b_only",
-                (False, False, True): "c_only",
-                (True, True, False): "ab",
-                (True, False, True): "ac",
-                (False, True, True): "bc",
-                (True, True, True): "abc",
-            }[member]
-            expected[key] += 1
-        v = venn3(a, b, c)
-        assert v.regions() == expected
-        assert v.union == len(a | b | c)
+    def test_matches_per_element_enumeration(self, sets):
+        union = set().union(*sets)
+        expected = Counter(sum(1 << i for i, s in enumerate(sets) if x in s) for x in union)
+        overlap = Overlap.of(sets)
+        assert overlap == expected
+        assert overlap.union == len(union)
+        assert [overlap.size(i) for i in range(len(sets))] == [len(s) for s in sets]
+        if len(sets) == 3:
+            assert overlap.regions() == {
+                name: sum(1 for x in union if (x in sets[0], x in sets[1], x in sets[2]) == member)
+                for name, member in [
+                    ("a_only", (True, False, False)), ("b_only", (False, True, False)),
+                    ("c_only", (False, False, True)), ("ab", (True, True, False)),
+                    ("ac", (True, False, True)), ("bc", (False, True, True)),
+                    ("abc", (True, True, True))]}
 
 
 def dns_record(domain, provider, verdict, campaign="c1", reason=None):
@@ -181,8 +170,8 @@ class TestBlockedSets:
             repo.upsert(dns_record("b.example", "p1", "inconclusive", reason="timeout"))
             repo.upsert(dns_record("c.example", "p1", "not_blocked"))
             assert blocked_sets(repo, "c1") == {"p1": {"a.example"}}
-            assert dns_counts(repo, "c1") == {
-                "p1": {"blocked": 1, "not_blocked": 1, "inconclusive": 1}}
+            [stats] = build_report(repo, "c1", corpus_size=3).providers
+            assert (stats.blocked, stats.not_blocked, stats.inconclusive) == (1, 1, 1)
 
     def test_unknown_campaign(self, blockset_repo):
         with pytest.raises(UnknownCampaign):
@@ -369,7 +358,7 @@ class TestReport:
         assert by_id["cloudflare"].ad_share_pct == 3.23
         assert by_id["cisco"].ad_share_pct == 1.48
         assert by_id["quad9"].ad_blocked == 0
-        assert report.venn.abc == 7
+        assert report.venn.regions()["abc"] == 7
         assert report.venn.union == 5_784
         assert report.venn_order == ["quad9", "cisco", "cloudflare"]
         assert report.ti is None
@@ -412,6 +401,15 @@ class TestReport:
             report = build_report(repo, "c1", corpus_size=1)
             assert report.venn is None
             assert report.to_json_dict()["venn"] is None
+
+    def test_provider_listed_twice_reports_once(self, tmp_path):
+        with Repository(tmp_path) as repo:
+            repo.upsert(dns_record("a.example", "p1", "blocked"))
+            repo.upsert(dns_record("a.example", "p2", "blocked"))
+            repo.write_manifest("c1", {"providers": ["p2", "p2", "p1"]})
+            report = build_report(repo, "c1", corpus_size=1)
+            assert [p.provider_id for p in report.providers] == ["p2", "p1"]
+            assert report.venn is None
 
     def test_corpus_fallback_to_distinct_domains(self, tmp_path):
         with Repository(tmp_path) as repo:
@@ -503,3 +501,86 @@ class TestEmit:
     def test_json_only(self, blockset_repo, tmp_path):
         written = self.emit(blockset_repo, tmp_path, formats=("json",))
         assert [p.rsplit("/", 1)[-1] for p in written] == ["report.json"]
+
+
+def build_campaign(root, providers, listed, domains=None, size=48):
+    """A ``size``-domain campaign in which provider j blocks, passes or times
+    out on domain i by a fixed rule, with TI reports on a third of the domains
+    and no-reports on another third.  The manifest lists only the ``listed``
+    providers, and gives the corpus size only when ``domains`` is set."""
+    repo = Repository(root)
+    names = [f"s{i:02d}.example" for i in range(size)]
+    for j, provider in enumerate(providers):
+        for i, domain in enumerate(names):
+            r = (i * (j + 2) + j) % 7
+            verdict = "blocked" if r < 3 else "inconclusive" if r == 3 else "not_blocked"
+            repo.upsert(dns_record(domain, provider, verdict))
+    for i, domain in enumerate(names):
+        if i % 3 == 0:
+            payload = {"status": "report", "harmless": i % 5, "undetected": 1,
+                       "suspicious": int(i % 4 == 0), "malicious": i % 2, "timeout": 0}
+        elif i % 3 == 1:
+            payload = {"status": "no_report"}
+        else:
+            continue
+        repo.upsert(VerdictRecord(domain, "ti", "c1", KIND_TI, payload, TS))
+    manifest = {"providers": list(listed)}
+    if domains is not None:
+        manifest["domains"] = domains
+    repo.write_manifest("c1", manifest)
+    return repo
+
+
+CAMPAIGN_ADS = {f"s{i:02d}.example" for i in (0, 3, 7, 12, 21, 30, 44)}
+REPORT_NAMES = ("report.json", "report.csv", "venn.csv", "shares.csv", "ecdf.csv")
+
+# SHA-256 of each report file as the three-set special case wrote them
+# before the overlap became one mask counter; the two- and four-provider
+# campaigns write "venn": null
+REPORT_DIGESTS = {
+    "blockset": {
+        "report.json": "a49f6368a188136177740f63b4c8a2627288bc1abb1d50a6fe0a37d2f24666b8",
+        "report.csv": "6ca5f2b34c23201ea3e1c89ed381258d2f2be5cd74910cca1aa0a06b78fffd50",
+        "venn.csv": "b3ce8d75841077d292c8edffe3af3d3ffe8bdc6583893baf821aaac70b2ff079",
+        "shares.csv": "7b1fc5b8bcb6ff847a66e8279530de65a1b29d9fb2b9a819860417297b528864",
+        "ecdf.csv": "3551f05c1b70c530f59385b89e5be71675e2a4fa3a2b9aacd2e93c81495f1800",
+    },
+    "two-providers": {
+        "report.json": "6c0862c58815936afc3461658332deaa77baacc7c018370eaca7a5c0405bcc5c",
+        "report.csv": "4a95210e8b57777f1897f163c9fbc332590b6bc87b23aead118b815b344962cf",
+        "venn.csv": "78f52290fb14b2b04404e12d02629dfa2a11d8d7fea021c01fdd41304f578d76",
+        "shares.csv": "22c1b6c1affb5c254d7883397f88b3741b24524d8b0de25d30a861aab264bb4a",
+        "ecdf.csv": "d991b211c2607c7c5aaf3fe5f59533d7805bd9302d1de55abb192344288e6fa2",
+    },
+    "four-providers": {
+        "report.json": "75f6e3ab80be734c2b0a640135f947b70ac81cd80f44a25ce921794f367bab6a",
+        "report.csv": "c7c5fcf1716f887a1139709b04bc250ec5ab0287909ee1daba272dab83b711fa",
+        "venn.csv": "78f52290fb14b2b04404e12d02629dfa2a11d8d7fea021c01fdd41304f578d76",
+        "shares.csv": "ef3003b0bd30aedd5defc7321bd10efcc88759bb2b1a0979b0493c69893a3b3a",
+        "ecdf.csv": "d991b211c2607c7c5aaf3fe5f59533d7805bd9302d1de55abb192344288e6fa2",
+    },
+}
+
+
+CAMPAIGNS = {  # providers, providers the manifest lists, corpus size it gives
+    "two-providers": (["p2", "p1"], ["p2", "p1"], 60),
+    "four-providers": (["p1", "p2", "p3", "p4"], ["p3", "p1", "p4"], None),
+}
+
+
+class TestReportBytes:
+    def digests(self, repo, campaign, matcher, out):
+        report = build_report(repo, campaign, matcher, config_digest="digest123")
+        emit_report(report, str(out), ("json", "csv", "plotdata"))
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in REPORT_NAMES}
+
+    def test_blockset_digests(self, blockset_repo, tmp_path):
+        got = self.digests(blockset_repo, "reference", matcher_for(AD_DOMAINS), tmp_path)
+        assert got == REPORT_DIGESTS["blockset"]
+
+    @pytest.mark.parametrize("name", list(CAMPAIGNS))
+    def test_campaign_digests(self, name, tmp_path):
+        with build_campaign(tmp_path / "repo", *CAMPAIGNS[name]) as repo:
+            got = self.digests(repo, "c1", matcher_for(CAMPAIGN_ADS), tmp_path / "out")
+        assert got == REPORT_DIGESTS[name]

@@ -137,7 +137,7 @@ class TestLatestWins:
         # provider id never collides with the DNS verdict
         with Repository(tmp_path) as repo:
             repo.upsert(rec(kind=KIND_DNS))
-            repo.upsert(rec(provider="ti", kind=KIND_TI, payload={"status": "report"}))
+            repo.upsert(rec(provider="ti", kind=KIND_TI, payload={"status": "no_report"}))
             assert len(repo) == 2
 
     def test_durable_across_reopen(self, tmp_path):
@@ -155,15 +155,24 @@ class TestLatestWins:
                    payload={**tallies, "partners": {"p1": "harmless", "p2": "malicious"}})
         bad = rec(domain="e.example", provider="ti", kind=KIND_TI,
                   payload={**tallies, "partners": {"p1": "harmless", "p2": "harmless"}})
+        # a report whose tallies cannot rebuild a TiReport is refused as well
+        unfit = [rec(domain="e.example", provider="ti", kind=KIND_TI, payload=payload)
+                 for payload in ({**tallies, "harmless": -1}, {**tallies, "timeout": "0"},
+                                 {**tallies, "malicious": True}, {"status": "report"})]
         with Repository(tmp_path) as repo:
             repo.upsert(good)
             with pytest.raises(ValueError, match="tally"):
                 repo.upsert(bad)
+            for record in unfit:
+                with pytest.raises(ValueError, match="not a nonnegative int"):
+                    repo.upsert(record)
             assert len(repo) == 1
         log = tmp_path / "records.jsonl"
-        log.write_text(log.read_text() + bad.to_json() + "\n")
-        with pytest.raises(StorageError, match="corrupt log record at line 2"):
-            Repository(tmp_path)
+        good_line = log.read_text()
+        for record in (bad, *unfit):
+            log.write_text(good_line + record.to_json() + "\n")
+            with pytest.raises(StorageError, match="corrupt log record at line 2"):
+                Repository(tmp_path)
 
     def test_overwrite_survives_reopen(self, tmp_path):
         with Repository(tmp_path) as repo:

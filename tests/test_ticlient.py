@@ -136,6 +136,23 @@ class TestFixtureProvider:
         provider = FixtureTiProvider(self.make_fixture(tmp_path))
         assert isinstance(provider.lookup("missing.example"), NoReport)
 
+    def test_domains_keyed_as_the_corpus_is(self, tmp_path):
+        path = tmp_path / "ti.jsonl"
+        path.write_text("".join(json.dumps({"domain": d, "harmless": 5}) + "\n"
+                                for d in ("Ads.Example.", "b\u00fccher.example")))
+        provider = FixtureTiProvider(str(path))
+        assert len(provider) == 2
+        for domain in ("ads.example", "xn--bcher-kva.example"):
+            report = provider.lookup(domain)
+            assert (report.domain, report.harmless) == (domain, 5)
+
+    @pytest.mark.parametrize("domain", ["bad..example", "127.0.0.1", 7])
+    def test_unnormalizable_domain_is_bad_report(self, tmp_path, domain):
+        path = tmp_path / "ti.jsonl"
+        path.write_text('{"domain": "ok.example"}\n' + json.dumps({"domain": domain}) + "\n")
+        with pytest.raises(ValueError, match="line 2: bad report"):
+            FixtureTiProvider(str(path))
+
     def test_reference_scale_noreport_count(self, tmp_path):
         # absence semantics at the published no-report cardinality
         path = tmp_path / "ti.jsonl"
