@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .adlists import AdMatcher
-from .dnsbroker import BLOCKED, INCONCLUSIVE, NOT_BLOCKED
+from .keydir import BLOCKED, INCONCLUSIVE, NOT_BLOCKED
 from .repository import KIND_DNS, KIND_TI, Repository, StorageError
 from .ticlient import (
     OPINIONS,
@@ -347,14 +347,10 @@ def build_report(
         venn = Overlap.of(lists[p] for p in venn_order)
 
     ti = None
-    try:
-        results = [
-            summary_to_report(domain, summary)
-            for domain, _provider, summary in repo.summaries(campaign_id, KIND_TI)
-        ]
-    except (TypeError, ValueError) as exc:
-        raise StorageError(f"a stored TI report of campaign {campaign_id} "
-                           f"cannot be rebuilt: {exc}") from None
+    results = [
+        summary_to_report(domain, summary)
+        for domain, _provider, summary in repo.summaries(campaign_id, KIND_TI)
+    ]
     if results:
         ti = ti_stats(
             results,

@@ -40,6 +40,8 @@ from .ticlient import (
     AuthError,
     FixtureTiProvider,
     LiveTiProvider,
+    NoReport,
+    PayloadError,
     TiClient,
     TransportError,
     report_to_payload,
@@ -250,24 +252,22 @@ def cmd_ti_fetch(args, cfg: PipelineConfig) -> int:
                     continue
                 try:
                     result = client.fetch(domain)
-                except TransportError as exc:
+                except (TransportError, PayloadError) as exc:
                     unfetched += 1
                     log.warning("unfetched %s: %s", domain, exc)
                     continue
-                payload = report_to_payload(result)
                 repo.upsert(
                     VerdictRecord(
                         domain=domain,
                         provider_id=TI_PROVIDER_ID,
                         campaign_id=campaign,
                         kind=KIND_TI,
-                        payload=payload,
+                        payload=report_to_payload(result),
                         recorded_at=utc_now_rfc3339(),
                     )
                 )
                 fetched += 1
-                if payload["status"] == "no_report":
-                    no_report += 1
+                no_report += isinstance(result, NoReport)
     _emit(
         {
             "campaign": campaign,

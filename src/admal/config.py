@@ -8,6 +8,7 @@ comes from the ADMAL_TI_API_KEY environment variable.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -82,6 +83,10 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _positive(value) -> bool:
+    return type(value) in (int, float) and 0 < value < math.inf
+
+
 def load_config(path: str) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -125,8 +130,11 @@ def load_config(path: str) -> PipelineConfig:
     if ti_mode == TI_LIVE:
         _require(bool(ti.get("base_url")), "ti.mode=live needs ti.base_url")
     _require("api_key" not in ti, "API keys belong in ADMAL_TI_API_KEY, not config")
-    rpm = float(ti.get("requests_per_minute", 4.0))
-    _require(rpm > 0, "ti.requests_per_minute must be positive")
+    rpm = ti.get("requests_per_minute", 4.0)
+    _require(_positive(rpm), "ti.requests_per_minute must be a positive number")
+    _require(_positive(ti.get("timeout_s", 30.0)), "ti.timeout_s must be a positive number")
+    retries = ti.get("retries", 3)
+    _require(type(retries) is int and retries >= 0, "ti.retries must be a nonnegative int")
     ti_options = {
         k: ti[k]
         for k in (
@@ -204,7 +212,7 @@ def load_config(path: str) -> PipelineConfig:
         ti_fixture=ti.get("fixture"),
         ti_base_url=ti.get("base_url"),
         ti_options=ti_options,
-        ti_requests_per_minute=rpm,
+        ti_requests_per_minute=float(rpm),
         ti_cache=ti.get("cache"),
         list_files=list_files,
         list_format_hint=hint,

@@ -15,13 +15,10 @@ from dataclasses import dataclass, field
 from . import dnswire
 from .dnsclient import DnsClient, QueryTimeout
 from .dnswire import DnsResponse, MalformedMessage
+from .keydir import BLOCKED, INCONCLUSIVE, NOT_BLOCKED
 from .repository import KIND_DNS, Repository, VerdictRecord, utc_now_rfc3339
 
 log = logging.getLogger(__name__)
-
-BLOCKED = "blocked"
-NOT_BLOCKED = "not_blocked"
-INCONCLUSIVE = "inconclusive"
 
 SIG_SINKHOLE_A = "sinkhole_a"
 SIG_SINKHOLE_AAAA = "sinkhole_aaaa"
@@ -256,18 +253,6 @@ class ProviderVerdict:
             "evidence": self.evidence,
             "queried_at": self.queried_at,
         }
-
-    @classmethod
-    def from_record(cls, record: VerdictRecord) -> "ProviderVerdict":
-        payload = record.payload
-        return cls(
-            domain=record.domain,
-            provider_id=record.provider_id,
-            verdict=payload["verdict"],
-            reason=payload.get("reason"),
-            evidence=payload.get("evidence", {}),
-            queried_at=payload.get("queried_at", record.recorded_at),
-        )
 
 
 @dataclass

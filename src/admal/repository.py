@@ -2,22 +2,23 @@
 
 An append-only JSONL log, chosen over a database so campaign data stays
 auditable and diffable, indexed by a keydir in the manner of Bitcask: memory
-holds, for each (domain, provider, campaign) key, only its kind, the byte
-offset of its latest line and a small summary (the verdict for ``dns``, the
-status and five tallies for ``ti``, nothing for ``ad``).  The keydir is laid
-out by column (``keydir.py``): per campaign one ``domain -> row`` dict shared
-by its providers, per (campaign, provider) typed columns indexed by row, DNS
-verdicts and TI statuses as codes into one value table, and a side table for
-a TI summary the tally columns cannot hold exactly.  Evidence and full
-payloads stay on disk and are read back by offset.
+holds, for each (domain, provider, campaign) key, only the byte offset of its
+latest line and one state code from a closed vocabulary (the three DNS
+verdicts, the two TI statuses, an ad record), plus five tallies for a TI
+report.  A record outside that vocabulary is refused where it enters: by
+``upsert`` with ValueError, by replay with StorageError naming its line.  The
+keydir is laid out by column (``keydir.py``): per campaign one ``domain ->
+row`` dict shared by its providers, per (campaign, provider) typed columns
+indexed by row.  Evidence and full payloads stay on disk and are read back by
+offset.
 
 Opening a repository streams the log once, validating every line, unless the
-keydir hint file (Bitcask's hint file, version 2: the value table, then per
-campaign its domain list and per provider its columns as JSON int lists)
-covers a prefix of the log: then the keydir is read from the hint, the prefix
-is only hashed, and just the lines after it are replayed.  One writer per
-repository instance; appends are flushed before the ack so a killed campaign
-can resume from exactly what reached the log.
+keydir hint file (Bitcask's hint file, version 3: per campaign its domain
+list and per provider its columns as JSON int lists) covers a prefix of the
+log: then the keydir is read from the hint, the prefix is only hashed, and
+just the lines after it are replayed.  One writer per repository instance;
+appends are flushed before the ack so a killed campaign can resume from
+exactly what reached the log.
 """
 
 import hashlib
@@ -28,17 +29,23 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import and_, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
-from .keydir import AD, ANY, DNS, ONLY, TI, UNTALLY, Column, read_hint, value_key, write_hint
-from .ticlient import payload_summary
+from .keydir import (AD, ANY, DNS_STATES, NO_REPORT, ONLY, REPORT, TI_STATES, Column, flags,
+                     read_hint, write_hint)
+from .ticlient import payload_tallies
 
 KIND_DNS = "dns"
 KIND_TI = "ti"
 KIND_AD = "ad"
 KINDS = (KIND_DNS, KIND_TI, KIND_AD)
-_KIND_CODE = {KIND_DNS: DNS, KIND_TI: TI, KIND_AD: AD}
+_OF_KIND = {KIND_DNS: flags(DNS_STATES.values()), KIND_TI: flags(TI_STATES.values()),
+            KIND_AD: flags({AD})}
+_REPORTED = TI_STATES[REPORT]
+# what summaries() gives for a row in each state but a report
+_SUMMARY = {**{state: verdict for verdict, state in DNS_STATES.items()},
+            TI_STATES[NO_REPORT]: (NO_REPORT, None, None, None, None, 0), AD: None}
 
 _FSYNC_EVERY = 1000
 
@@ -109,14 +116,21 @@ def _unfit(domain, provider, campaign, kind, payload) -> str | None:
     return None
 
 
-def _summary(kind: str, payload: dict):
-    """What the keydir keeps of a payload; raises ValueError for a ``ti``
-    payload whose partner map disagrees with its tallies."""
+def _state(kind: str, payload: dict) -> tuple:
+    """What the keydir keeps of a payload: its state code and a TI report's
+    five tallies; ValueError for a verdict or status outside the vocabulary,
+    a tally that does not fit its column, or a partner map that disagrees
+    with the tallies."""
     if kind == KIND_DNS:
-        return payload.get("verdict")
+        verdict = payload.get("verdict")
+        state = type(verdict) is str and DNS_STATES.get(verdict)  # a list is unhashable
+        if not state:
+            raise ValueError(f"unknown DNS verdict {verdict!r}")
+        return state, ()
     if kind == KIND_TI:
-        return payload_summary(payload)
-    return None
+        tallies = payload_tallies(payload)
+        return TI_STATES[REPORT if tallies else NO_REPORT], tallies
+    return AD, ()
 
 
 @dataclass(frozen=True)
@@ -166,19 +180,15 @@ class Repository:
         self._reader = None  # opened on the first read-back
         self._appends_since_sync = 0
         # the keydir of the log's first _size bytes, which hold _lines lines
-        # and hash to _digest: campaign -> (domain -> row, provider ->
-        # Column), and the summary values that code columns point into
+        # and hash to _digest: campaign -> (domain -> row, provider -> Column)
         self._campaigns: dict[str, tuple[dict, dict]] = {}
-        self._values: list = []
-        self._codes: dict = {}  # value_key(value) -> index in _values
         self._size = self._lines = 0
         self._digest = hashlib.sha256()
         # how many log bytes the hint file on disk indexes; None for none
         self._hinted = None
         hint = read_hint(self.hint_path, self.log_path)
         if hint is not None:
-            self._values, self._campaigns, self._size, self._lines, self._digest = hint
-            self._codes = {value_key(value): i for i, value in enumerate(self._values)}
+            self._campaigns, self._size, self._lines, self._digest = hint
             self._hinted = self._size
         self._replay()
         try:
@@ -213,11 +223,11 @@ class Repository:
                     line_no -= 1
                     break
                 try:
-                    summary = _summary(doc["kind"], doc["payload"])
+                    state, tallies = _state(doc["kind"], doc["payload"])
                 except ValueError as exc:
                     raise StorageError(f"corrupt log record at line {line_no}: {exc}") from None
-                self._put(doc["domain"], doc["provider"], doc["campaign"], doc["kind"],
-                          offset, line_no, summary)
+                self._put(doc["domain"], doc["provider"], doc["campaign"], offset, line_no,
+                          state, tallies)
                 offset += len(raw)
                 digest.update(raw)
                 if not raw.endswith(b"\n"):
@@ -228,16 +238,7 @@ class Repository:
                     offset += 1
         self._size, self._lines = offset, line_no
 
-    def _code(self, value) -> int:
-        """Index of ``value`` in the summary value table, added if new."""
-        key = value_key(value)
-        code = self._codes.get(key)
-        if code is None:
-            code = self._codes[key] = len(self._values)
-            self._values.append(value)
-        return code
-
-    def _put(self, domain, provider, campaign, kind, offset, line_no, summary) -> None:
+    def _put(self, domain, provider, campaign, offset, line_no, state, tallies) -> None:
         """Point a key at line ``line_no``, which starts at ``offset``; caller
         holds the lock."""
         rows, columns = self._campaigns.setdefault(campaign, ({}, {}))
@@ -249,13 +250,13 @@ class Repository:
         col = columns.get(provider)
         if col is None:
             col = columns[provider] = Column(len(rows))
-        col.put(row, _KIND_CODE[kind], offset, line_no, summary, self._code)
+        col.put(row, state, offset, line_no, tallies)
 
     def _save_hint(self) -> None:
         """Rewrite the hint for the whole log; caller holds the lock."""
         try:
-            write_hint(self.hint_path, self._values, self._campaigns, self._size,
-                       self._lines, self._digest.hexdigest())
+            write_hint(self.hint_path, self._campaigns, self._size, self._lines,
+                       self._digest.hexdigest())
         except OSError:
             return  # a hint is only a shortcut: the next open replays the log
         self._hinted = self._size
@@ -275,25 +276,25 @@ class Repository:
         record, or of one campaign's, provider's or kind's, in (domain,
         provider) order and then in the order the keys first reached the
         log; caller holds the lock."""
-        wanted, found = ANY if kind is None else ONLY[_KIND_CODE[kind]], []
+        wanted, found = ANY if kind is None else _OF_KIND[kind], []
         for campaign, (rows, columns) in self._campaigns.items():
             for provider, col in columns.items():
                 if campaign_id in (None, campaign) and provider_id in (None, provider):
                     found += compress(zip(rows, repeat(provider), col.born, col.offsets,
-                                          repeat(col), count()), col.kinds.translate(wanted))
+                                          repeat(col), count()), col.states.translate(wanted))
         found.sort(key=itemgetter(0, 1, 2))
         return found
 
     def upsert(self, record: VerdictRecord) -> None:
         """Append the record; the log write is flushed before returning.
-        A record that replay would refuse, one that is not JSON-serializable,
-        and a ``ti`` payload whose partner map disagrees with its tallies
-        raise ValueError and are not written."""
+        A record that replay would refuse, among them one outside the
+        record vocabulary, and one that is not JSON-serializable raise
+        ValueError and are not written."""
         problem = _unfit(record.domain, record.provider_id, record.campaign_id,
                          record.kind, record.payload)
         if problem is not None:
             raise ValueError(problem)
-        summary = _summary(record.kind, record.payload)
+        state, tallies = _state(record.kind, record.payload)
         try:
             line = (record.to_json() + "\n").encode("utf-8")
         except TypeError as exc:
@@ -312,8 +313,8 @@ class Repository:
             self._size += len(line)
             self._lines += 1
             self._digest.update(line)
-            self._put(record.domain, record.provider_id, record.campaign_id, record.kind,
-                      offset, self._lines, summary)
+            self._put(record.domain, record.provider_id, record.campaign_id, offset,
+                      self._lines, state, tallies)
 
     def get(self, domain: str, provider_id: str, campaign_id: str) -> VerdictRecord | None:
         with self._lock:
@@ -340,23 +341,19 @@ class Repository:
         verdict for ``dns``, (status, harmless, undetected, suspicious,
         malicious, timeout) for ``ti`` and None for ``ad``.  The records are
         those held when the first one is asked for."""
-        want, values, taken = _KIND_CODE[kind], self._values, []
+        wanted, taken = _OF_KIND[kind], []
         with self._lock:
             rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
             domains = list(rows)
             for provider, col in columns.items():
-                hit = col.kinds.translate(ONLY[want])
+                hit = col.states.translate(wanted)
                 if 1 in hit:
-                    taken.append((provider, hit, col.codes[:],
-                                  [column[:] for column in col.tallies or ()], dict(col.odd)))
-        for provider, hit, codes, tallies, odd in taken:
+                    taken.append((provider, hit, col.states[:],
+                                  [column[:] for column in col.tallies or ()]))
+        for provider, hit, states, tallies in taken:
             tallies = zip(*tallies) if tallies else repeat(())
-            for row, domain, code, tally in compress(zip(count(), domains, codes, tallies), hit):
-                if want == TI:
-                    yield domain, provider, (odd[row] if code < 0 else
-                                             (values[code], *map(UNTALLY.get, tally, tally)))
-                else:
-                    yield domain, provider, values[code] if want == DNS else None
+            for domain, state, tally in compress(zip(domains, states, tallies), hit):
+                yield domain, provider, (REPORT, *tally) if state == _REPORTED else _SUMMARY[state]
 
     def held(self, campaign_id: str, kind: str, domains: list, providers) -> dict[str, bytes]:
         """For each provider, one byte per domain: 1 where the domain's latest
@@ -367,20 +364,19 @@ class Repository:
             flags = {}
             for provider in providers:
                 col = columns.get(provider)
-                hit = col.kinds.translate(ONLY[_KIND_CODE[kind]]) if col else bytes(len(rows))
+                hit = col.states.translate(_OF_KIND[kind]) if col else bytes(len(rows))
                 flags[provider] = bytes(map((hit + b"\0").__getitem__, at))
             return flags
 
     def verdict_counts(self, campaign_id: str) -> dict[str, Counter]:
         """{provider: Counter of verdicts} over a campaign's ``dns`` records,
-        for each provider holding one.  A string verdict counts under itself,
-        any other value under the 1-tuple of its JSON text."""
+        for each provider holding one."""
         with self._lock:
-            keys, columns = list(self._codes), self._campaigns.get(campaign_id, _NO_CAMPAIGN)[1]
-            counts = {provider: Counter(compress(col.codes, col.kinds.translate(ONLY[DNS])))
+            columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)[1]
+            counts = {provider: Counter({verdict: n for verdict, state in DNS_STATES.items()
+                                         if (n := col.states.count(state))})
                       for provider, col in columns.items()}
-            return {provider: Counter({keys[code]: n for code, n in codes.items()})
-                    for provider, codes in counts.items() if codes}
+            return {provider: verdicts for provider, verdicts in counts.items() if verdicts}
 
     def verdict_domains(self, campaign_id: str, provider_id: str, verdict) -> list[str]:
         """Domains whose latest record from the provider in the campaign is
@@ -388,15 +384,15 @@ class Repository:
         stored each domain."""
         with self._lock:
             rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
-            code, col = self._codes.get(value_key(verdict)), columns.get(provider_id)
-            if code is None or col is None:
+            state = type(verdict) is str and DNS_STATES.get(verdict)
+            col = columns.get(provider_id)
+            if not state or col is None:
                 return []
-            return list(compress(rows, map(and_, col.kinds.translate(ONLY[DNS]),
-                                           map(code.__eq__, col.codes))))
+            return list(compress(rows, col.states.translate(ONLY[state])))
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(col.kinds) - col.kinds.count(0)
+            return sum(len(col.states) - col.states.count(0)
                        for _rows, columns in self._campaigns.values() for col in columns.values())
 
     def _write_sorted(self, fh):

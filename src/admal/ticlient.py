@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .keydir import NO_REPORT, REPORT, TALLY_MAX
+
 log = logging.getLogger(__name__)
 
 DEFAULT_API_KEY_ENV = "ADMAL_TI_API_KEY"
@@ -59,8 +61,8 @@ class TiReport:
     def __post_init__(self):
         for name in _TALLY_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
+            if not isinstance(value, int) or not 0 <= value <= TALLY_MAX:
+                raise ValueError(f"{name} must be an int in [0, {TALLY_MAX}], got {value!r}")
         if self.partner_verdicts is not None:
             tallied = {name: 0 for name in _TALLY_FIELDS}
             for category in self.partner_verdicts.values():
@@ -116,9 +118,9 @@ def agreement_terms(report: TiReport, denominator: str = OPINIONS) -> tuple[int,
 
 def report_to_payload(result: "TiReport | NoReport") -> dict:
     if isinstance(result, NoReport):
-        return {"status": "no_report", "fetched_at": result.fetched_at}
+        return {"status": NO_REPORT, "fetched_at": result.fetched_at}
     payload = {
-        "status": "report",
+        "status": REPORT,
         "harmless": result.harmless,
         "undetected": result.undetected,
         "suspicious": result.suspicious,
@@ -132,7 +134,7 @@ def report_to_payload(result: "TiReport | NoReport") -> dict:
 
 
 def payload_to_report(domain: str, payload: dict) -> "TiReport | NoReport":
-    if payload.get("status") == "no_report":
+    if payload.get("status") == NO_REPORT:
         return NoReport(domain, payload.get("fetched_at", ""))
     return TiReport(
         domain=domain,
@@ -146,32 +148,38 @@ def payload_to_report(domain: str, payload: dict) -> "TiReport | NoReport":
     )
 
 
-def payload_summary(payload: dict) -> tuple:
-    """The (status, harmless, undetected, suspicious, malicious, timeout)
-    tuple a repository keeps in memory for a stored payload.  Reports are
-    rebuilt from it alone, so a report's tallies must be nonnegative ints and
-    its partner map must agree with them; raises ValueError otherwise."""
-    summary = (payload.get("status"), payload.get("harmless"), payload.get("undetected"),
-               payload.get("suspicious"), payload.get("malicious"), payload.get("timeout", 0))
-    if summary[0] == "report":
-        for name, value in zip(_TALLY_FIELDS, summary[1:]):
-            if type(value) is not int or value < 0:
-                raise ValueError(f"bad TI payload: {name} is {value!r}, not a nonnegative int")
+def payload_tallies(payload: dict) -> tuple:
+    """The (harmless, undetected, suspicious, malicious, timeout) a
+    repository keeps in memory for a stored report payload, or () for a
+    no_report one.  Reports are rebuilt from them alone, so each must be an
+    int in [0, TALLY_MAX] and a partner map must agree with them; raises
+    ValueError for these and for any other status."""
+    status = payload.get("status")
+    if status == NO_REPORT:
+        return ()
+    if status != REPORT:
+        raise ValueError(f"bad TI payload: unknown status {status!r}")
+    tallies = (payload.get("harmless"), payload.get("undetected"), payload.get("suspicious"),
+               payload.get("malicious"), payload.get("timeout", 0))
+    for name, value in zip(_TALLY_FIELDS, tallies):
+        if type(value) is not int or not 0 <= value <= TALLY_MAX:
+            raise ValueError(f"bad TI payload: {name} is {value!r}, "
+                             f"not a nonnegative int up to {TALLY_MAX}")
     if payload.get("partners") is not None:
         try:
             payload_to_report("", payload)
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"bad TI payload: {exc!r}") from None
-    return summary
+    return tallies
 
 
 def summary_to_report(domain: str, summary: tuple) -> "TiReport | NoReport":
-    """Rebuild a report from a payload_summary tuple; partner maps are not
-    kept."""
+    """Rebuild a report from a repository's (status, harmless, undetected,
+    suspicious, malicious, timeout) summary; partner maps are not kept."""
     status, *tallies = summary
-    if status == "no_report":
+    if status == NO_REPORT:
         return NoReport(domain)
-    return TiReport(domain, *map(int, tallies))
+    return TiReport(domain, *tallies)
 
 
 class FixtureTiProvider:

@@ -1,3 +1,4 @@
+import functools
 import json
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import pytest
 from admal.cli import main
 from admal.mockdns import BEHAVIOR_NXDOMAIN, MockDnsFarm, MockProviderSpec
 from admal.repository import KIND_AD, KIND_DNS, KIND_TI, Repository, VerdictRecord
-from admal.ticlient import NoReport, TransportError
+from admal.ticlient import LiveTiProvider, NoReport, TransportError
 
 DOMAINS = [f"d{i}.example" for i in range(10)]
 P1_BLOCKS = {"d0.example", "d1.example", "d2.example"}
@@ -314,6 +315,40 @@ class TestTiFetch:
         assert docs[-1]["unfetched"] == 1
         assert docs[-1]["fetched"] == 9
 
+    def test_live_body_not_json_exit_2(self, env, capsys, monkeypatch):
+        class Response:
+            def __init__(self, status_code, body):
+                self.status_code, self.body = status_code, body
+
+            def json(self):
+                return json.loads(self.body)
+
+        class Session:
+            headers = {}
+
+            def get(self, url, timeout):
+                if "/d9.example" in url:
+                    return Response(200, "<html>busy</html>")
+                if "/d0.example" in url:
+                    return Response(200, json.dumps({"data": {"attributes": {
+                        "last_analysis_stats": {"harmless": 5, "malicious": 1}}}}))
+                return Response(404, "")
+
+        monkeypatch.setenv("ADMAL_TI_API_KEY", "k")
+        monkeypatch.setattr("admal.cli.LiveTiProvider",
+                            functools.partial(LiveTiProvider, session=Session()))
+        cfg = write_variant(env, lambda doc: doc.update({"ti": {
+            "mode": "live", "base_url": "https://ti.invalid", "requests_per_minute": 100000,
+            "retries": 0}}), "config-live.json")
+        assert run(capsys, "ingest", "--config", cfg)[0] == 0
+        code, docs, logs = self.run_with_log(capsys, "ti-fetch", "--config", cfg)
+        assert code == 2
+        assert (docs[-1]["fetched"], docs[-1]["no_report"], docs[-1]["unfetched"]) == (9, 8, 1)
+        assert any(doc["level"] == "warning" and "d9.example" in doc["msg"] for doc in logs)
+        with Repository(env.repo) as repo:
+            assert repo.get("d0.example", "ti", "t1").payload["malicious"] == 1
+            assert repo.get("d9.example", "ti", "t1") is None
+
     def run_with_log(self, capsys, *argv):
         code = main(list(argv))
         captured = capsys.readouterr()
@@ -367,8 +402,8 @@ class TestTiFetch:
 
 
 class TestCorruptStore:
-    """A damaged manifest or stored TI report ends a command with exit 2 and
-    one JSONL error line, never a traceback."""
+    """A damaged manifest or log record ends a command with exit 2 and one
+    JSONL error line, never a traceback."""
 
     def store(self, env, ti_payload=None):
         with Repository(env.repo) as repo:
@@ -410,19 +445,22 @@ class TestCorruptStore:
         {"status": "report", "harmless": -1, "undetected": 0, "suspicious": 0,
          "malicious": 0, "timeout": 0},
         {"status": "report"},
+        {"status": "pending", "harmless": 3, "undetected": 0, "suspicious": 1,
+         "malicious": 0, "timeout": 0},
     ])
-    def test_analyze_with_unbuildable_ti_report(self, env, capsys, monkeypatch, payload):
-        # written as a repository from before upsert checked the tallies
-        # would hold it, and read back through its hint, which skips replay
-        monkeypatch.setattr("admal.repository.payload_summary", lambda payload: (
-            payload.get("status"), *(payload.get(name) for name in
-                                     ("harmless", "undetected", "suspicious", "malicious")),
-            payload.get("timeout", 0)))
-        self.store(env, ti_payload=payload)
-        monkeypatch.undo()
+    def test_analyze_with_unbuildable_ti_report(self, env, capsys, payload):
+        self.store(env)
+        with pytest.raises(ValueError):
+            self.store(env, ti_payload=payload)
+        # a log line upsert refuses, appended by hand behind the hint
+        line = VerdictRecord("d0.example", "ti", "t1", KIND_TI, payload, "x").to_json()
+        log = env.tmp / "repo" / "records.jsonl"
+        lines = log.read_text().count("\n")
+        with open(log, "a") as fh:
+            fh.write(line + "\n")
         code, msg = self.run_failing(capsys, "analyze", "--config", env.config)
         assert code == 2
-        assert "cannot be rebuilt" in msg
+        assert f"corrupt log record at line {lines + 1}" in msg
 
 
 class TestMockDnsCommand:

@@ -78,6 +78,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(minimal(tmp_path, {"ti": ti}))
 
+    @pytest.mark.parametrize("setting", [
+        {"requests_per_minute": "fast"}, {"requests_per_minute": True},
+        {"requests_per_minute": -1}, {"requests_per_minute": float("inf")},
+        {"timeout_s": "30"}, {"timeout_s": 0}, {"timeout_s": None},
+        {"retries": "3"}, {"retries": -1}, {"retries": 1.5}, {"retries": False},
+    ])
+    def test_bad_ti_number(self, tmp_path, setting):
+        ti = {"mode": "live", "base_url": "https://x", **setting}
+        with pytest.raises(ConfigError, match=f"ti.{next(iter(setting))}"):
+            load_config(minimal(tmp_path, {"ti": ti}))
+
+    def test_ti_numbers_reach_the_provider(self, tmp_path):
+        cfg = load_config(minimal(tmp_path, {"ti": {
+            "mode": "live", "base_url": "https://x", "requests_per_minute": 600,
+            "timeout_s": 2.5, "retries": 0}}))
+        assert cfg.ti_requests_per_minute == 600.0
+        assert cfg.ti_options == {"timeout_s": 2.5, "retries": 0}
+
     @pytest.mark.parametrize("extra", [
         {"resolvers": [{"provider_id": "a", "filtered_address": "1.1.1.1"},
                        {"provider_id": "a", "filtered_address": "2.2.2.2"}]},

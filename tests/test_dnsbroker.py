@@ -16,7 +16,6 @@ from admal.dnsbroker import (
     BlockSignature,
     CampaignLimits,
     Classification,
-    ProviderVerdict,
     QueryTimeout,
     ResolverProfile,
     SIG_NXDOMAIN,
@@ -795,16 +794,3 @@ class TestHostileReplies:
         assert {r.domain: r.payload["verdict"] for r in records} == {
             d: BLOCKED if d in blocked else NOT_BLOCKED for d in domains
         }
-
-
-class TestProviderVerdictPayload:
-    def test_round_trip(self):
-        verdict = ProviderVerdict(
-            domain="d.example", provider_id="p", verdict=BLOCKED, reason=None,
-            evidence={"matched_signature": "nxdomain"}, queried_at="2024-01-01T00:00:00Z",
-        )
-        record = VerdictRecord(
-            domain="d.example", provider_id="p", campaign_id="c",
-            kind=KIND_DNS, payload=verdict.to_payload(), recorded_at="x",
-        )
-        assert ProviderVerdict.from_record(record) == verdict

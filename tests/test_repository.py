@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admal import repository
-from admal.keydir import NO_TALLY
+from admal.keydir import REPORT, TI_STATES
 from admal.repository import (
     HINT_NAME,
     KIND_AD,
@@ -30,6 +30,8 @@ from admal.repository import (
 from admal.ticlient import payload_to_report, summary_to_report
 
 TS = "2024-06-01T00:00:00.000Z"
+TALLIES = {"status": "report", "harmless": 3, "undetected": 0, "suspicious": 1,
+           "malicious": 0, "timeout": 0}
 
 
 def rec(domain="d.example", provider="quad9", campaign="c1", kind=KIND_DNS,
@@ -191,8 +193,20 @@ class TestLatestWins:
         rec(payload=["blocked"]),
         rec(payload="blocked"),
         rec(payload={"verdict": {1, 2}}),
+        rec(payload={"verdict": "sinkholed"}),
+        rec(payload={"verdict": 1}),
+        rec(payload={"verdict": True}),
+        rec(payload={"verdict": None}),
+        rec(payload={"verdict": []}),
+        rec(kind=KIND_TI, payload={**TALLIES, "status": "pending"}),
+        rec(kind=KIND_TI, payload={"status": "report"}),
+        rec(kind=KIND_TI, payload={**TALLIES, "harmless": -1}),
+        rec(kind=KIND_TI, payload={**TALLIES, "undetected": 65536}),
+        rec(kind=KIND_TI, payload={**TALLIES, "malicious": 1.0}),
     ], ids=["kind", "kind-none", "domain", "provider", "campaign", "payload-list",
-            "payload-str", "payload-not-json"])
+            "payload-str", "payload-not-json", "verdict-unknown", "verdict-1",
+            "verdict-true", "verdict-null", "verdict-list", "status-pending",
+            "status-without-tallies", "tally-negative", "tally-65536", "tally-float"])
     def test_upsert_refuses_what_replay_refuses(self, tmp_path, bad):
         log = tmp_path / "records.jsonl"
         with Repository(tmp_path) as repo:
@@ -204,6 +218,30 @@ class TestLatestWins:
             assert len(repo) == 1
         with Repository(tmp_path) as repo:
             assert len(repo) == 1
+
+    def test_values_outside_the_vocabulary_refused(self, tmp_path):
+        # the verdict and the status hold nothing but the pipeline's own words,
+        # so no summary can be a value of some other JSON type
+        bad = [record for value in (None, 1, True, 1.0, {"a": [1]}, "1") for record in (
+            rec(payload={"verdict": value}),
+            rec(provider="ti", kind=KIND_TI, payload={**TALLIES, "status": value}))]
+        with Repository(tmp_path) as repo:
+            repo.upsert(rec())
+            for record in bad:
+                with pytest.raises(ValueError):
+                    repo.upsert(record)
+        log, hint = tmp_path / "records.jsonl", tmp_path / HINT_NAME
+        good_line, good_hint = log.read_text(), hint.read_bytes()
+        # replay refuses each line, behind the hint and with the hint gone
+        for record in bad:
+            for hint_kept in (True, False):
+                log.write_text(good_line + record.to_json() + "\n")
+                if hint_kept:
+                    hint.write_bytes(good_hint)
+                else:
+                    hint.unlink()
+                with pytest.raises(StorageError, match="corrupt log record at line 2"):
+                    Repository(tmp_path)
 
 
 class TestQuery:
@@ -249,23 +287,6 @@ class TestQuery:
             assert [d for d, _p, _s in repo.summaries("c1", KIND_TI)] == ["a.example"]
             assert repo.verdict_counts("c1") == {"quad9": {"blocked": 1}}
             assert repo.verdict_domains("c1", "quad9", "blocked") == ["b.example"]
-
-    def test_verdict_counts_keep_json_types_apart(self, tmp_path):
-        with Repository(tmp_path) as repo:
-            for i, verdict in enumerate(["blocked", "1", 1, True, 1.0, None, "blocked"]):
-                repo.upsert(rec(domain=f"d{i}.example", payload={"verdict": verdict}))
-            repo.upsert(rec(domain="x.example", provider="cisco", payload={"verdict": "1"}))
-            repo.upsert(rec(domain="y.example", provider="adlists", kind=KIND_AD, payload={}))
-            assert repo.verdict_counts("c1") == {
-                "quad9": {"blocked": 2, "1": 1, ("1",): 1, ("true",): 1, ("1.0",): 1,
-                          ("null",): 1},
-                "cisco": {"1": 1}}
-            assert repo.verdict_domains("c1", "quad9", "1") == ["d1.example"]
-            assert repo.verdict_domains("c1", "quad9", 1) == ["d2.example"]
-            assert repo.verdict_domains("c1", "quad9", "blocked") == ["d0.example", "d6.example"]
-            assert repo.verdict_domains("c1", "quad9", "absent") == []
-            assert repo.verdict_domains("c2", "quad9", "blocked") == []
-            assert repo.verdict_counts("c2") == {}
 
     def test_existing_pairs(self, tmp_path):
         with Repository(tmp_path) as repo:
@@ -335,8 +356,8 @@ class TestExportImport:
     def test_round_trip_byte_identical(self, tmp_path):
         src = Repository(tmp_path / "src")
         for i in range(7):
-            src.upsert(rec(domain=f"d{i}.example", payload={"i": i}))
-        src.upsert(rec(domain="d3.example", payload={"i": 99}))  # overwrite
+            src.upsert(rec(domain=f"d{i}.example", payload={"verdict": "blocked", "i": i}))
+        src.upsert(rec(domain="d3.example", payload={"verdict": "blocked", "i": 99}))  # overwrite
         out1 = tmp_path / "export1.jsonl"
         assert src.export(out1) == 7
         src.close()
@@ -354,7 +375,8 @@ class TestCompaction:
     def test_drops_superseded_lines(self, tmp_path):
         with Repository(tmp_path) as repo:
             for i in range(20):
-                repo.upsert(rec(domain=f"d{i % 5}.example", payload={"i": i}))
+                repo.upsert(rec(domain=f"d{i % 5}.example",
+                                payload={"verdict": "not_blocked", "i": i}))
             before = repo.query("c1")
             repo.compact()
             assert repo.query("c1") == before
@@ -397,25 +419,19 @@ class TestConcurrency:
 
 
 def _keydir(repo):
-    """The keydir as {(domain, provider, campaign): (kind, offset, summary)}
-    in key order, read from the repository's columns."""
+    """The keydir as {(domain, provider, campaign): (state, offset, tallies)}
+    in key order, read from the repository's columns; tallies are a report's
+    five, None for any other state."""
     keydir = {}
     for campaign, (rows, columns) in repo._campaigns.items():
         for provider, col in columns.items():
             for domain, row in rows.items():
                 if col.offsets[row] < 0:
                     continue
-                kind, code = KINDS[col.kinds[row] - 1], col.codes[row]
-                if kind == KIND_DNS:
-                    summary = repo._values[code]
-                elif kind == KIND_AD:
-                    summary = None
-                elif code < 0:
-                    summary = col.odd[row]
-                else:
-                    summary = (repo._values[code], *(
-                        None if column[row] == NO_TALLY else column[row] for column in col.tallies))
-                keydir[domain, provider, campaign] = (kind, col.offsets[row], summary)
+                state = col.states[row]
+                tallies = (tuple(column[row] for column in col.tallies)
+                           if state == TI_STATES[REPORT] else None)
+                keydir[domain, provider, campaign] = (state, col.offsets[row], tallies)
     return dict(sorted(keydir.items()))
 
 
@@ -519,14 +535,14 @@ class TestHint:
         with pytest.raises(StorageError, match="corrupt log record at line 1$"):
             Repository(tmp_path)
         # a valid line with other bytes at the same length is read, not hinted
-        at = good.rindex(b'"verdict":"blocked"') + len(b'"verdict":"bl')
-        log.write_bytes(good[:at] + b"0" + good[at + 1:])
+        at = good.rindex(b'"verdict":"blocked","i":29}') + len(b'"verdict":"blocked","i":')
+        log.write_bytes(good[:at] + b"99" + good[at + 2:])
         expected = _replayed(tmp_path, tmp_path / "ref")
         repo, got = _opened(tmp_path)
         with repo:
             assert repo._hinted is None
             assert got == expected
-            assert "bl0cked" in {s for _d, _p, s in repo.summaries("c1", KIND_DNS)}
+            assert repo.get("d5.example", "cisco", "c1").payload["i"] == 99
 
     def test_log_shorter_than_the_hint(self, tmp_path):
         self.fill(tmp_path)
@@ -555,7 +571,7 @@ class TestHint:
         elif damage == "not-json":
             hint.write_bytes(b"\x80\x81 pickle?\n")
         elif damage == "foreign-version":
-            hint.write_bytes(data.replace(b'"keydir_hint":2', b'"keydir_hint":9', 1))
+            hint.write_bytes(data.replace(b'"keydir_hint":3', b'"keydir_hint":9', 1))
         else:
             hint.write_bytes(b"")
         expected = _replayed(tmp_path, tmp_path / "ref")
@@ -569,30 +585,46 @@ class TestHint:
             assert repo._hinted is not None
             assert got == expected
 
-    def test_summary_values_keep_their_json_type(self, tmp_path):
-        verdicts = [None, 1, True, 1.0, {"a": [1]}, "blocked", "1"]
-        with Repository(tmp_path) as repo:
-            for i, verdict in enumerate(verdicts):
-                repo.upsert(rec(domain=f"d{i}.example", payload={"verdict": verdict}))
-                repo.upsert(rec(domain=f"d{i}.example", provider="ti", kind=KIND_TI,
-                                payload={"status": verdict, "harmless": verdict}))
+    def test_version_2_hint_falls_back_to_replay(self, tmp_path):
+        self.fill(tmp_path)
+        hint = tmp_path / HINT_NAME
+        head, *body, _trailer = [json.loads(line) for line in hint.read_bytes().splitlines()]
+        # the same keydir as the version-2 format wrote it: a value table,
+        # then per provider kinds, codes into the table, tallies and a side table
+        values = ["blocked", "not_blocked", "report"]
+        v2 = [{**head, "keydir_hint": 2}, ["values", values]]
+        for doc in body:
+            if doc[0] == "provider":
+                states = doc[4]
+                kinds = [(0, 1, 1, 1, 2, 2, 3)[s] for s in states]
+                codes = [(-1, 0, 1, -1, 2, -1, -1)[s] for s in states]
+                doc = [*doc[:4], kinds, codes, doc[5], []]
+            v2.append(doc)
+        lines = [json.dumps(doc, separators=(",", ":")).encode() + b"\n" for doc in v2]
+        trailer = json.dumps({"sha256": hashlib.sha256(b"".join(lines)).hexdigest()})
+        hint.write_bytes(b"".join(lines) + trailer.encode() + b"\n")
         expected = _replayed(tmp_path, tmp_path / "ref")
         repo, got = _opened(tmp_path)
         with repo:
+            assert repo._hinted is None
+            assert got == expected
+        assert json.loads(hint.read_bytes().splitlines()[0])["keydir_hint"] == 3
+        repo, got = _opened(tmp_path)
+        with repo:
             assert repo._hinted is not None
-            assert repr(got) == repr(expected)
+            assert got == expected
 
     @pytest.mark.parametrize("edit", [None, "offset-past-prefix", "record-without-offset",
                                       "unknown-kind", "dns-without-code",
                                       "code-past-table", "short-column",
-                                      "side-table-row-not-ti", "duplicate-domain"])
+                                      "report-without-tallies", "duplicate-domain"])
     def test_hint_whose_columns_do_not_fit_falls_back_to_replay(self, tmp_path, edit):
         self.fill(tmp_path)
         hint = tmp_path / HINT_NAME
         head, *body, _trailer = [json.loads(line) for line in hint.read_bytes().splitlines()]
         cisco = next(doc for doc in body if doc[:2] == ["provider", "cisco"])
         ti = next(doc for doc in body if doc[:2] == ["provider", "ti"])
-        row = cisco[4].index(1)  # the first row holding a DNS record
+        row = cisco[4].index(1)  # the first row holding a blocked verdict
         if edit == "offset-past-prefix":
             cisco[2][row] = head["log_size"]
         elif edit == "record-without-offset":
@@ -600,13 +632,13 @@ class TestHint:
         elif edit == "unknown-kind":
             cisco[4][row] = 7
         elif edit == "dns-without-code":
-            cisco[5][row] = -1
+            cisco[4][row] = 0  # its offset stays
         elif edit == "code-past-table":
-            cisco[5][row] = len(body[0][1])
+            cisco[4][row] = 255
         elif edit == "short-column":
-            ti[6][2].pop()
-        elif edit == "side-table-row-not-ti":
-            cisco[7].append([row, ["report", 1, 1, 1, 1, 1]])
+            ti[5][2].pop()
+        elif edit == "report-without-tallies":
+            ti[5] = None
         elif edit == "duplicate-domain":
             campaign = next(doc for doc in body if doc[0] == "campaign")
             campaign[2][1] = campaign[2][0]
