@@ -219,30 +219,6 @@ class TestLatestWins:
         with Repository(tmp_path) as repo:
             assert len(repo) == 1
 
-    def test_values_outside_the_vocabulary_refused(self, tmp_path):
-        # the verdict and the status hold nothing but the pipeline's own words,
-        # so no summary can be a value of some other JSON type
-        bad = [record for value in (None, 1, True, 1.0, {"a": [1]}, "1") for record in (
-            rec(payload={"verdict": value}),
-            rec(provider="ti", kind=KIND_TI, payload={**TALLIES, "status": value}))]
-        with Repository(tmp_path) as repo:
-            repo.upsert(rec())
-            for record in bad:
-                with pytest.raises(ValueError):
-                    repo.upsert(record)
-        log, hint = tmp_path / "records.jsonl", tmp_path / HINT_NAME
-        good_line, good_hint = log.read_text(), hint.read_bytes()
-        # replay refuses each line, behind the hint and with the hint gone
-        for record in bad:
-            for hint_kept in (True, False):
-                log.write_text(good_line + record.to_json() + "\n")
-                if hint_kept:
-                    hint.write_bytes(good_hint)
-                else:
-                    hint.unlink()
-                with pytest.raises(StorageError, match="corrupt log record at line 2"):
-                    Repository(tmp_path)
-
 
 class TestQuery:
     def fill(self, repo):
@@ -287,6 +263,29 @@ class TestQuery:
             assert [d for d, _p, _s in repo.summaries("c1", KIND_TI)] == ["a.example"]
             assert repo.verdict_counts("c1") == {"quad9": {"blocked": 1}}
             assert repo.verdict_domains("c1", "quad9", "blocked") == ["b.example"]
+
+    def test_verdict_counts_keep_json_types_apart(self, tmp_path):
+        # a verdict is one of the pipeline's own words, so a value of another
+        # JSON type is refused at upsert and never counted as its string
+        with Repository(tmp_path) as repo:
+            for i, verdict in enumerate(["blocked", "not_blocked", "inconclusive", "blocked"]):
+                repo.upsert(rec(domain=f"d{i}.example", payload={"verdict": verdict}))
+            for value in ("1", 1, True, 1.0, None, {"a": [1]}):
+                with pytest.raises(ValueError):
+                    repo.upsert(rec(domain="x.example", payload={"verdict": value}))
+                with pytest.raises(ValueError):
+                    repo.upsert(rec(domain="x.example", provider="ti", kind=KIND_TI,
+                                    payload={**TALLIES, "status": value}))
+            repo.upsert(rec(domain="y.example", provider="cisco", payload={"verdict": "blocked"}))
+            repo.upsert(rec(domain="z.example", provider="adlists", kind=KIND_AD, payload={}))
+            assert repo.verdict_counts("c1") == {
+                "quad9": {"blocked": 2, "not_blocked": 1, "inconclusive": 1},
+                "cisco": {"blocked": 1}}
+            assert repo.verdict_domains("c1", "quad9", "blocked") == ["d0.example", "d3.example"]
+            for value in ("1", 1, True, None, "absent"):
+                assert repo.verdict_domains("c1", "quad9", value) == []
+            assert repo.verdict_domains("c2", "quad9", "blocked") == []
+            assert repo.verdict_counts("c2") == {}
 
     def test_existing_pairs(self, tmp_path):
         with Repository(tmp_path) as repo:
@@ -613,6 +612,38 @@ class TestHint:
         with repo:
             assert repo._hinted is not None
             assert got == expected
+
+    def test_summary_values_keep_their_json_type(self, tmp_path):
+        # every verdict and status of the vocabulary reopens from the hint as
+        # replay reads it; a line holding another JSON type is refused by
+        # replay, behind the hint and with the hint gone
+        with Repository(tmp_path) as repo:
+            for i, verdict in enumerate(["blocked", "not_blocked", "inconclusive"]):
+                repo.upsert(rec(domain=f"d{i}.example", payload={"verdict": verdict}))
+            repo.upsert(rec(domain="r.example", provider="ti", kind=KIND_TI, payload=TALLIES))
+            repo.upsert(rec(domain="n.example", provider="ti", kind=KIND_TI,
+                            payload={"status": "no_report"}))
+        expected = _replayed(tmp_path, tmp_path / "ref")
+        repo, got = _opened(tmp_path)
+        with repo:
+            assert repo._hinted is not None
+            assert repr(got) == repr(expected)
+        log, hint = tmp_path / "records.jsonl", tmp_path / HINT_NAME
+        good_log, good_hint = log.read_text(), hint.read_bytes()
+        lines = good_log.count("\n")
+        bad = [record for value in (None, 1, True, 1.0, {"a": [1]}, "1") for record in (
+            rec(payload={"verdict": value}),
+            rec(provider="ti", kind=KIND_TI, payload={**TALLIES, "status": value}))]
+        for record in bad:
+            for hint_kept in (True, False):
+                log.write_text(good_log + record.to_json() + "\n")
+                if hint_kept:
+                    hint.write_bytes(good_hint)
+                else:
+                    hint.unlink()
+                with pytest.raises(StorageError,
+                                   match=f"corrupt log record at line {lines + 1}"):
+                    Repository(tmp_path)
 
     @pytest.mark.parametrize("edit", [None, "offset-past-prefix", "record-without-offset",
                                       "unknown-kind", "dns-without-code",
