@@ -44,6 +44,7 @@ from .ticlient import (
     PayloadError,
     TiClient,
     TransportError,
+    payload_to_report,
     report_to_payload,
 )
 
@@ -238,43 +239,41 @@ def cmd_ti_fetch(args, cfg: PipelineConfig) -> int:
     domains, rejected = _read_corpus(corpus_path)
     provider = _ti_provider(cfg)
 
-    fetched = no_report = unfetched = skipped = 0
+    fetched = no_report = unfetched = 0
     with Repository(cfg.repository) as repo:
         done = repo.held(campaign, KIND_TI, domains, [TI_PROVIDER_ID])[TI_PROVIDER_ID]
-        with TiClient(
-            provider,
-            cfg.ti_cache_path(),
-            requests_per_minute=cfg.ti_requests_per_minute,
-        ) as client:
-            for domain, stored in zip(domains, done):
-                if stored:
-                    skipped += 1
-                    continue
-                try:
-                    result = client.fetch(domain)
-                except (TransportError, PayloadError) as exc:
-                    unfetched += 1
-                    log.warning("unfetched %s: %s", domain, exc)
-                    continue
-                repo.upsert(
-                    VerdictRecord(
-                        domain=domain,
-                        provider_id=TI_PROVIDER_ID,
-                        campaign_id=campaign,
-                        kind=KIND_TI,
-                        payload=report_to_payload(result),
-                        recorded_at=utc_now_rfc3339(),
-                    )
+        todo = [domain for domain, stored in zip(domains, done) if not stored]
+        # a report another campaign holds is reused, not asked for again
+        reused = repo.latest_elsewhere(campaign, TI_PROVIDER_ID, KIND_TI, todo)
+        client = TiClient(provider, {domain: payload_to_report(domain, payload)
+                                     for domain, payload in reused.items()},
+                          requests_per_minute=cfg.ti_requests_per_minute)
+        for domain in todo:
+            try:
+                result = client.fetch(domain)
+            except (TransportError, PayloadError) as exc:
+                unfetched += 1
+                log.warning("unfetched %s: %s", domain, exc)
+                continue
+            repo.upsert(
+                VerdictRecord(
+                    domain=domain,
+                    provider_id=TI_PROVIDER_ID,
+                    campaign_id=campaign,
+                    kind=KIND_TI,
+                    payload=report_to_payload(result),
+                    recorded_at=utc_now_rfc3339(),
                 )
-                fetched += 1
-                no_report += isinstance(result, NoReport)
+            )
+            fetched += 1
+            no_report += isinstance(result, NoReport)
     _emit(
         {
             "campaign": campaign,
             "fetched": fetched,
             "no_report": no_report,
             "unfetched": unfetched,
-            "skipped_existing": skipped,
+            "skipped_existing": len(domains) - len(todo),
             "remote_requests": client.requests_made,
             "rejected_domains": rejected,
         }

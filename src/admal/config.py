@@ -39,7 +39,6 @@ class PipelineConfig:
     ti_base_url: str | None
     ti_options: dict
     ti_requests_per_minute: float
-    ti_cache: str | None
     list_files: list
     list_format_hint: str
     subdomain_matching: str
@@ -50,9 +49,6 @@ class PipelineConfig:
     formats: list
     mock_farm: str | None
     raw: dict = field(repr=False, default_factory=dict)
-
-    def ti_cache_path(self) -> str:
-        return self.ti_cache or os.path.join(self.repository, "ti-cache.jsonl")
 
     def corpus_path(self, campaign_id: str) -> str:
         return os.path.join(self.repository, f"corpus-{campaign_id}.txt")
@@ -130,6 +126,7 @@ def load_config(path: str) -> PipelineConfig:
     if ti_mode == TI_LIVE:
         _require(bool(ti.get("base_url")), "ti.mode=live needs ti.base_url")
     _require("api_key" not in ti, "API keys belong in ADMAL_TI_API_KEY, not config")
+    _require("cache" not in ti, "ti.cache is not read: fetched reports are kept in the repository")
     rpm = ti.get("requests_per_minute", 4.0)
     _require(_positive(rpm), "ti.requests_per_minute must be a positive number")
     _require(_positive(ti.get("timeout_s", 30.0)), "ti.timeout_s must be a positive number")
@@ -168,13 +165,11 @@ def load_config(path: str) -> PipelineConfig:
 
     limits_doc = doc.get("limits", {})
     _require(isinstance(limits_doc, dict), "'limits' must be an object")
-    try:
-        limits = CampaignLimits(
-            max_inflight=int(limits_doc.get("max_inflight", 64)),
-            per_provider_qps=float(limits_doc.get("per_provider_qps", 20.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad limits: {exc}") from exc
+    inflight = limits_doc.get("max_inflight", 64)
+    _require(type(inflight) is int and inflight > 0, "limits.max_inflight must be a positive int")
+    qps = limits_doc.get("per_provider_qps", 20.0)
+    _require(_positive(qps), "limits.per_provider_qps must be a positive number")
+    limits = CampaignLimits(max_inflight=inflight, per_provider_qps=float(qps))
 
     analytics_doc = doc.get("analytics", {})
     _require(isinstance(analytics_doc, dict), "'analytics' must be an object")
@@ -213,7 +208,6 @@ def load_config(path: str) -> PipelineConfig:
         ti_base_url=ti.get("base_url"),
         ti_options=ti_options,
         ti_requests_per_minute=float(rpm),
-        ti_cache=ti.get("cache"),
         list_files=list_files,
         list_format_hint=hint,
         subdomain_matching=matching,

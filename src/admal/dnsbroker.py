@@ -27,6 +27,7 @@ SIG_REFUSED = "refused"
 SIG_ZERO_ANSWER = "zero_answer_noerror"
 
 _SINKHOLE_KINDS = (SIG_SINKHOLE_A, SIG_SINKHOLE_AAAA)
+_KINDS = (*_SINKHOLE_KINDS, SIG_NXDOMAIN, SIG_REFUSED, SIG_ZERO_ANSWER)
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,8 @@ class BlockSignature:
     sinkhole_ips: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown block signature kind {self.kind!r}")
         if self.kind in _SINKHOLE_KINDS and not self.sinkhole_ips:
             raise ValueError(f"{self.kind} signature needs at least one IP")
 
@@ -100,8 +103,10 @@ class ResolverProfile:
     retries: int = 2
 
     def __post_init__(self):
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be positive")
+        if type(self.timeout_ms) is not int or self.timeout_ms <= 0:
+            raise ValueError(f"timeout_ms must be a positive int, got {self.timeout_ms!r}")
+        if type(self.retries) is not int or self.retries < 0:
+            raise ValueError(f"retries must be a nonnegative int, got {self.retries!r}")
         if self.transport not in ("udp+tcp", "tcp"):
             raise ValueError(f"unknown transport {self.transport!r}")
 
@@ -117,8 +122,8 @@ class ResolverProfile:
             blocked_signatures=tuple(
                 BlockSignature.from_config(s) for s in doc.get("blocked_signatures", ())
             ),
-            timeout_ms=int(doc.get("timeout_ms", 3000)),
-            retries=int(doc.get("retries", 2)),
+            timeout_ms=doc.get("timeout_ms", 3000),
+            retries=doc.get("retries", 2),
         )
 
     def to_config(self) -> dict:

@@ -368,6 +368,25 @@ class Repository:
                 flags[provider] = bytes(map((hit + b"\0").__getitem__, at))
             return flags
 
+    def latest_elsewhere(self, campaign_id: str, provider_id: str, kind: str,
+                         domains: list) -> dict[str, dict]:
+        """{domain: payload} of the latest record, by log offset, of ``kind``
+        from the provider for each of ``domains`` held in any campaign but
+        ``campaign_id``; domains held in none are left out."""
+        latest = {}
+        with self._lock:
+            for campaign, (rows, columns) in self._campaigns.items():
+                col = columns.get(provider_id)
+                if campaign == campaign_id or col is None:
+                    continue
+                hit, offsets = col.states.translate(_OF_KIND[kind]), col.offsets
+                for domain in domains:
+                    row = rows.get(domain)
+                    if row is not None and hit[row] and offsets[row] > latest.get(domain, -1):
+                        latest[domain] = offsets[row]
+            return {domain: self._read(offset).payload
+                    for domain, offset in sorted(latest.items(), key=itemgetter(1))}
+
     def verdict_counts(self, campaign_id: str) -> dict[str, Counter]:
         """{provider: Counter of verdicts} over a campaign's ``dns`` records,
         for each provider holding one."""

@@ -5,10 +5,15 @@ suspicious or malicious, how many had no verdict (undetected) and how many
 timed out.  The agreement ratio divides the flagging partners by those that
 expressed an opinion; undetected and timeout entries carry no opinion and
 stay out of the default denominator.
+
+A tally enters the program only as an int: a fixture line or live response
+holding ``1.9``, ``true`` or ``"2"`` is refused, never rounded.  Fetched
+reports are kept in the repository log alone; ``ti-fetch`` hands
+``TiClient`` those another campaign already holds, so each domain is asked
+for once per repository.
 """
 
 import json
-import logging
 import os
 import time
 from dataclasses import dataclass, replace
@@ -16,15 +21,12 @@ from fractions import Fraction
 
 from .keydir import NO_REPORT, REPORT, TALLY_MAX
 
-log = logging.getLogger(__name__)
-
 DEFAULT_API_KEY_ENV = "ADMAL_TI_API_KEY"
 
 OPINIONS = "opinions"
 ALL_PARTNERS = "all_partners"
 
 _TALLY_FIELDS = ("harmless", "undetected", "suspicious", "malicious", "timeout")
-_encode_sorted = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 class TiError(Exception):
@@ -61,7 +63,7 @@ class TiReport:
     def __post_init__(self):
         for name in _TALLY_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, int) or not 0 <= value <= TALLY_MAX:
+            if type(value) is not int or not 0 <= value <= TALLY_MAX:
                 raise ValueError(f"{name} must be an int in [0, {TALLY_MAX}], got {value!r}")
         if self.partner_verdicts is not None:
             tallied = {name: 0 for name in _TALLY_FIELDS}
@@ -134,18 +136,12 @@ def report_to_payload(result: "TiReport | NoReport") -> dict:
 
 
 def payload_to_report(domain: str, payload: dict) -> "TiReport | NoReport":
+    """The report of a payload that ``payload_tallies`` accepts."""
     if payload.get("status") == NO_REPORT:
         return NoReport(domain, payload.get("fetched_at", ""))
-    return TiReport(
-        domain=domain,
-        harmless=int(payload["harmless"]),
-        undetected=int(payload["undetected"]),
-        suspicious=int(payload["suspicious"]),
-        malicious=int(payload["malicious"]),
-        timeout=int(payload.get("timeout", 0)),
-        partner_verdicts=payload.get("partners"),
-        fetched_at=payload.get("fetched_at", ""),
-    )
+    return TiReport(domain, payload["harmless"], payload["undetected"], payload["suspicious"],
+                    payload["malicious"], payload.get("timeout", 0),
+                    payload.get("partners"), payload.get("fetched_at", ""))
 
 
 def payload_tallies(payload: dict) -> tuple:
@@ -184,9 +180,10 @@ def summary_to_report(domain: str, summary: tuple) -> "TiReport | NoReport":
 
 class FixtureTiProvider:
     """Serve reports from a JSONL file; domains absent from the file get
-    NoReport.  Line shape: {"domain": ..., "harmless": n, ...}.  Each line's
-    domain is normalized as corpus domains are, so that a case, trailing-dot
-    or IDN spelling of a corpus domain finds it."""
+    NoReport.  Line shape: {"domain": ..., "harmless": n, ...}, each tally an
+    int, 0 when absent.  Each line's domain is normalized as corpus domains
+    are, so that a case, trailing-dot or IDN spelling of a corpus domain
+    finds it."""
 
     def __init__(self, path: str):
         # here, as the repository imports this module and need not load idna
@@ -204,11 +201,11 @@ class FixtureTiProvider:
                     domain = doc["domain"]
                     report = TiReport(
                         domain=domain if is_canonical(domain) else normalize_hostname(domain),
-                        harmless=int(doc.get("harmless", 0)),
-                        undetected=int(doc.get("undetected", 0)),
-                        suspicious=int(doc.get("suspicious", 0)),
-                        malicious=int(doc.get("malicious", 0)),
-                        timeout=int(doc.get("timeout", 0)),
+                        harmless=doc.get("harmless", 0),
+                        undetected=doc.get("undetected", 0),
+                        suspicious=doc.get("suspicious", 0),
+                        malicious=doc.get("malicious", 0),
+                        timeout=doc.get("timeout", 0),
                         partner_verdicts=doc.get("partners"),
                         fetched_at=doc.get("fetched_at", ""),
                     )
@@ -316,83 +313,45 @@ class LiveTiProvider:
         try:
             return TiReport(
                 domain=domain,
-                harmless=int(tallies.get("harmless", 0)),
-                undetected=int(tallies.get("undetected", 0)),
-                suspicious=int(tallies.get("suspicious", 0)),
-                malicious=int(tallies.get("malicious", 0)),
-                timeout=int(tallies.get("timeout", 0)),
+                harmless=tallies.get("harmless", 0),
+                undetected=tallies.get("undetected", 0),
+                suspicious=tallies.get("suspicious", 0),
+                malicious=tallies.get("malicious", 0),
+                timeout=tallies.get("timeout", 0),
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise PayloadError(f"{domain}: bad tally values") from exc
 
 
 class TiClient:
-    """Cached, rate-limited front for a report provider.
+    """Rate-limited front for a report provider.
 
-    Every fetched report (including NoReport) lands in an append-only JSONL
-    cache, so reruns touch the network only for domains never answered.
-    Transport failures are not cached and surface to the caller.
+    ``reports`` seeds the domains already answered, so ``fetch`` serves them
+    without a request; every other domain costs one request, and its answer
+    (a NoReport included) is kept for the life of the client.  Transport
+    failures are not kept and surface to the caller.
     """
 
-    def __init__(
-        self,
-        provider,
-        cache_path: str,
-        *,
-        requests_per_minute: float = 4.0,
-    ):
+    def __init__(self, provider, reports=(), *, requests_per_minute: float = 4.0):
         if requests_per_minute <= 0:
             raise ValueError("requests_per_minute must be positive")
         self.provider = provider
-        self.cache_path = cache_path
         self.min_interval = 60.0 / requests_per_minute
         self.requests_made = 0
         self._last_request = 0.0
-        self._cache: dict[str, TiReport | NoReport] = {}
-        self._load_cache()
-        self._fh = open(cache_path, "a", encoding="utf-8")
-
-    def _load_cache(self) -> None:
-        # imported here because the repository imports this module
-        from .repository import StorageError
-
-        if not os.path.exists(self.cache_path):
-            return
-        with open(self.cache_path, "rb+") as fh:
-            offset = 0
-            for line_no, raw in enumerate(fh, start=1):
-                if raw.strip():
-                    try:
-                        doc = json.loads(raw.decode("utf-8"))
-                        result = payload_to_report(doc["domain"], doc)
-                    except (ValueError, KeyError, TypeError, AttributeError):
-                        if fh.read(1):
-                            raise StorageError(
-                                f"corrupt TI cache line {line_no} in {self.cache_path}"
-                            ) from None
-                        # a corrupt final line means the last write was cut
-                        # short, perhaps with a later append glued onto it;
-                        # cut it off so the next append starts a fresh line
-                        log.warning("dropping torn cache line in %s", self.cache_path)
-                        fh.truncate(offset)
-                        break
-                    self._cache[result.domain] = result
-                offset += len(raw)
-            else:
-                if offset and not raw.endswith(b"\n"):
-                    fh.write(b"\n")
+        self._reports: dict[str, TiReport | NoReport] = dict(reports)
 
     def fetch(self, domain: str) -> "TiReport | NoReport":
-        cached = self._cache.get(domain)
-        if cached is not None:
-            return cached
+        known = self._reports.get(domain)
+        if known is not None:
+            return known
         self._throttle()
         result = self.provider.lookup(domain)
         self.requests_made += 1
         if not result.fetched_at:
             fetched_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
             result = replace(result, fetched_at=fetched_at)
-        self._store(result)
+        self._reports[domain] = result
         return result
 
     def _throttle(self) -> None:
@@ -400,20 +359,3 @@ class TiClient:
         if wait > 0:
             time.sleep(wait)
         self._last_request = time.monotonic()
-
-    def _store(self, result) -> None:
-        self._cache[result.domain] = result
-        doc = {"domain": result.domain, **report_to_payload(result)}
-        self._fh.write(_encode_sorted(doc) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

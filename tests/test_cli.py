@@ -1,13 +1,19 @@
 import functools
 import json
+import tempfile
+from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admal.cli import main
 from admal.mockdns import BEHAVIOR_NXDOMAIN, MockDnsFarm, MockProviderSpec
 from admal.repository import KIND_AD, KIND_DNS, KIND_TI, Repository, VerdictRecord
-from admal.ticlient import LiveTiProvider, NoReport, TransportError
+from admal.ticlient import LiveTiProvider, NoReport, TiReport, TransportError
 
 DOMAINS = [f"d{i}.example" for i in range(10)]
 P1_BLOCKS = {"d0.example", "d1.example", "d2.example"}
@@ -366,39 +372,152 @@ class TestTiFetch:
         assert logs[-1]["level"] == "error"
         assert f"{fixture} line 7" in logs[-1]["msg"]
 
-    def test_corrupt_cache_line_is_storage_error(self, env, capsys):
+    def test_bad_fixture_tally_is_config_error(self, env, capsys):
         cfg = self.fixture_config(env)
+        fixture = env.tmp / "ti.jsonl"
+        fixture.write_text(fixture.read_text()
+                           + '{"domain": "d7.example", "harmless": 1.9, "malicious": true}\n')
         assert run(capsys, "ingest", "--config", cfg)[0] == 0
-        cache = env.tmp / "repo" / "ti-cache.jsonl"
-        cache.write_text('{"domain": "d0.exa\n{"domain":"d1.example","status":"no_report"}\n')
-        code, _docs, logs = self.run_with_log(capsys, "ti-fetch", "--config", cfg)
-        assert code == 2
-        assert "corrupt TI cache line 1" in logs[-1]["msg"]
-
-    # a write cut short, and one with a later append glued onto it
-    @pytest.mark.parametrize("tail", [
-        '{"domain": "d0.exa',
-        '{"domain": "d0.exa{"domain":"d1.example","status":"no_report"}\n',
-    ])
-    def test_torn_final_cache_line_dropped(self, env, capsys, tail):
-        cfg = self.fixture_config(env)
-        assert run(capsys, "ingest", "--config", cfg)[0] == 0
-        cache = env.tmp / "repo" / "ti-cache.jsonl"
-        cache.write_text('{"domain":"d9.example","status":"no_report"}\n' + tail)
         code, docs, logs = self.run_with_log(capsys, "ti-fetch", "--config", cfg)
+        assert (code, docs) == (1, [])
+        assert f"{fixture} line 7: bad report" in logs[-1]["msg"]
+
+    def test_reports_are_reused_across_campaigns(self, env, capsys):
+        cfg = self.fixture_config(env)
+        assert run(capsys, "ingest", "--config", cfg)[0] == 0
+        first = run(capsys, "ti-fetch", "--config", cfg)[1][-1]
+        code, docs = run(capsys, "ti-fetch", "--config", cfg, "--campaign", "t2",
+                         "--corpus", env.corpus)
         assert code == 0
-        assert docs[-1]["fetched"] == 10
-        assert docs[-1]["remote_requests"] == 9
-        assert any("torn cache line" in doc["msg"] for doc in logs)
-        # the fragment is gone, so the appended reports load cleanly
-        lines = cache.read_text().splitlines()
-        assert len(lines) == 10
-        assert all(json.loads(line)["domain"] for line in lines)
+        assert (docs[-1]["fetched"], docs[-1]["remote_requests"]) == (10, 0)
+        assert docs[-1]["no_report"] == first["no_report"] == 4
+        with Repository(env.repo) as repo:
+            for domain in DOMAINS:
+                assert (repo.get(domain, "ti", "t2").payload
+                        == repo.get(domain, "ti", "t1").payload)
+        assert not (env.tmp / "repo" / "ti-cache.jsonl").exists()
+
+    def test_latest_record_of_other_campaigns_is_reused(self, env, capsys):
+        def payload(harmless):
+            return {"status": "report", "harmless": harmless, "undetected": 0,
+                    "suspicious": 0, "malicious": 0, "timeout": 0, "fetched_at": "x"}
+
+        with Repository(env.repo) as repo:
+            for campaign, domain, harmless in [("c1", "d0.example", 1), ("c2", "d0.example", 2),
+                                               ("c1", "d0.example", 3), ("c1", "d1.example", 4),
+                                               ("c2", "d1.example", 5)]:
+                repo.upsert(VerdictRecord(domain, "ti", campaign, KIND_TI, payload(harmless), "x"))
+            # neither another provider's record nor one of another kind is a report
+            repo.upsert(VerdictRecord("d2.example", "other", "c1", KIND_TI, payload(6), "x"))
+            repo.upsert(VerdictRecord("d2.example", "ti", "c2", KIND_AD, {}, "x"))
+        corpus = env.tmp / "corpus.txt"
+        corpus.write_text("d0.example\nd1.example\nd2.example\n")
+        code, docs = run(capsys, "ti-fetch", "--config", self.fixture_config(env),
+                         "--corpus", str(corpus))
+        assert code == 0
+        assert (docs[-1]["fetched"], docs[-1]["remote_requests"]) == (3, 1)
+        with Repository(env.repo) as repo:
+            assert repo.get("d0.example", "ti", "t1").payload == payload(3)
+            assert repo.get("d1.example", "ti", "t1").payload == payload(5)
+            assert repo.get("d2.example", "ti", "t1").payload["harmless"] == 8
+
+    def test_transport_failure_stores_nothing_and_rerun_fetches(self, env, capsys, monkeypatch):
+        class FlakyProvider:
+            failing = {"d9.example"}
+
+            def __init__(self, path):
+                pass
+
+            def lookup(self, domain):
+                if domain in self.failing:
+                    raise TransportError(domain)
+                return NoReport(domain)
+
+        monkeypatch.setattr("admal.cli.FixtureTiProvider", FlakyProvider)
+        cfg = self.fixture_config(env)
+        assert run(capsys, "ingest", "--config", cfg)[0] == 0
+        assert run(capsys, "ti-fetch", "--config", cfg)[0] == 2
+        with Repository(env.repo) as repo:
+            assert repo.get("d9.example", "ti", "t1") is None
+        FlakyProvider.failing = set()
+        code, docs = run(capsys, "ti-fetch", "--config", cfg)
+        assert code == 0
+        assert (docs[-1]["fetched"], docs[-1]["remote_requests"],
+                docs[-1]["skipped_existing"]) == (1, 1, 9)
+        with Repository(env.repo) as repo:
+            assert repo.get("d9.example", "ti", "t1").payload["status"] == "no_report"
+
+    def test_ti_cache_setting_is_config_error(self, env, capsys):
+        cfg = write_variant(env, lambda doc: doc.update({"ti": {
+            "mode": "fixture", "fixture": str(env.tmp / "ti.jsonl"),
+            "cache": str(env.tmp / "ti-cache.jsonl")}}), "config-cache.json")
+        code, docs, logs = self.run_with_log(capsys, "ti-fetch", "--config", cfg)
+        assert (code, docs) == (1, [])
+        assert "ti.cache" in logs[-1]["msg"]
 
     def test_fetch_with_ti_off_is_usage_error(self, env, capsys):
         assert run(capsys, "ingest", "--config", env.config)[0] == 0
         code, _ = run(capsys, "ti-fetch", "--config", env.config)
         assert code == 1
+
+
+class CountingFixture:
+    """Answers each domain with a report or a NoReport, counting every ask;
+    a domain in ``flaky`` fails its first ask."""
+
+    def __init__(self, flaky):
+        self.flaky, self.asked, self.answered = set(flaky), Counter(), Counter()
+
+    def lookup(self, domain):
+        self.asked[domain] += 1
+        if domain in self.flaky and self.asked[domain] == 1:
+            raise TransportError(domain)
+        self.answered[domain] += 1
+        number = int(domain[1:].split(".")[0])
+        return TiReport(domain, number, 1, number % 2, 0, 0) if number % 3 else NoReport(domain)
+
+
+POOL = [f"d{i}.example" for i in range(8)]
+
+
+class TestTiFetchRuns:
+    @given(flaky=st.sets(st.sampled_from(POOL), max_size=2),
+           runs=st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
+                                   st.lists(st.sampled_from(POOL), min_size=1, max_size=6)),
+                         min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_one_record_per_pair_and_one_answer_per_domain(self, flaky, runs):
+        provider = CountingFixture(flaky)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch("admal.cli.FixtureTiProvider", lambda path: provider), \
+                mock.patch("sys.stdout"), mock.patch("sys.stderr"):
+            tmp = Path(tmp)
+            (tmp / "ti.jsonl").write_text("")
+            (tmp / "config.json").write_text(json.dumps({
+                "repository": str(tmp / "repo"),
+                "ti": {"mode": "fixture", "fixture": str(tmp / "ti.jsonl"),
+                       "requests_per_minute": 1e9}}))
+            finished = set()
+            for campaign, corpus in runs:
+                (tmp / "corpus.txt").write_text("\n".join(corpus) + "\n")
+                failures = sum(provider.asked.values()) - sum(provider.answered.values())
+                code = main(["ti-fetch", "--config", str(tmp / "config.json"),
+                             "--campaign", campaign, "--corpus", str(tmp / "corpus.txt")])
+                failed = sum(provider.asked.values()) - sum(provider.answered.values()) > failures
+                assert code == (2 if failed else 0)
+                if not failed:
+                    finished |= {(domain, campaign) for domain in corpus}
+            lines = (tmp / "repo" / "records.jsonl").read_text().splitlines()
+        records = Counter((doc["domain"], doc["campaign"]) for doc in map(json.loads, lines)
+                          if doc["provider"] == "ti" and doc["kind"] == "ti")
+        assert all(records[pair] == 1 for pair in finished)
+        assert set(records.values()) <= {1}
+        assert set(provider.answered.values()) <= {1}
+        # a transport failure is no answer, so its domain is asked once more
+        assert all(n <= 1 + (domain in flaky) for domain, n in provider.asked.items())
+        payloads = {}
+        for doc in map(json.loads, lines):
+            assert payloads.setdefault(doc["domain"], doc["payload"]) == doc["payload"]
 
 
 class TestCorruptStore:

@@ -6,6 +6,10 @@ from admal.config import ConfigError, load_config
 from admal.ticlient import ALL_PARTNERS, OPINIONS
 
 
+def resolver(**settings):
+    return {"resolvers": [{"provider_id": "a", "filtered_address": "1.1.1.1", **settings}]}
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -34,11 +38,7 @@ class TestDefaults:
     def test_paths(self, tmp_path):
         cfg = load_config(minimal(tmp_path))
         repo = str(tmp_path / "repo")
-        assert cfg.ti_cache_path() == f"{repo}/ti-cache.jsonl"
         assert cfg.corpus_path("t1") == f"{repo}/corpus-t1.txt"
-        cfg2 = load_config(minimal(
-            tmp_path, {"ti": {"cache": "/elsewhere/cache.jsonl"}}, "c2.json"))
-        assert cfg2.ti_cache_path() == "/elsewhere/cache.jsonl"
 
 
 class TestValidation:
@@ -106,6 +106,12 @@ class TestValidation:
         {"analytics": {"ti_figure_base": -5}},
         {"analytics": {"corpus_size": 0}},
         {"analytics": {"formats": ["xml"]}},
+        resolver(blocked_signatures=[{"kind": "nxdomian"}]),
+        *(resolver(timeout_ms=value) for value in (-1, 0, "3000", 2.9, True)),
+        *(resolver(retries=value) for value in (-1, "2", 2.9, True)),
+        *({"limits": {"max_inflight": value}} for value in (-1, 0, "8", 2.9, True)),
+        *({"limits": {"per_provider_qps": value}}
+          for value in (-1, 0, "8", True, float("inf"))),
     ])
     def test_bad_sections(self, tmp_path, extra):
         with pytest.raises(ConfigError):

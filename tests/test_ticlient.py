@@ -153,6 +153,14 @@ class TestFixtureProvider:
         with pytest.raises(ValueError, match="line 2: bad report"):
             FixtureTiProvider(str(path))
 
+    @pytest.mark.parametrize("tally", [1.9, 1.0, True, "2", None, [1]])
+    def test_tally_that_is_not_an_int_is_bad_report(self, tmp_path, tally):
+        path = tmp_path / "ti.jsonl"
+        path.write_text('{"domain": "ok.example", "harmless": 3}\n'
+                        + json.dumps({"domain": "a.example", "malicious": tally}) + "\n")
+        with pytest.raises(ValueError, match="line 2: bad report"):
+            FixtureTiProvider(str(path))
+
     def test_reference_scale_noreport_count(self, tmp_path):
         # absence semantics at the published no-report cardinality
         path = tmp_path / "ti.jsonl"
@@ -183,57 +191,38 @@ class CountingProvider:
 class TestTiClient:
     def test_at_most_one_remote_request(self, tmp_path):
         provider = CountingProvider({"d.example": report(h=5, domain="d.example")})
-        with TiClient(provider, str(tmp_path / "cache.jsonl"),
-                      requests_per_minute=100_000) as client:
-            first = client.fetch("d.example")
-            second = client.fetch("d.example")
+        client = TiClient(provider, requests_per_minute=100_000)
+        first = client.fetch("d.example")
+        second = client.fetch("d.example")
         assert provider.calls == 1
         assert first == second
 
-    def test_cache_survives_restart(self, tmp_path):
-        cache = str(tmp_path / "cache.jsonl")
-        provider = CountingProvider({"d.example": report(h=5, domain="d.example")})
-        with TiClient(provider, cache, requests_per_minute=100_000) as client:
-            client.fetch("d.example")
-            client.fetch("gone.example")
-        assert provider.calls == 2
-        with TiClient(provider, cache, requests_per_minute=100_000) as client:
-            r = client.fetch("d.example")
-            nr = client.fetch("gone.example")
-        assert provider.calls == 2  # served from disk
-        assert r.harmless == 5
-        assert isinstance(nr, NoReport)
-
     def test_transport_error_not_cached(self, tmp_path):
         provider = CountingProvider(fail_domains={"flaky.example"})
-        with TiClient(provider, str(tmp_path / "cache.jsonl"),
-                      requests_per_minute=100_000) as client:
-            with pytest.raises(TransportError):
-                client.fetch("flaky.example")
-            provider.fail_domains.clear()
-            result = client.fetch("flaky.example")
+        client = TiClient(provider, requests_per_minute=100_000)
+        with pytest.raises(TransportError):
+            client.fetch("flaky.example")
+        provider.fail_domains.clear()
+        result = client.fetch("flaky.example")
         assert provider.calls == 2
         assert isinstance(result, NoReport)
 
     def test_rate_limit_spacing(self, tmp_path):
         provider = CountingProvider()
-        with TiClient(provider, str(tmp_path / "cache.jsonl"),
-                      requests_per_minute=600) as client:
-            start = time.monotonic()
-            client.fetch("a.example")
-            client.fetch("b.example")
-            client.fetch("c.example")
-            elapsed = time.monotonic() - start
+        client = TiClient(provider, requests_per_minute=600)
+        start = time.monotonic()
+        client.fetch("a.example")
+        client.fetch("b.example")
+        client.fetch("c.example")
+        elapsed = time.monotonic() - start
         assert elapsed >= 0.2  # 600/min = one per 100ms
 
-    def test_torn_cache_line_tolerated(self, tmp_path):
-        cache = tmp_path / "cache.jsonl"
-        good = json.dumps({"domain": "ok.example", **report_to_payload(NoReport("ok.example"))})
-        cache.write_text(good + "\n" + '{"domain": "torn.exam')
+    def test_seeded_reports_cost_no_request(self):
+        known = NoReport("gone.example", "2024-01-01T00:00:00Z")
         provider = CountingProvider()
-        with TiClient(provider, str(cache), requests_per_minute=100_000) as client:
-            assert isinstance(client.fetch("ok.example"), NoReport)
-        assert provider.calls == 0
+        client = TiClient(provider, {"gone.example": known}, requests_per_minute=100_000)
+        assert client.fetch("gone.example") is known
+        assert (provider.calls, client.requests_made) == (0, 0)
 
 
 class FakeResponse:
@@ -300,6 +289,13 @@ class TestLiveProvider:
         with pytest.raises(PayloadError):
             live(FakeSession([FakeResponse(200)])).lookup("d.example")
 
+    @pytest.mark.parametrize("tally", [1.9, 1.0, True, "2", None])
+    def test_tally_that_is_not_an_int_is_payload_error(self, tally):
+        body = v3_body(h=3)
+        body["data"]["attributes"]["last_analysis_stats"]["malicious"] = tally
+        with pytest.raises(PayloadError):
+            live(FakeSession([FakeResponse(200, body)])).lookup("d.example")
+
     def test_missing_stats_path(self):
         with pytest.raises(PayloadError):
             live(FakeSession([FakeResponse(200, {"data": {}})])).lookup("d.example")
@@ -341,7 +337,13 @@ class TestLiveProvider:
 
 
 class TestRequestsImport:
-    def test_cli_import_leaves_requests_out(self):
+    # the repository is imported by every command and by tools that only
+    # read a log, so neither may pay for the HTTP or IDNA stacks
+    @pytest.mark.parametrize("module, absent", [
+        ("admal.cli", ("requests",)),
+        ("admal.repository", ("requests", "idna")),
+    ], ids=["cli", "repository"])
+    def test_cli_import_leaves_requests_out(self, module, absent):
         import os
         import subprocess
         import sys
@@ -349,7 +351,7 @@ class TestRequestsImport:
         import admal
 
         src = os.path.dirname(os.path.dirname(admal.__file__))
-        code = "import admal.cli, sys; assert 'requests' not in sys.modules"
+        code = f"import {module}, sys; assert not {{*sys.modules}} & {set(absent)!r}"
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
 
