@@ -370,7 +370,10 @@ def cmd_mock_dns(args, cfg: PipelineConfig) -> int:
         raise ConfigError("no farm file: pass --farm or set 'mock_farm' in config")
     if not os.path.exists(farm_path):
         raise ConfigError(f"farm file not found: {farm_path}")
-    farm = mockdns.load_farm_config(farm_path)
+    try:
+        farm = mockdns.load_farm_config(farm_path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad farm file {farm_path}: {exc}") from None
     with farm:
         _emit(farm.manifest())
         sys.stdout.flush()

@@ -74,16 +74,20 @@ class BlockSignature:
 
 def _parse_address(value: str) -> tuple[str, int]:
     """``host``, ``host:port``, ``[v6]``, ``[v6]:port`` or a bare IPv6
-    address; the port defaults to 53."""
+    address; the port defaults to 53 and must lie within 0-65535."""
+    if type(value) is not str:
+        raise ValueError(f"a resolver address is a string, got {value!r}")
+    host, port = value, "53"
     if value.startswith("["):
         host, bracket, rest = value[1:].partition("]")
         if not bracket or (rest and not rest.startswith(":")):
             raise ValueError(f"bad resolver address {value!r}")
-        return host, int(rest[1:]) if rest else 53
-    if value.count(":") > 1:
-        return value, 53
-    host, _, port = value.rpartition(":")
-    return (host or value, int(port) if host else 53)
+        port = rest[1:] if rest else port
+    elif value.count(":") == 1:
+        host, _, port = value.rpartition(":")
+    if not (host and port.isdecimal() and int(port) <= 65535):
+        raise ValueError(f"bad resolver address {value!r}")
+    return host, int(port)
 
 
 def _format_address(address: tuple[str, int]) -> str:

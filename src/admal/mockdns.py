@@ -7,18 +7,24 @@ answers, and in full over TCP on the same port, so that clients exercise
 the TCP fallback.  Responses are a pure function of (spec, seed, query
 bytes); the only "randomness" is the drop decision, derived from a hash
 of the seed and the queried name so that repeats behave identically.
+
+One asyncio loop on one daemon thread serves the whole farm, as in
+``dnsclient``: each UDP socket is drained per wakeup, and latency delays a
+reply on a loop timer, so it caps no throughput.  asyncio is imported on
+that thread, so importing this module stays cheap.
 """
 
+import contextlib
+import functools
 import hashlib
+import ipaddress
 import json
 import socket
-import struct
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import dnswire
+from .dnsbroker import _format_address, _parse_address
 
 BEHAVIOR_SINKHOLE_A = "sinkhole_a"
 BEHAVIOR_NXDOMAIN = "nxdomain"
@@ -41,25 +47,34 @@ class MockProviderSpec:
     truncate: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.drop_rate <= 1.0:
-            raise ValueError("drop_rate must be within [0, 1]")
+        if type(self.latency_ms) is not int or self.latency_ms < 0:
+            raise ValueError(f"latency_ms must be a nonnegative int, got {self.latency_ms!r}")
+        if type(self.drop_rate) not in (int, float) or not 0 <= self.drop_rate <= 1:
+            raise ValueError(f"drop_rate must be a number within [0, 1], got {self.drop_rate!r}")
+        if type(self.truncate) is not bool:
+            raise ValueError(f"truncate must be true or false, got {self.truncate!r}")
         if self.block_behavior not in (BEHAVIOR_SINKHOLE_A, BEHAVIOR_NXDOMAIN):
             raise ValueError(f"unknown block_behavior {self.block_behavior!r}")
-        self.blocklist = frozenset(d.lower() for d in self.blocklist)
+        if isinstance(self.blocklist, str):
+            raise ValueError(f"blocklist must be a list of names, got {self.blocklist!r}")
+        for address in (self.sinkhole_ip, self.default_answer):
+            ipaddress.IPv4Address(str(address))  # ValueError for anything else
+        self.blocklist = frozenset(map(str.lower, self.blocklist))
 
     @classmethod
     def from_config(cls, doc: dict) -> "MockProviderSpec":
-        host, _, port = doc.get("listen", "127.0.0.1:0").rpartition(":")
+        """One farm-file provider, ``listen`` in a resolver address form such
+        as ``[::1]:0``; KeyError, TypeError or ValueError for a bad setting."""
         return cls(
             provider_id=doc["provider_id"],
-            listen=(host or "127.0.0.1", int(port)),
-            blocklist=frozenset(doc.get("blocklist", ())),
+            listen=_parse_address(doc.get("listen", "127.0.0.1:0")),
+            blocklist=doc.get("blocklist", ()),
             block_behavior=doc.get("block_behavior", BEHAVIOR_SINKHOLE_A),
             sinkhole_ip=doc.get("sinkhole_ip", "0.0.0.0"),
             default_answer=doc.get("default_answer", "203.0.113.1"),
-            latency_ms=int(doc.get("latency_ms", 0)),
-            drop_rate=float(doc.get("drop_rate", 0.0)),
-            truncate=bool(doc.get("truncate", False)),
+            latency_ms=doc.get("latency_ms", 0),
+            drop_rate=doc.get("drop_rate", 0.0),
+            truncate=doc.get("truncate", False),
         )
 
 
@@ -109,8 +124,9 @@ def respond(
 
 
 class MockDnsFarm:
-    """Runs one UDP listener per provider spec, plus a TCP listener on the
-    same port for ``truncate`` providers; start/stop are idempotent."""
+    """Serves one UDP listener per provider spec, plus a TCP listener on the
+    same port for ``truncate`` providers, from one loop thread; start/stop
+    are idempotent."""
 
     def __init__(self, specs: list[MockProviderSpec], seed: int = 0):
         self.specs = list(specs)
@@ -118,12 +134,11 @@ class MockDnsFarm:
         self.addresses: dict[str, tuple[str, int]] = {}
         self._sockets: dict[str, socket.socket] = {}
         self._tcp_sockets: dict[str, socket.socket] = {}
-        self._threads: list[threading.Thread] = []
-        self._pool: ThreadPoolExecutor | None = None
-        self._running = False
+        self._thread: threading.Thread | None = None
+        self._stop = None  # resolves the loop thread's stop future
 
     def start(self) -> "MockDnsFarm":
-        if self._running:
+        if self._thread is not None:
             return self
         for spec in self.specs:
             try:
@@ -131,101 +146,90 @@ class MockDnsFarm:
             except OSError as exc:
                 self.stop()
                 raise BindError(f"{spec.provider_id}: cannot bind {spec.listen}: {exc}")
-            # close() alone does not wake a blocked recvfrom; poll instead
-            sock.settimeout(0.2)
             self._sockets[spec.provider_id] = sock
             self.addresses[spec.provider_id] = sock.getsockname()[:2]
-        self._pool = ThreadPoolExecutor(max_workers=4 * len(self.specs) or 1)
-        self._running = True
-        for spec in self.specs:
-            loops = [self._serve_loop] + ([self._accept_loop] if spec.truncate else [])
-            for target in loops:
-                thread = threading.Thread(target=target, args=(spec,), daemon=True)
-                thread.start()
-                self._threads.append(thread)
+        ready = threading.Event()
+        self._thread = threading.Thread(target=self._run, args=(ready,), daemon=True)
+        self._thread.start()
+        ready.wait()
         return self
 
     def _bind(self, spec: MockProviderSpec) -> socket.socket:
         """The UDP socket; a truncating provider also gets a TCP listener on
         its port, and an ephemeral port that TCP finds taken is retried."""
+        family = socket.AF_INET6 if ":" in spec.listen[0] else socket.AF_INET
         for attempt in range(8):
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock = socket.socket(family, socket.SOCK_DGRAM)
             try:
                 sock.bind(spec.listen)
                 if spec.truncate:
-                    tcp = socket.create_server(sock.getsockname())
-                    tcp.settimeout(0.2)
-                    self._tcp_sockets[spec.provider_id] = tcp
+                    self._tcp_sockets[spec.provider_id] = socket.create_server(
+                        sock.getsockname()[:2], family=family)
+                sock.setblocking(False)
                 return sock
             except OSError:
                 sock.close()
                 if spec.listen[1] or attempt == 7:
                     raise
 
-    def _serve_loop(self, spec: MockProviderSpec):
-        sock = self._sockets[spec.provider_id]
-        while self._running:
+    def _run(self, ready: threading.Event) -> None:
+        import asyncio
+
+        async def serve():
+            loop = asyncio.get_running_loop()
+            stopped = loop.create_future()
+            self._stop = lambda: loop.call_soon_threadsafe(stopped.set_result, None)
+            try:
+                for spec in self.specs:
+                    sock = self._sockets[spec.provider_id]
+                    loop.add_reader(sock.fileno(), self._readable, loop, spec, sock)
+                    if spec.truncate:
+                        await asyncio.start_server(functools.partial(self._serve_tcp, spec),
+                                                   sock=self._tcp_sockets[spec.provider_id])
+            finally:
+                ready.set()
+            await stopped  # asyncio.run then ends the TCP exchanges and closes the loop
+
+        asyncio.run(serve())
+
+    def _readable(self, loop, spec: MockProviderSpec, sock: socket.socket) -> None:
+        """Drain the socket, answering each query after the provider's latency."""
+        while True:
             try:
                 data, addr = sock.recvfrom(4096)
-            except socket.timeout:
-                continue
             except OSError:
-                return
+                return  # BlockingIOError: nothing more queued
+            if (reply := respond(spec, self.seed, data)) is None:
+                continue
             if spec.latency_ms:
-                self._pool.submit(self._reply_delayed, spec, sock, data, addr)
+                loop.call_later(spec.latency_ms / 1000.0, _send, sock, reply, addr)
             else:
-                reply = respond(spec, self.seed, data)
-                if reply is not None:
-                    try:
-                        sock.sendto(reply, addr)
-                    except OSError:
-                        return
+                _send(sock, reply, addr)
 
-    def _accept_loop(self, spec: MockProviderSpec):
-        listener = self._tcp_sockets[spec.provider_id]
-        while self._running:
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            self._pool.submit(self._serve_tcp, spec, conn)
-
-    def _serve_tcp(self, spec: MockProviderSpec, conn: socket.socket):
+    async def _serve_tcp(self, spec: MockProviderSpec, reader, writer) -> None:
         """Answer one length-prefixed query (RFC 7766), then close."""
-        conn.settimeout(2.0)
-        with conn, conn.makefile("rb") as stream:
-            try:
-                header = stream.read(2)
-                length = struct.unpack("!H", header)[0] if len(header) == 2 else 0
-                data = stream.read(length)
-                reply = respond(spec, self.seed, data, tcp=True)
-                if reply is not None:
-                    time.sleep(spec.latency_ms / 1000.0)
-                    conn.sendall(struct.pack("!H", len(reply)) + reply)
-            except OSError:
-                pass
+        import asyncio
 
-    def _reply_delayed(self, spec, sock, data, addr):
-        reply = respond(spec, self.seed, data)
-        time.sleep(spec.latency_ms / 1000.0)
-        if reply is not None:
-            try:
-                sock.sendto(reply, addr)
-            except OSError:
-                pass
+        try:
+            length = await asyncio.wait_for(reader.readexactly(2), 2.0)
+            data = await asyncio.wait_for(reader.readexactly(int.from_bytes(length, "big")), 2.0)
+            reply = respond(spec, self.seed, data, tcp=True)
+            if reply is not None:
+                await asyncio.sleep(spec.latency_ms / 1000.0)
+                writer.write(len(reply).to_bytes(2, "big") + reply)
+                await writer.drain()
+        except (asyncio.IncompleteReadError, asyncio.TimeoutError, OSError):
+            pass
+        finally:
+            writer.close()
 
     def stop(self):
-        self._running = False
+        if self._thread is not None:
+            self._stop()
+            self._thread.join()
+            self._thread = self._stop = None
         for sock in [*self._sockets.values(), *self._tcp_sockets.values()]:
             sock.close()
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-        self._threads.clear()
         self._sockets.clear()
         self._tcp_sockets.clear()
 
@@ -235,7 +239,7 @@ class MockDnsFarm:
             "providers": [
                 {
                     "provider_id": spec.provider_id,
-                    "address": "%s:%d" % self.addresses[spec.provider_id],
+                    "address": _format_address(self.addresses[spec.provider_id]),
                     "block_behavior": spec.block_behavior,
                     "blocklist_size": len(spec.blocklist),
                     "drop_rate": spec.drop_rate,
@@ -251,9 +255,17 @@ class MockDnsFarm:
         self.stop()
 
 
+def _send(sock: socket.socket, reply: bytes, addr) -> None:
+    with contextlib.suppress(OSError):  # a full buffer: lost like a dropped datagram
+        sock.sendto(reply, addr)
+
+
 def load_farm_config(path) -> MockDnsFarm:
-    """Load a farm config file: {"providers": [spec...], "seed": int}."""
+    """Load a farm config file: {"providers": [spec...], "seed": int}.
+    KeyError, TypeError or ValueError for a file that is not such JSON."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or type(doc.get("seed", 0)) is not int:
+        raise ValueError("a farm file is an object with a providers list and an int seed")
     specs = [MockProviderSpec.from_config(p) for p in doc.get("providers", [])]
-    return MockDnsFarm(specs, seed=int(doc.get("seed", 0)))
+    return MockDnsFarm(specs, seed=doc.get("seed", 0))

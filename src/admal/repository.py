@@ -28,7 +28,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -272,16 +272,16 @@ class Repository:
             raise StorageError(f"corrupt log record at byte {offset}") from None
 
     def _located(self, campaign_id=None, provider_id=None, kind=None) -> list:
-        """(domain, provider, first line, offset, column, row) of every
-        record, or of one campaign's, provider's or kind's, in (domain,
-        provider) order and then in the order the keys first reached the
-        log; caller holds the lock."""
+        """(domain, provider, first line, offset) of every record, or of one
+        campaign's, provider's or kind's, in (domain, provider) order and
+        then in the order the keys first reached the log; caller holds the
+        lock."""
         wanted, found = ANY if kind is None else _OF_KIND[kind], []
         for campaign, (rows, columns) in self._campaigns.items():
             for provider, col in columns.items():
                 if campaign_id in (None, campaign) and provider_id in (None, provider):
-                    found += compress(zip(rows, repeat(provider), col.born, col.offsets,
-                                          repeat(col), count()), col.states.translate(wanted))
+                    found += compress(zip(rows, repeat(provider), col.born, col.offsets),
+                                      col.states.translate(wanted))
         found.sort(key=itemgetter(0, 1, 2))
         return found
 
@@ -414,46 +414,14 @@ class Repository:
             return sum(len(col.states) - col.states.count(0)
                        for _rows, columns in self._campaigns.values() for col in columns.values())
 
-    def _write_sorted(self, fh):
-        """Write every latest record to ``fh`` in (domain, provider) order;
-        returns the ``_located`` entries, their offsets in that file, and
-        the SHA-256 of what was written."""
-        placed, offsets, offset, digest = self._located(), [], 0, hashlib.sha256()
-        for entry in placed:
-            line = (self._read(entry[3]).to_json() + "\n").encode("utf-8")
-            fh.write(line)
-            digest.update(line)
-            offsets.append(offset)
-            offset += len(line)
-        return placed, offsets, digest
-
     def export(self, path) -> int:
-        """Write the latest-wins view as sorted JSONL; returns record count."""
+        """Write the latest-wins view as JSONL in (domain, provider) order;
+        returns the record count."""
         with self._lock, open(path, "wb") as fh:
-            return len(self._write_sorted(fh)[0])
-
-    def compact(self) -> None:
-        """Rewrite the log with only the latest record per key, and its hint."""
-        with self._lock:
-            tmp = self.log_path.with_suffix(".jsonl.tmp")
-            try:
-                with open(tmp, "wb") as fh:
-                    placed, offsets, digest = self._write_sorted(fh)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                    size = fh.tell()
-                self._fh.close()
-                self._close_reader()
-                os.replace(tmp, self.log_path)
-                self._fh = open(self.log_path, "ab")
-            except OSError as exc:
-                raise StorageError(f"compaction failed: {exc}") from exc
-            for line_no, (entry, offset) in enumerate(zip(placed, offsets), start=1):
-                col, row = entry[4:]
-                col.offsets[row], col.born[row] = offset, line_no
-            self._size, self._lines, self._digest = size, len(placed), digest
-            self._hinted = None
-            self._save_hint()
+            placed = self._located()
+            for entry in placed:
+                fh.write((self._read(entry[3]).to_json() + "\n").encode("utf-8"))
+            return len(placed)
 
     def manifest_path(self, campaign_id: str) -> Path:
         return self.root / "manifests" / f"{campaign_id}.json"
@@ -482,16 +450,13 @@ class Repository:
             raise StorageError(f"corrupt manifest {path}: not a JSON object")
         return manifest
 
-    def _close_reader(self) -> None:
-        if self._reader is not None:
-            self._reader.close()
-            self._reader = None
-
     def close(self) -> None:
         """Flush the log and, if the keydir changed since the hint was
         written, rewrite the hint."""
         with self._lock:
-            self._close_reader()
+            if self._reader is not None:
+                self._reader.close()
+                self._reader = None
             if not self._fh.closed:
                 self._fh.flush()
                 os.fsync(self._fh.fileno())

@@ -601,6 +601,29 @@ class TestMockDnsCommand:
                       "--farm", str(env.tmp / "absent.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1]", '{"seed": "1"}', '{"seed": 1.5}', '{"providers": [{}]}',
+        *(json.dumps({"providers": [{"provider_id": "m1", **setting}]}) for setting in (
+            {"latency_ms": "fast"}, {"latency_ms": 2.9}, {"latency_ms": -1},
+            {"latency_ms": True}, {"drop_rate": "0.5"}, {"drop_rate": True},
+            {"truncate": "no"}, {"truncate": 1}, {"blocklist": "x.example"},
+            {"blocklist": [1]}, {"sinkhole_ip": "not-an-ip"},
+            {"listen": "127.0.0.1:70000"}, {"listen": "127.0.0.1:-1"}, {"listen": 53},
+        )),
+    ])
+    def test_bad_farm_file(self, env, capsys, text):
+        """A farm file with a missing or mistyped setting exits 1 with one
+        JSONL error line, before anything is served."""
+        farm_path = env.tmp / "farm.json"
+        farm_path.write_text(text)
+        code = main(["mock-dns", "--config", env.config, "--farm", str(farm_path),
+                     "--duration", "0.05"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        errors = [doc for doc in map(json.loads, err.splitlines()) if doc["level"] == "error"]
+        assert len(errors) == 1 and "bad farm file" in errors[0]["msg"]
+
 
 class TestUsageErrors:
     def test_missing_config_file(self, tmp_path, capsys):

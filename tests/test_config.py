@@ -112,6 +112,9 @@ class TestValidation:
         *({"limits": {"max_inflight": value}} for value in (-1, 0, "8", 2.9, True)),
         *({"limits": {"per_provider_qps": value}}
           for value in (-1, 0, "8", True, float("inf"))),
+        resolver(filtered_address="127.0.0.1:70000"),
+        resolver(filtered_address="127.0.0.1:-1"),
+        resolver(control_address="[::1]:70000"),
     ])
     def test_bad_sections(self, tmp_path, extra):
         with pytest.raises(ConfigError):

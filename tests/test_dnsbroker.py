@@ -201,7 +201,8 @@ class TestProfiles:
     def test_address_forms(self, text, address):
         assert _parse_address(text) == address
 
-    @pytest.mark.parametrize("text", ["[2620:fe::fe", "[2620:fe::fe]53", "1.1.1.1:x"])
+    @pytest.mark.parametrize("text", ["[2620:fe::fe", "[2620:fe::fe]53", "1.1.1.1:x",
+                                      "127.0.0.1:70000", "127.0.0.1:-1", "[::1]:70000"])
     def test_bad_address_rejected(self, text):
         with pytest.raises(ValueError):
             _parse_address(text)

@@ -1,10 +1,21 @@
 import json
+import select
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
 from admal import dnswire
+from admal.dnsbroker import (
+    SIG_SINKHOLE_A,
+    BlockSignature,
+    CampaignLimits,
+    ResolverProfile,
+    run_campaign,
+)
+from admal.keydir import BLOCKED, NOT_BLOCKED
 from admal.mockdns import (
     BEHAVIOR_NXDOMAIN,
     BEHAVIOR_SINKHOLE_A,
@@ -14,6 +25,7 @@ from admal.mockdns import (
     load_farm_config,
     respond,
 )
+from admal.repository import Repository
 
 
 def spec(**kw):
@@ -207,11 +219,61 @@ class TestFarm:
             assert tcp.address_answers() == ("0.0.0.0",)
 
     def test_latency_applied(self):
-        import time
         with MockDnsFarm([spec(latency_ms=120)]) as farm:
             start = time.monotonic()
             udp_ask(farm.addresses["p1"], query_bytes("bad.example"))
             assert time.monotonic() - start >= 0.1
+
+    def test_latency_does_not_cap_throughput(self):
+        """Delayed replies wait on timers, not on workers: 64 queries in
+        flight at once come back after about one delay, not 64 / workers."""
+        socks = [socket.socket(socket.AF_INET, socket.SOCK_DGRAM) for _ in range(64)]
+        try:
+            with MockDnsFarm([spec(latency_ms=200)]) as farm:
+                start = time.monotonic()
+                for i, sock in enumerate(socks):
+                    sock.sendto(query_bytes(f"q{i}.example", txid=i), farm.addresses["p1"])
+                waiting = set(socks)
+                while waiting and time.monotonic() - start < 5:
+                    for sock in select.select(list(waiting), [], [], 0.5)[0]:
+                        sock.recv(4096)
+                        waiting.discard(sock)
+                elapsed = time.monotonic() - start
+        finally:
+            for sock in socks:
+                sock.close()
+        assert not waiting
+        assert 0.2 <= elapsed < 1.5
+
+    def test_one_thread_serves_the_farm(self):
+        specs = [spec(provider_id="a"), spec(provider_id="b"),
+                 spec(provider_id="c", truncate=True)]
+        before = set(threading.enumerate())
+        with MockDnsFarm(specs) as farm:
+            tcp = dnswire.parse_response(tcp_ask(farm.addresses["c"], query_bytes("bad.example")))
+            assert tcp.address_answers() == ("0.0.0.0",)
+            (loop_thread,) = set(threading.enumerate()) - before
+        assert not loop_thread.is_alive()
+
+    def test_ipv6_listen(self, tmp_path):
+        try:
+            with socket.socket(socket.AF_INET6, socket.SOCK_DGRAM) as probe:
+                probe.bind(("::1", 0))
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+        provider = MockProviderSpec.from_config(
+            {"provider_id": "p6", "listen": "[::1]:0", "blocklist": ["bad.example"]})
+        with MockDnsFarm([provider]) as farm:
+            host, _, port = farm.manifest()["providers"][0]["address"].rpartition(":")
+            assert host == "[::1]" and int(port) > 0
+            profile = ResolverProfile("p6", "P6", farm.addresses["p6"], timeout_ms=1000,
+                                      blocked_signatures=(BlockSignature(SIG_SINKHOLE_A,
+                                                                         ("0.0.0.0",)),))
+            with Repository(tmp_path) as repo:
+                run_campaign(["bad.example", "good.example"], [profile],
+                             CampaignLimits(4, 1000.0), repo, "c6")
+                verdicts = {r.domain: r.payload["verdict"] for r in repo.query("c6")}
+        assert verdicts == {"bad.example": BLOCKED, "good.example": NOT_BLOCKED}
 
 
 class TestFarmConfig:

@@ -370,22 +370,6 @@ class TestExportImport:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-class TestCompaction:
-    def test_drops_superseded_lines(self, tmp_path):
-        with Repository(tmp_path) as repo:
-            for i in range(20):
-                repo.upsert(rec(domain=f"d{i % 5}.example",
-                                payload={"verdict": "not_blocked", "i": i}))
-            before = repo.query("c1")
-            repo.compact()
-            assert repo.query("c1") == before
-            repo.upsert(rec(domain="later.example"))
-        log_lines = (tmp_path / "records.jsonl").read_text().splitlines()
-        assert len(log_lines) == 6
-        with Repository(tmp_path) as repo:
-            assert len(repo) == 6
-
-
 class TestManifests:
     def test_round_trip(self, tmp_path):
         with Repository(tmp_path) as repo:
@@ -681,26 +665,6 @@ class TestHint:
         with repo:
             assert (repo._hinted is None) is (edit is not None)
             assert got == expected
-
-    def test_compact_then_reopen(self, tmp_path):
-        self.fill(tmp_path)
-        with Repository(tmp_path) as repo:
-            repo.compact()
-            compacted = _keydir(repo)
-            # compact wrote the hint itself, before any close
-            copy = tmp_path / "copy"
-            copy.mkdir()
-            for name in ("records.jsonl", HINT_NAME):
-                shutil.copyfile(tmp_path / name, copy / name)
-            repo_copy, got = _opened(copy)
-            with repo_copy:
-                assert repo_copy._hinted is not None
-                assert got == ("keydir", compacted)
-        assert _replayed(tmp_path, tmp_path / "ref") == ("keydir", compacted)
-        repo, got = _opened(tmp_path)
-        with repo:
-            assert repo._hinted is not None
-            assert got == ("keydir", compacted)
 
 
 # -- keydir against a plain dict model ---------------------------------------
