@@ -2,6 +2,9 @@
 sets and their overlap, ad shares, threat-intel agreement statistics, and a
 deterministic report with plot-ready CSV series.
 
+The threat-intel numbers come from tally columns, by C-level passes that
+name only the threat rows' domains; a stream of reports becomes columns.
+
 Display percentages are truncated, not rounded (floor at the last shown
 digit); the two modes are two decimals for shares and one decimal for
 coarser threat figures.  The overlap of N blocked sets is a Counter of
@@ -18,18 +21,13 @@ from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import add
 
 from .adlists import AdMatcher
-from .keydir import BLOCKED, INCONCLUSIVE, NOT_BLOCKED
+from .keydir import BLOCKED, INCONCLUSIVE, NO_REPORT, NOT_BLOCKED, ONLY, REPORT, TI_STATES
 from .repository import KIND_DNS, KIND_TI, Repository, StorageError
-from .ticlient import (
-    OPINIONS,
-    NoReport,
-    UndefinedRatio,
-    agreement_terms,
-    summary_to_report,
-    threat_flag,
-)
+from .ticlient import ALL_PARTNERS, OPINIONS, NoReport
 
 TRUNCATE2 = "truncate2"
 TRUNCATE1 = "truncate1"
@@ -170,44 +168,59 @@ class TiStats:
     ecdf_points: list | None = None
 
 
-def ti_stats(
-    results,
-    matcher: AdMatcher | None = None,
-    *,
-    figure_base: int | None = None,
-    denominator: str = OPINIONS,
-) -> TiStats:
+def ti_stats(results, matcher: AdMatcher | None = None, *, figure_base: int | None = None,
+             denominator: str = OPINIONS) -> TiStats:
     """Reduce a stream of reports / no-report markers to the threat-side
-    numbers.  The threat share uses the with-report count as its base; a
-    fixed figure_base adds a second share without replacing the first."""
+    numbers, as a column of reports and one of markers for ``ti_column_stats``."""
+    results = list(results)
+    reports = [r for r in results if not isinstance(r, NoReport)]
+    tallies = [[getattr(r, name) for r in reports]
+               for name in ("harmless", "undetected", "suspicious", "malicious", "timeout")]
+    columns = [(None, bytes([TI_STATES[REPORT]]) * len(reports), tallies),
+               (None, bytes([TI_STATES[NO_REPORT]]) * (len(results) - len(reports)), None)]
+    return ti_column_stats([r.domain for r in reports], columns, matcher,
+                           figure_base=figure_base, denominator=denominator)
+
+
+def ti_column_stats(domains: list, columns, matcher: AdMatcher | None = None, *,
+                    figure_base: int | None = None, denominator: str = OPINIONS) -> TiStats:
+    """Reduce TI columns, as ``Repository.columns`` gives a campaign's, to
+    the threat-side numbers.  The threat share uses the with-report count as
+    its base; a fixed figure_base adds a second share without replacing the
+    first.  Tallies are read only where the state is a report: a report
+    overwritten by a no_report leaves its old tallies in the columns."""
+    if denominator not in (OPINIONS, ALL_PARTNERS):
+        raise ValueError(f"unknown denominator mode {denominator!r}")
     stats = TiStats(figure_base=figure_base, denominator=denominator)
-    terms: Counter = Counter()  # (flagged, base) -> reports
-    for result in results:
-        if isinstance(result, NoReport):
-            stats.no_report += 1
+    terms, threats = Counter(), []  # (flagged, base) -> reports; base 0: undefined
+    for _provider, states, tallies in columns:
+        stats.no_report += states.count(TI_STATES[NO_REPORT])
+        if tallies is None:
             continue
-        stats.with_report += 1
-        flagged = threat_flag(result)
-        if flagged:
-            stats.threat_count += 1
-            if matcher is not None and matcher.is_ad(result.domain):
-                stats.ad_threat_count += 1
-        try:
-            terms[agreement_terms(result, denominator)] += 1
-        except UndefinedRatio:
-            stats.undefined_ratio += 1
+        reported = states.translate(ONLY[TI_STATES[REPORT]])
+        harmless, undetected, suspicious, malicious, timeout = (
+            compress(column, reported) for column in tallies)
+        flagged = list(map(add, suspicious, malicious))
+        base = map(add, harmless, flagged)  # the opinions
+        if denominator == ALL_PARTNERS:
+            base = map(add, base, map(add, undetected, timeout))
+        terms.update(zip(flagged, base))
+        threats += compress(compress(domains, reported), flagged)
+    stats.threat_count = len(threats)
+    if matcher is not None:
+        stats.ad_threat_count = sum(map(matcher.is_ad, threats))
     # one Fraction per distinct pair; pairs like 1/2 and 2/4 merge into one step
     ratio_counts: Counter = Counter()
     for (flagged, base), reports in terms.items():
-        ratio_counts[Fraction(flagged, base)] += reports
+        stats.with_report += reports
+        if base:
+            ratio_counts[Fraction(flagged, base)] += reports
+        else:
+            stats.undefined_ratio += reports
     if stats.with_report:
-        stats.threat_share_pct = percent(
-            stats.threat_count, stats.with_report, TRUNCATE1
-        )
+        stats.threat_share_pct = percent(stats.threat_count, stats.with_report, TRUNCATE1)
     if figure_base:
-        stats.threat_share_pct_figure = percent(
-            stats.threat_count, figure_base, TRUNCATE1
-        )
+        stats.threat_share_pct_figure = percent(stats.threat_count, figure_base, TRUNCATE1)
     if stats.threat_count:
         stats.ad_threat_share_pct = percent(stats.ad_threat_count, stats.threat_count)
     stats.ecdf_points = _ecdf_from_counter(ratio_counts) if ratio_counts else []
@@ -346,18 +359,9 @@ def build_report(
         venn_order = provider_order
         venn = Overlap.of(lists[p] for p in venn_order)
 
-    ti = None
-    results = [
-        summary_to_report(domain, summary)
-        for domain, _provider, summary in repo.summaries(campaign_id, KIND_TI)
-    ]
-    if results:
-        ti = ti_stats(
-            results,
-            matcher,
-            figure_base=ti_figure_base,
-            denominator=agreement_denominator,
-        )
+    by_row, columns = repo.columns(campaign_id, KIND_TI)
+    ti = ti_column_stats(by_row, columns, matcher, figure_base=ti_figure_base,
+                         denominator=agreement_denominator) if columns else None
 
     provenance = {
         "campaign_id": campaign_id,

@@ -3,27 +3,24 @@
 Each campaign has one ``domain -> row`` dict shared by all its providers, so a
 domain string is held once per campaign, and each (campaign, provider) has a
 ``Column`` of typed arrays indexed by row: the byte offset of the key's latest
-log line (-1: no record), the number of the line where the key first
-appeared (export's tie-break between campaigns) and a state code from the
-closed record vocabulary below (0: no record).  A column holding a TI report
-adds five tally columns.
+log line (-1: no record) and a state code from the closed record vocabulary
+below (0: no record).  A column holding a TI report adds five tally columns.
 
-The hint is JSON lines, never pickle, since a repository directory may come
-from elsewhere: a header names the log prefix it indexes (size, line count,
-SHA-256), then per campaign ``["campaign", name, domains by row]`` and per
-provider ``["provider", name, offsets, first lines, states, tallies or
-null]``, and a trailer holds the SHA-256 of every line before it.  Loading it
-is ``json.loads``, ``array(...)`` and ``dict(zip(...))``, all in C.
+The hint (version 4; the README gives its layout) is JSON lines and raw array
+blocks, never pickle, since a repository directory may come from elsewhere.
+Each block is read by ``array.fromfile`` and hashed in place, and checked to
+fit the log prefix before use; a hint in the other byte order is replayed.
 """
 
 import hashlib
 import json
 import os
+import sys
 from array import array
 from itertools import compress, count
 from pathlib import Path
 
-HINT_VERSION = 3
+HINT_VERSION = 4
 HASH_READ = 1 << 16
 
 # the closed record vocabulary: every record ends as one DNS verdict, one TI
@@ -50,30 +47,30 @@ ANY = flags(range(1, N_STATES))
 class Column:
     """One provider's keys in one campaign, indexed by the campaign's rows."""
 
-    __slots__ = ("offsets", "born", "states", "tallies")
+    __slots__ = ("offsets", "states", "tallies")
 
     def __init__(self, rows: int = 0):
-        self.offsets, self.born = array("q", [-1]) * rows, array("q", [-1]) * rows
-        self.states = bytearray(rows)
+        self.offsets, self.states = array("q", [-1]) * rows, bytearray(rows)
         self.tallies = None  # five array("H") columns once a TI report needs them
 
     def grow(self) -> None:
         self.offsets.append(-1)
-        self.born.append(-1)
         self.states.append(0)
         for column in self.tallies or ():
             column.append(0)
 
-    def put(self, row: int, state: int, offset: int, line_no: int, tallies) -> None:
+    def put(self, row: int, state: int, offset: int, tallies) -> None:
         """Point the row at a record; ``tallies`` holds a report's five."""
-        if not self.states[row]:
-            self.born[row] = line_no
         self.offsets[row], self.states[row] = offset, state
         if tallies:
             if self.tallies is None:
                 self.tallies = [array("H", bytes(2 * len(self.states))) for _ in tallies]
             for column, tally in zip(self.tallies, tallies):
                 column[row] = tally
+
+
+def _trailer(digest) -> bytes:
+    return (json.dumps({"sha256": digest.hexdigest()}) + "\n").encode("ascii")
 
 
 def write_hint(path: Path, campaigns: dict, size: int, lines: int, log_sha256: str) -> None:
@@ -85,20 +82,22 @@ def write_hint(path: Path, campaigns: dict, size: int, lines: int, log_sha256: s
     tmp = path.with_name(path.name + ".tmp")
     digest = hashlib.sha256()
     with open(tmp, "wb") as fh:
-        def put(doc) -> None:
-            raw = (json.dumps(doc, separators=(",", ":")) + "\n").encode("ascii")
-            digest.update(raw)
-            fh.write(raw)
+        def put(block) -> None:
+            digest.update(block)
+            fh.write(block)
 
-        put({"keydir_hint": HINT_VERSION, "log_size": size, "log_lines": lines,
-             "log_sha256": log_sha256})
+        def put_line(doc) -> None:
+            put((json.dumps(doc, separators=(",", ":")) + "\n").encode("ascii"))
+
+        put_line({"keydir_hint": HINT_VERSION, "log_size": size, "log_lines": lines,
+                  "log_sha256": log_sha256, "byteorder": sys.byteorder})
         for name, (rows, columns) in campaigns.items():
-            put(["campaign", name, list(rows)])
+            put_line(["campaign", name, list(rows)])
             for provider, col in columns.items():
-                put(["provider", provider, col.offsets.tolist(), col.born.tolist(),
-                     list(col.states),
-                     None if col.tallies is None else [c.tolist() for c in col.tallies]])
-        fh.write((json.dumps({"sha256": digest.hexdigest()}) + "\n").encode("ascii"))
+                put_line(["provider", provider, col.tallies is not None])
+                for block in (col.offsets, col.states, *(col.tallies or ())):
+                    put(block)
+        fh.write(_trailer(digest))
     try:
         os.unlink(path)
     except FileNotFoundError:
@@ -106,28 +105,35 @@ def write_hint(path: Path, campaigns: dict, size: int, lines: int, log_sha256: s
     os.rename(tmp, path)
 
 
-def _column(doc: list, rows: int, size: int) -> Column:
-    """A provider's columns from its hint line; ValueError unless they fit
-    the campaign's rows and the log prefix."""
+def _block(fh, digest, typecode: str, rows: int) -> array:
+    """The hint's next ``rows`` items, hashed in place; EOFError if cut short."""
+    block = array(typecode)
+    block.fromfile(fh, rows)
+    digest.update(block)
+    return block
+
+
+def _column(fh, digest, rows: int, has_tallies: bool, size: int) -> Column:
+    """A provider's columns from the blocks after its hint line, each of the
+    campaign's row count; ValueError unless they fit the log prefix."""
     col = Column()
-    col.offsets, col.born, col.states = array("q", doc[2]), array("q", doc[3]), bytearray(doc[4])
-    col.tallies = None if doc[5] is None else [array("H", column) for column in doc[5]]
-    if ({len(c) for c in (col.offsets, col.born, col.states, *(col.tallies or ()))} - {rows}
-            or len(doc) != 6 or max(col.states, default=0) >= N_STATES
+    col.offsets = _block(fh, digest, "q", rows)
+    col.states = bytearray(_block(fh, digest, "B", rows))
+    col.tallies = [_block(fh, digest, "H", rows) for _ in range(5)] if has_tallies else None
+    if (col.states.translate(None, bytes(range(N_STATES)))  # codes outside the table
             # every record, and only a record, has an offset inside the prefix
             or min(compress(col.offsets, col.states.translate(ANY)), default=0) < 0
             or col.offsets.count(-1) != col.states.count(0) or max(col.offsets, default=0) >= size
             # a report has its tallies
-            or (len(col.tallies) != 5 if col.tallies is not None
-                else TI_STATES[REPORT] in col.states)):
+            or (col.tallies is None and TI_STATES[REPORT] in col.states)):
         raise ValueError("hint columns do not fit")
     return col
 
 
 def read_hint(path: Path, log_path: Path):
     """(campaigns, log size, log lines, log digest) from a whole, well-formed
-    hint file whose log prefix still hashes as it says; None for a missing,
-    torn, garbled, foreign or stale one."""
+    hint file of this version and byte order whose log prefix still hashes
+    as it says; None for a missing, torn, garbled, foreign or stale one."""
     digest, campaigns = hashlib.sha256(), {}
     rows = columns = None  # of the campaign the provider lines belong to
     try:
@@ -135,26 +141,24 @@ def read_hint(path: Path, log_path: Path):
             head = json.loads(raw := fh.readline())
             digest.update(raw)
             size, lines, log_sha256 = head["log_size"], head["log_lines"], head["log_sha256"]
-            if head["keydir_hint"] != HINT_VERSION or type(size) is not int \
-                    or type(lines) is not int or min(size, lines) < 0:
+            if head["keydir_hint"] != HINT_VERSION or head["byteorder"] != sys.byteorder \
+                    or type(size) is not int or type(lines) is not int or min(size, lines) < 0:
                 return None
-            for raw in fh:
-                doc = json.loads(raw)
-                if type(doc) is dict:  # the trailer
+            for raw in iter(fh.readline, b""):
+                if raw == _trailer(digest):
                     break
                 digest.update(raw)
+                doc = json.loads(raw)
                 if doc[0] == "campaign" and type(doc[1]) is str:
                     rows, columns = campaigns[doc[1]] = (dict(zip(doc[2], count())), {})
                     if len(rows) != len(doc[2]) or not set(map(type, rows)) <= {str}:
                         return None
-                elif doc[0] == "provider" and type(doc[1]) is str:
-                    columns[doc[1]] = _column(doc, len(rows), size)
+                elif doc[0] == "provider" and type(doc[1]) is str and type(doc[2]) is bool:
+                    columns[doc[1]] = _column(fh, digest, len(rows), doc[2], size)
                 else:
                     return None
             else:
                 return None  # no trailer: the hint is torn
-            if doc.get("sha256") != digest.hexdigest():
-                return None
         digest = hashlib.sha256()
         with open(log_path, "rb") as fh:
             remaining = size
@@ -164,7 +168,7 @@ def read_hint(path: Path, log_path: Path):
                     return None  # the log is shorter than the hint says
                 digest.update(block)
                 remaining -= len(block)
-    except (OSError, ValueError, TypeError, KeyError, IndexError, OverflowError):
+    except (OSError, ValueError, TypeError, KeyError, IndexError, OverflowError, EOFError):
         return None
     if digest.hexdigest() != log_sha256:
         return None

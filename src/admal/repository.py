@@ -13,12 +13,13 @@ indexed by row.  Evidence and full payloads stay on disk and are read back by
 offset.
 
 Opening a repository streams the log once, validating every line, unless the
-keydir hint file (Bitcask's hint file, version 3: per campaign its domain
-list and per provider its columns as JSON int lists) covers a prefix of the
-log: then the keydir is read from the hint, the prefix is only hashed, and
-just the lines after it are replayed.  One writer per repository instance;
-appends are flushed before the ack so a killed campaign can resume from
-exactly what reached the log.
+keydir hint file (Bitcask's hint file, version 4: per campaign its domain
+list as JSON and per provider its columns as raw array blocks) covers a
+prefix of the log: then the keydir is read from the hint, the prefix is only
+hashed, and just the lines after it are replayed.  Any other hint, one of
+version 3 among them, is passed over and rewritten by ``close``.  One writer
+per repository instance; appends are flushed before the ack so a killed
+campaign can resume from exactly what reached the log.
 """
 
 import hashlib
@@ -226,8 +227,7 @@ class Repository:
                     state, tallies = _state(doc["kind"], doc["payload"])
                 except ValueError as exc:
                     raise StorageError(f"corrupt log record at line {line_no}: {exc}") from None
-                self._put(doc["domain"], doc["provider"], doc["campaign"], offset, line_no,
-                          state, tallies)
+                self._put(doc["domain"], doc["provider"], doc["campaign"], offset, state, tallies)
                 offset += len(raw)
                 digest.update(raw)
                 if not raw.endswith(b"\n"):
@@ -238,9 +238,8 @@ class Repository:
                     offset += 1
         self._size, self._lines = offset, line_no
 
-    def _put(self, domain, provider, campaign, offset, line_no, state, tallies) -> None:
-        """Point a key at line ``line_no``, which starts at ``offset``; caller
-        holds the lock."""
+    def _put(self, domain, provider, campaign, offset, state, tallies) -> None:
+        """Point a key at the line starting at ``offset``; caller holds the lock."""
         rows, columns = self._campaigns.setdefault(campaign, ({}, {}))
         row = rows.get(domain)
         if row is None:
@@ -250,7 +249,7 @@ class Repository:
         col = columns.get(provider)
         if col is None:
             col = columns[provider] = Column(len(rows))
-        col.put(row, state, offset, line_no, tallies)
+        col.put(row, state, offset, tallies)
 
     def _save_hint(self) -> None:
         """Rewrite the hint for the whole log; caller holds the lock."""
@@ -272,17 +271,16 @@ class Repository:
             raise StorageError(f"corrupt log record at byte {offset}") from None
 
     def _located(self, campaign_id=None, provider_id=None, kind=None) -> list:
-        """(domain, provider, first line, offset) of every record, or of one
-        campaign's, provider's or kind's, in (domain, provider) order and
-        then in the order the keys first reached the log; caller holds the
-        lock."""
+        """(domain, provider, campaign, offset) of every record, or of one
+        campaign's, provider's or kind's, in (domain, provider, campaign)
+        order; caller holds the lock."""
         wanted, found = ANY if kind is None else _OF_KIND[kind], []
         for campaign, (rows, columns) in self._campaigns.items():
             for provider, col in columns.items():
                 if campaign_id in (None, campaign) and provider_id in (None, provider):
-                    found += compress(zip(rows, repeat(provider), col.born, col.offsets),
+                    found += compress(zip(rows, repeat(provider), repeat(campaign), col.offsets),
                                       col.states.translate(wanted))
-        found.sort(key=itemgetter(0, 1, 2))
+        found.sort()  # keys are unique, so no two entries tie before the offset
         return found
 
     def upsert(self, record: VerdictRecord) -> None:
@@ -313,8 +311,7 @@ class Repository:
             self._size += len(line)
             self._lines += 1
             self._digest.update(line)
-            self._put(record.domain, record.provider_id, record.campaign_id, offset,
-                      self._lines, state, tallies)
+            self._put(*record.key, offset, state, tallies)
 
     def get(self, domain: str, provider_id: str, campaign_id: str) -> VerdictRecord | None:
         with self._lock:
@@ -335,24 +332,27 @@ class Repository:
             return [self._read(entry[3])
                     for entry in self._located(campaign_id, provider_id, kind)]
 
+    def columns(self, campaign_id: str, kind: str) -> tuple:
+        """(domains by row, [(provider, states, five tally columns or None)])
+        of the campaign's providers holding a record of ``kind``, copied: the
+        records held now, which analyze reduces without an object per row."""
+        with self._lock:
+            rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
+            return list(rows), [
+                (provider, col.states[:], col.tallies and [column[:] for column in col.tallies])
+                for provider, col in columns.items() if 1 in col.states.translate(_OF_KIND[kind])]
+
     def summaries(self, campaign_id: str, kind: str):
         """Yield (domain, provider, summary) of a campaign's records of one
         kind, in no set order, without reading the log.  The summary is the
         verdict for ``dns``, (status, harmless, undetected, suspicious,
         malicious, timeout) for ``ti`` and None for ``ad``.  The records are
         those held when the first one is asked for."""
-        wanted, taken = _OF_KIND[kind], []
-        with self._lock:
-            rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
-            domains = list(rows)
-            for provider, col in columns.items():
-                hit = col.states.translate(wanted)
-                if 1 in hit:
-                    taken.append((provider, hit, col.states[:],
-                                  [column[:] for column in col.tallies or ()]))
-        for provider, hit, states, tallies in taken:
+        domains, taken = self.columns(campaign_id, kind)
+        for provider, states, tallies in taken:
             tallies = zip(*tallies) if tallies else repeat(())
-            for domain, state, tally in compress(zip(domains, states, tallies), hit):
+            for domain, state, tally in compress(zip(domains, states, tallies),
+                                                 states.translate(_OF_KIND[kind])):
                 yield domain, provider, (REPORT, *tally) if state == _REPORTED else _SUMMARY[state]
 
     def held(self, campaign_id: str, kind: str, domains: list, providers) -> dict[str, bytes]:
@@ -415,8 +415,8 @@ class Repository:
                        for _rows, columns in self._campaigns.values() for col in columns.values())
 
     def export(self, path) -> int:
-        """Write the latest-wins view as JSONL in (domain, provider) order;
-        returns the record count."""
+        """Write the latest-wins view as JSONL in (domain, provider, campaign)
+        order; returns the record count."""
         with self._lock, open(path, "wb") as fh:
             placed = self._located()
             for entry in placed:

@@ -147,7 +147,7 @@ def payload_to_report(domain: str, payload: dict) -> "TiReport | NoReport":
 def payload_tallies(payload: dict) -> tuple:
     """The (harmless, undetected, suspicious, malicious, timeout) a
     repository keeps in memory for a stored report payload, or () for a
-    no_report one.  Reports are rebuilt from them alone, so each must be an
+    no_report one.  Analyze reduces them alone, so each must be an
     int in [0, TALLY_MAX] and a partner map must agree with them; raises
     ValueError for these and for any other status."""
     status = payload.get("status")
@@ -167,15 +167,6 @@ def payload_tallies(payload: dict) -> tuple:
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"bad TI payload: {exc!r}") from None
     return tallies
-
-
-def summary_to_report(domain: str, summary: tuple) -> "TiReport | NoReport":
-    """Rebuild a report from a repository's (status, harmless, undetected,
-    suspicious, malicious, timeout) summary; partner maps are not kept."""
-    status, *tallies = summary
-    if status == NO_REPORT:
-        return NoReport(domain)
-    return TiReport(domain, *tallies)
 
 
 class FixtureTiProvider:

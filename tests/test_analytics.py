@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admal.adlists import AdMatcher, FilterEntry
@@ -26,7 +26,7 @@ from admal.analytics import (
     venn3,
 )
 from admal.repository import KIND_DNS, KIND_TI, Repository, VerdictRecord
-from admal.ticlient import ALL_PARTNERS, NoReport, TiReport
+from admal.ticlient import ALL_PARTNERS, OPINIONS, NoReport, TiReport, payload_to_report
 
 from conftest import CORPUS_SIZE, provider_sets
 
@@ -337,6 +337,59 @@ class TestTiStatsReduction:
         assert stats.with_report + stats.no_report == len(results)
         # equal ratios with different terms (1/2, 2/4) are one step
         assert len({p.ratio for p in stats.ecdf_points}) == len(stats.ecdf_points)
+
+
+_NO_REPORT = {"status": "no_report", "fetched_at": ""}
+
+
+def _report(h, u, s, m, t):
+    return {"status": "report", "harmless": h, "undetected": u, "suspicious": s,
+            "malicious": m, "timeout": t, "fetched_at": ""}
+
+
+_tally = st.integers(0, 3)
+_ti_upserts = st.lists(st.tuples(
+    st.sampled_from(["a.example", "b.example", "c.example"]),
+    st.sampled_from(["ti", "vt"]),
+    st.sampled_from(["c1", "c2"]),
+    st.one_of(st.just(_NO_REPORT), st.builds(_report, _tally, _tally, _tally, _tally, _tally)),
+), max_size=30)
+
+
+class TestTiColumnReduction:
+    # build_report reduces the repository's tally columns, which may hold a
+    # report's old tallies under a later no_report; it must equal ti_stats
+    # over the latest records rebuilt as reports, and one Fraction per report
+    @given(_ti_upserts, st.sampled_from([OPINIONS, ALL_PARTNERS]), st.booleans(),
+           st.sampled_from([None, 7]))
+    @example([("a.example", "ti", "c1", _report(1, 0, 2, 0, 0)),
+              ("a.example", "ti", "c1", _NO_REPORT),  # the old tallies stay in the columns
+              ("b.example", "ti", "c1", _NO_REPORT),
+              ("b.example", "ti", "c1", _report(0, 3, 0, 0, 1)),  # no opinion
+              ("c.example", "vt", "c2", _report(2, 1, 1, 1, 0))],
+             OPINIONS, True, 7)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stream_over_latest_records(self, tmp_path_factory, upserts, denominator,
+                                                with_matcher, figure_base):
+        matcher = matcher_for({"a.example", "c.example"}) if with_matcher else None
+        latest = {}
+        with Repository(tmp_path_factory.mktemp("ti")) as repo:
+            for campaign in ("c1", "c2"):
+                repo.upsert(dns_record("a.example", "p1", "blocked", campaign))
+            for domain, provider, campaign, payload in upserts:
+                record = VerdictRecord(domain, provider, campaign, KIND_TI, payload, TS)
+                repo.upsert(record)
+                latest[record.key] = record
+            for campaign in ("c1", "c2"):
+                reports = [payload_to_report(r.domain, r.payload)
+                           for r in latest.values() if r.campaign_id == campaign]
+                got = build_report(repo, campaign, matcher, corpus_size=3,
+                                   ti_figure_base=figure_base,
+                                   agreement_denominator=denominator).ti
+                assert got == (ti_stats(reports, matcher, figure_base=figure_base,
+                                        denominator=denominator) if reports else None)
+                if reports:
+                    assert got.ecdf_points == _reference_ecdf(reports, denominator)
 
 
 AD_DOMAINS = (

@@ -6,6 +6,7 @@ import shutil
 import sys
 import threading
 import time
+from array import array
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
@@ -27,7 +28,6 @@ from admal.repository import (
     VerdictRecord,
     utc_now_rfc3339,
 )
-from admal.ticlient import payload_to_report, summary_to_report
 
 TS = "2024-06-01T00:00:00.000Z"
 TALLIES = {"status": "report", "harmless": 3, "undetected": 0, "suspicious": 1,
@@ -443,6 +443,32 @@ def _opened(root):
     return repo, ("keydir", _keydir(repo))
 
 
+def _hint_parts(hint):
+    """A version-4 hint as (header, parts): per campaign (its line, []), per
+    provider (its line, its blocks as arrays)."""
+    with open(hint, "rb") as fh:
+        head, parts = json.loads(fh.readline()), []
+        while type(doc := json.loads(fh.readline())) is list:
+            blocks = []
+            if doc[0] == "campaign":
+                rows = len(doc[2])
+            else:
+                blocks = [array(code) for code in "qB" + "H" * 5 * doc[2]]
+            for block in blocks:
+                block.fromfile(fh, rows)
+            parts.append((doc, blocks))
+    return head, parts
+
+
+def _write_hint_parts(hint, head, parts):
+    """Write a hint from _hint_parts' terms, with the trailer that fits it."""
+    out = [head, *(item for doc, blocks in parts for item in (doc, *blocks))]
+    raw = b"".join(item.tobytes() if isinstance(item, array)
+                   else json.dumps(item, separators=(",", ":")).encode() + b"\n" for item in out)
+    trailer = json.dumps({"sha256": hashlib.sha256(raw).hexdigest()})
+    hint.write_bytes(raw + trailer.encode() + b"\n")
+
+
 class TestHint:
     def fill(self, root, n=30):
         with Repository(root) as repo:
@@ -539,11 +565,13 @@ class TestHint:
             assert got == expected
 
     @pytest.mark.parametrize("damage", ["delete", "truncate", "garble", "not-json",
-                                        "foreign-version", "empty"])
+                                        "foreign-version", "other-byte-order",
+                                        "block-cut-short", "empty"])
     def test_damaged_hint_falls_back_to_replay(self, tmp_path, damage):
         self.fill(tmp_path)
         hint = tmp_path / HINT_NAME
         data = hint.read_bytes()
+        head, parts = _hint_parts(hint)
         if damage == "delete":
             hint.unlink()
         elif damage == "truncate":
@@ -554,7 +582,16 @@ class TestHint:
         elif damage == "not-json":
             hint.write_bytes(b"\x80\x81 pickle?\n")
         elif damage == "foreign-version":
-            hint.write_bytes(data.replace(b'"keydir_hint":3', b'"keydir_hint":9', 1))
+            _write_hint_parts(hint, {**head, "keydir_hint": 9}, parts)
+        elif damage == "other-byte-order":
+            # only the header changes: blocks in another byte order are never
+            # read, even where their values would pass the fit checks
+            other = {"little": "big", "big": "little"}[sys.byteorder]
+            _write_hint_parts(hint, {**head, "byteorder": other}, parts)
+        elif damage == "block-cut-short":
+            # the file ends after half the items of the first provider's offsets
+            end = data.index(b"\n", data.index(b'["provider"')) + 1
+            hint.write_bytes(data[:end + len(parts[0][0][2]) // 2 * 8])
         else:
             hint.write_bytes(b"")
         expected = _replayed(tmp_path, tmp_path / "ref")
@@ -568,22 +605,28 @@ class TestHint:
             assert repo._hinted is not None
             assert got == expected
 
-    def test_version_2_hint_falls_back_to_replay(self, tmp_path):
-        self.fill(tmp_path)
+    def check_older_hint(self, tmp_path, version):
+        """Rewrite the hint as the same keydir in an older format, which an
+        open replays past and close rewrites as version 4.  Version 2
+        held a value table, then per provider offsets, first lines, kinds,
+        codes into the table, tallies and a side table; version 3 offsets,
+        first lines, states and tallies, all as JSON; the offsets stand in
+        for the first lines, which version 4 dropped."""
         hint = tmp_path / HINT_NAME
-        head, *body, _trailer = [json.loads(line) for line in hint.read_bytes().splitlines()]
-        # the same keydir as the version-2 format wrote it: a value table,
-        # then per provider kinds, codes into the table, tallies and a side table
-        values = ["blocked", "not_blocked", "report"]
-        v2 = [{**head, "keydir_hint": 2}, ["values", values]]
-        for doc in body:
+        head, parts = _hint_parts(hint)
+        del head["byteorder"]
+        docs = [{**head, "keydir_hint": version}]
+        if version == 2:
+            docs.append(["values", ["blocked", "not_blocked", "report"]])
+        for doc, blocks in parts:
             if doc[0] == "provider":
-                states = doc[4]
-                kinds = [(0, 1, 1, 1, 2, 2, 3)[s] for s in states]
-                codes = [(-1, 0, 1, -1, 2, -1, -1)[s] for s in states]
-                doc = [*doc[:4], kinds, codes, doc[5], []]
-            v2.append(doc)
-        lines = [json.dumps(doc, separators=(",", ":")).encode() + b"\n" for doc in v2]
+                offsets, states, *tallies = map(list, blocks)
+                tallies = tallies or None
+                doc = [*doc[:2], offsets, offsets, states, tallies] if version == 3 else [
+                    *doc[:2], offsets, offsets, [(0, 1, 1, 1, 2, 2, 3)[s] for s in states],
+                    [(-1, 0, 1, -1, 2, -1, -1)[s] for s in states], tallies, []]
+            docs.append(doc)
+        lines = [json.dumps(doc, separators=(",", ":")).encode() + b"\n" for doc in docs]
         trailer = json.dumps({"sha256": hashlib.sha256(b"".join(lines)).hexdigest()})
         hint.write_bytes(b"".join(lines) + trailer.encode() + b"\n")
         expected = _replayed(tmp_path, tmp_path / "ref")
@@ -591,11 +634,19 @@ class TestHint:
         with repo:
             assert repo._hinted is None
             assert got == expected
-        assert json.loads(hint.read_bytes().splitlines()[0])["keydir_hint"] == 3
+        assert json.loads(hint.read_bytes().splitlines()[0])["keydir_hint"] == 4
         repo, got = _opened(tmp_path)
         with repo:
             assert repo._hinted is not None
             assert got == expected
+
+    def test_version_2_hint_falls_back_to_replay(self, tmp_path):
+        self.fill(tmp_path)
+        self.check_older_hint(tmp_path, 2)
+
+    def test_version_3_hint_is_replayed_once_then_rewritten(self, tmp_path):
+        self.fill(tmp_path)
+        self.check_older_hint(tmp_path, 3)
 
     def test_summary_values_keep_their_json_type(self, tmp_path):
         # every verdict and status of the vocabulary reopens from the hint as
@@ -636,30 +687,30 @@ class TestHint:
     def test_hint_whose_columns_do_not_fit_falls_back_to_replay(self, tmp_path, edit):
         self.fill(tmp_path)
         hint = tmp_path / HINT_NAME
-        head, *body, _trailer = [json.loads(line) for line in hint.read_bytes().splitlines()]
-        cisco = next(doc for doc in body if doc[:2] == ["provider", "cisco"])
-        ti = next(doc for doc in body if doc[:2] == ["provider", "ti"])
-        row = cisco[4].index(1)  # the first row holding a blocked verdict
+        head, parts = _hint_parts(hint)
+        cisco = next(part for part in parts if part[0][:2] == ["provider", "cisco"])
+        ti = next(part for part in parts if part[0][:2] == ["provider", "ti"])
+        offsets, states = cisco[1]
+        row = states.index(1)  # the first row holding a blocked verdict
         if edit == "offset-past-prefix":
-            cisco[2][row] = head["log_size"]
+            offsets[row] = head["log_size"]
         elif edit == "record-without-offset":
-            cisco[2][row] = -1
+            offsets[row] = -1
         elif edit == "unknown-kind":
-            cisco[4][row] = 7
+            states[row] = 7
         elif edit == "dns-without-code":
-            cisco[4][row] = 0  # its offset stays
+            states[row] = 0  # its offset stays
         elif edit == "code-past-table":
-            cisco[4][row] = 255
+            states[row] = 255
         elif edit == "short-column":
-            ti[5][2].pop()
+            ti[1][4].pop()  # the blocks after it shift by one tally
         elif edit == "report-without-tallies":
-            ti[5] = None
+            ti[0][2] = False
+            del ti[1][2:]
         elif edit == "duplicate-domain":
-            campaign = next(doc for doc in body if doc[0] == "campaign")
+            campaign = next(doc for doc, _blocks in parts if doc[0] == "campaign")
             campaign[2][1] = campaign[2][0]
-        lines = [json.dumps(doc, separators=(",", ":")).encode() + b"\n" for doc in [head, *body]]
-        trailer = json.dumps({"sha256": hashlib.sha256(b"".join(lines)).hexdigest()})
-        hint.write_bytes(b"".join(lines) + trailer.encode() + b"\n")
+        _write_hint_parts(hint, head, parts)
         expected = _replayed(tmp_path, tmp_path / "ref")
         repo, got = _opened(tmp_path)
         with repo:
@@ -695,7 +746,7 @@ _records = st.sampled_from(KINDS).flatmap(lambda kind: st.builds(
 # a step upserts a record or reopens the repository.  Before a reopen, a
 # crash may have left a torn fragment or a last line without its newline,
 # something else may have appended a whole line or a corrupt one behind the
-# hint, and the hint may be gone, cut short or garbled.
+# hint, and the hint may be gone, cut short or garbled at any byte.
 _tails = st.one_of(
     st.none(), st.just(b'{"domain":"to'), st.just(b'{"domain":"corrupt"}\n'),
     st.tuples(_records, st.booleans()),
@@ -703,33 +754,38 @@ _tails = st.one_of(
 _steps = st.one_of(
     st.tuples(st.just("upsert"), _records),
     st.tuples(st.just("reopen"),
-              st.tuples(_tails, st.sampled_from([None, "delete", "truncate", "garble"]))),
+              st.tuples(_tails, st.one_of(
+                  st.sampled_from([None, "delete"]),
+                  st.tuples(st.sampled_from(["truncate", "garble"]), st.integers(0, 1 << 20))))),
 )
 
 
 def _damage(hint, how):
+    """Delete the hint, or cut it to, or flip a bit of the byte at, a
+    position drawn for any hint length."""
     if how == "delete":
         hint.unlink()
     elif how is not None:
+        how, at = how
         data = hint.read_bytes()
-        middle = len(data) // 2
+        at %= len(data)
         hint.unlink()
-        hint.write_bytes(data[:middle] if how == "truncate"
-                         else data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1:])
+        hint.write_bytes(data[:at] if how == "truncate"
+                         else data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
 
 
 def _model_summary(record):
-    """What a summary tells analyze: the verdict, the rebuilt TI report, or
-    nothing."""
+    """What summaries() gives for a record: the verdict, the TI status and
+    tallies, or nothing."""
+    payload = record.payload
     if record.kind == KIND_DNS:
-        return record.payload["verdict"]
+        return payload["verdict"]
     if record.kind == KIND_TI:
-        return payload_to_report(record.domain, record.payload)
+        if payload["status"] == "no_report":
+            return ("no_report", None, None, None, None, 0)
+        return ("report", payload["harmless"], payload["undetected"], payload["suspicious"],
+                payload["malicious"], payload["timeout"])
     return None
-
-
-def _seen_summary(kind, domain, summary):
-    return summary_to_report(domain, summary) if kind == KIND_TI else summary
 
 
 def _check_against_model(repo, model, export_path):
@@ -750,11 +806,12 @@ def _check_against_model(repo, model, export_path):
             assert repo.held(campaign, kind, domains, ["quad9", "cisco"]) == {
                 p: bytes((d, p) in {(r.domain, r.provider_id) for r in of_kind} for d in domains)
                 for p in ("quad9", "cisco")}
-            seen = [(d, p, _seen_summary(kind, d, s)) for d, p, s in repo.summaries(campaign, kind)]
-            assert sorted(seen, key=repr) == sorted(
+            assert sorted(repo.summaries(campaign, kind), key=repr) == sorted(
                 ((r.domain, r.provider_id, _model_summary(r)) for r in of_kind), key=repr)
+    # export breaks a (domain, provider) tie between campaigns by campaign
     assert repo.export(export_path) == len(model)
-    assert export_path.read_text() == "".join(r.to_json() + "\n" for r in in_order)
+    assert export_path.read_text() == "".join(
+        r.to_json() + "\n" for r in sorted(model.values(), key=lambda r: r.key))
 
 
 class TestKeydirModel:

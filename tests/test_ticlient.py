@@ -338,9 +338,10 @@ class TestLiveProvider:
 
 class TestRequestsImport:
     # the repository is imported by every command and by tools that only
-    # read a log, so neither may pay for the HTTP or IDNA stacks
+    # read a log, so neither may pay for the HTTP or IDNA stacks; no pipeline
+    # command may pay for the mock resolver farm either
     @pytest.mark.parametrize("module, absent", [
-        ("admal.cli", ("requests",)),
+        ("admal.cli", ("requests", "admal.mockdns")),
         ("admal.repository", ("requests", "idna")),
     ], ids=["cli", "repository"])
     def test_cli_import_leaves_requests_out(self, module, absent):
