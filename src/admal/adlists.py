@@ -6,12 +6,19 @@ plain domain-per-line lists, and Adblock-style domain anchors
 anchor entries cover subdomains too.  Anything else (cosmetic selectors,
 path rules, rule options) is out of scope and reported as a reject rather
 than silently skipped.
+
+A list is parsed in one loop over its lines.  An inline comment starts at
+the first token that begins with "#", whatever whitespace precedes it, and
+each distinct address token of a hosts list is parsed once.  The matcher is
+a dict from pattern to entry: a lookup tries the name, then each parent
+suffix, longest first, among the entries that cover subdomains.
 """
 
 import hashlib
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
-from .ingest import InvalidHostError, IpLiteralError, is_canonical, normalize_hostname
+from .ingest import _CANONICAL_RE, InvalidHostError, IpLiteralError, normalize_hostname
 from .ingest import is_ip_literal as _is_ip
 
 AUTO = "auto"
@@ -22,24 +29,23 @@ ADBLOCK = "adblock"
 STRICT = "strict"  # honor each entry's own subdomain flag
 ALWAYS = "always"  # treat every entry as covering subdomains
 
+_INLINE_COMMENT = re.compile(r"\s#")
 
-@dataclass(frozen=True)
-class FilterEntry:
+
+class FilterEntry(NamedTuple):
     pattern: str
     match_subdomains: bool
     source_list: str
     line_no: int
 
 
-@dataclass(frozen=True)
-class RuleReject:
+class RuleReject(NamedTuple):
     line_no: int
     text: str
     reason: str
 
 
-@dataclass(frozen=True)
-class ListParseResult:
+class ListParseResult(NamedTuple):
     entries: tuple[FilterEntry, ...]
     rejects: tuple[RuleReject, ...]
     source_list: str
@@ -48,7 +54,7 @@ class ListParseResult:
 
 def _normalize_pattern(raw: str) -> tuple[str | None, str | None]:
     """Returns (pattern, reject_reason); exactly one is set."""
-    if is_canonical(raw):
+    if _CANONICAL_RE.fullmatch(raw):
         return raw, None
     if "/" in raw:
         return None, "path-rule"
@@ -56,58 +62,6 @@ def _normalize_pattern(raw: str) -> tuple[str | None, str | None]:
         return normalize_hostname(raw), None
     except (IpLiteralError, InvalidHostError):
         return None, "invalid-domain"
-
-
-def _parse_hosts_line(tokens: list[str], line: str, line_no: int, source: str):
-    """A hosts line, split into tokens, whose first token is an address."""
-    if len(tokens) == 1:
-        return None, RuleReject(line_no, line, "missing-hostname")
-    entries, reject = [], None
-    for token in tokens[1:]:
-        pattern, reason = _normalize_pattern(token)
-        if pattern is None:
-            reject = RuleReject(line_no, line, reason)
-            continue
-        entries.append(FilterEntry(pattern, False, source, line_no))
-    if not entries and reject:
-        return None, reject
-    return entries, None
-
-
-def _parse_adblock_line(line: str, line_no: int, source: str):
-    if not line.startswith("||"):
-        return None, RuleReject(line_no, line, "unsupported-rule")
-    body = line[2:]
-    if body.endswith("^"):
-        body = body[:-1]
-    if "^" in body or "$" in body or "*" in body:
-        return None, RuleReject(line_no, line, "unsupported-rule")
-    pattern, reason = _normalize_pattern(body)
-    if pattern is None:
-        return None, RuleReject(line_no, line, reason)
-    return [FilterEntry(pattern, True, source, line_no)], None
-
-
-def _parse_plain_line(line: str, line_no: int, source: str):
-    if len(line.split()) != 1:
-        return None, RuleReject(line_no, line, "not-a-domain")
-    subdomains = False
-    raw = line
-    if raw.startswith("*."):
-        subdomains = True
-        raw = raw[2:]
-    pattern, reason = _normalize_pattern(raw)
-    if pattern is None:
-        return None, RuleReject(line_no, line, reason)
-    return [FilterEntry(pattern, subdomains, source, line_no)], None
-
-
-def _classify_comment(line: str) -> str | None:
-    if "##" in line or "#@#" in line or "#?#" in line:
-        return "cosmetic-rule"
-    if line.startswith("!") or line.startswith("#"):
-        return "comment"
-    return None
 
 
 def parse_list(
@@ -118,33 +72,72 @@ def parse_list(
     """Total parser: every non-blank line becomes entries or one reject."""
     if format_hint not in (AUTO, HOSTS, PLAIN, ADBLOCK):
         raise ValueError(f"unknown format hint {format_hint!r}")
+    hosts_ok = format_hint in (AUTO, HOSTS)
+    # records are built with tuple.__new__, which skips the Python-level
+    # NamedTuple constructor
+    new, canonical = tuple.__new__, _CANONICAL_RE.fullmatch
+    is_ip: dict[str, bool] = {}  # a hosts list repeats one address on every line
     entries: list[FilterEntry] = []
     rejects: list[RuleReject] = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
-        comment_reason = _classify_comment(line)
-        if comment_reason:
-            rejects.append(RuleReject(line_no, line, comment_reason))
+        if "#" in line:
+            if "##" in line or "#@#" in line or "#?#" in line:
+                rejects.append(new(RuleReject, (line_no, line, "cosmetic-rule")))
+                continue
+            if line[0] == "#" or line[0] == "!":
+                rejects.append(new(RuleReject, (line_no, line, "comment")))
+                continue
+            cut = _INLINE_COMMENT.search(line)
+            if cut:
+                line = line[:cut.start()].rstrip()
+        elif line[0] == "!":
+            rejects.append(new(RuleReject, (line_no, line, "comment")))
             continue
-        # inline trailing comments are common in hosts lists
-        line = line.split("#", 1)[0].strip() if " #" in line else line
 
         tokens = line.split()
-        if format_hint in (AUTO, HOSTS) and tokens and _is_ip(tokens[0]):
-            parsed, reject = _parse_hosts_line(tokens, line, line_no, source_list)
-        elif format_hint == HOSTS:
-            parsed, reject = None, RuleReject(line_no, line, "not-hosts-syntax")
-        elif format_hint == ADBLOCK or format_hint == AUTO and line.startswith(("||", "|", "@@")):
-            parsed, reject = _parse_adblock_line(line, line_no, source_list)
+        first = tokens[0]
+        if hosts_ok and (":" in first or "0" <= first[-1] <= "9"):
+            address = is_ip.get(first)
+            if address is None:
+                address = is_ip[first] = _is_ip(first)
         else:
-            parsed, reject = _parse_plain_line(line, line_no, source_list)
+            address = False
+        subdomains = False
+        if address:
+            raws = tokens[1:]
+            if not raws:
+                rejects.append(new(RuleReject, (line_no, line, "missing-hostname")))
+                continue
+        elif format_hint == HOSTS:
+            rejects.append(new(RuleReject, (line_no, line, "not-hosts-syntax")))
+            continue
+        elif format_hint == ADBLOCK or format_hint == AUTO and line.startswith(("|", "@@")):
+            body = line[2:-1] if line[-1] == "^" else line[2:]
+            if not line.startswith("||") or "^" in body or "$" in body or "*" in body:
+                rejects.append(new(RuleReject, (line_no, line, "unsupported-rule")))
+                continue
+            raws, subdomains = (body,), True
+        elif len(tokens) != 1:
+            rejects.append(new(RuleReject, (line_no, line, "not-a-domain")))
+            continue
+        elif first.startswith("*."):
+            raws, subdomains = (first[2:],), True
+        else:
+            raws = tokens
 
-        if parsed:
-            entries.extend(parsed)
-        if reject:
-            rejects.append(reject)
+        before = len(entries)
+        for pattern in raws:
+            if not canonical(pattern):
+                pattern, reason = _normalize_pattern(pattern)
+                if pattern is None:
+                    continue
+            entries.append(new(FilterEntry, (pattern, subdomains, source_list, line_no)))
+        if len(entries) == before:
+            # a hosts line whose every name fails is rejected for its last one
+            rejects.append(new(RuleReject, (line_no, line, reason)))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return ListParseResult(tuple(entries), tuple(rejects), source_list, digest)
 
@@ -155,7 +148,9 @@ def parse_list_file(path: str, format_hint: str = AUTO) -> ListParseResult:
 
 
 class AdMatcher:
-    """Reversed-label trie over filter entries.
+    """A dict from pattern to entry, looked up by the name and then by each
+    parent suffix, longest first, so the deepest covering entry wins.  A
+    parent covers the name when it matches subdomains or the mode is ALWAYS.
 
     Duplicate patterns are merged with their subdomain flags OR-combined
     and the smallest (source, line) kept, so lookups never depend on the
@@ -175,45 +170,27 @@ class AdMatcher:
         self.source_digests = dict(source_digests or {})
         merged: dict[str, FilterEntry] = {}
         for entry in entries:
-            prior = merged.get(entry.pattern)
-            if prior is None:
-                merged[entry.pattern] = entry
-            else:
-                source, line_no = min(
-                    (prior.source_list, prior.line_no),
-                    (entry.source_list, entry.line_no),
-                )
+            prior = merged.setdefault(entry.pattern, entry)
+            if prior is not entry:
                 merged[entry.pattern] = FilterEntry(
-                    pattern=entry.pattern,
-                    match_subdomains=prior.match_subdomains or entry.match_subdomains,
-                    source_list=source,
-                    line_no=line_no,
+                    entry.pattern,
+                    prior.match_subdomains or entry.match_subdomains,
+                    *min(prior[2:], entry[2:]),  # (source_list, line_no)
                 )
         self.entry_count = len(merged)
-        self._root: dict = {}
-        for entry in merged.values():
-            node = self._root
-            for label in reversed(entry.pattern.split(".")):
-                node = node.setdefault(label, {})
-            node[None] = entry
+        self._entries = merged
+        # the entries a parent suffix may match
+        self._parents = merged if subdomain_matching == ALWAYS else {
+            pattern: entry for pattern, entry in merged.items() if entry.match_subdomains}
 
     def match(self, domain: str) -> FilterEntry | None:
         """Deepest entry covering the domain, or None."""
-        labels = domain.lower().rstrip(".").split(".")
-        node = self._root
-        best: FilterEntry | None = None
-        for depth, label in enumerate(reversed(labels), start=1):
-            node = node.get(label)
-            if node is None:
-                break
-            entry = node.get(None)
-            if entry is not None:
-                covers_subdomains = (
-                    entry.match_subdomains or self.subdomain_matching == ALWAYS
-                )
-                if depth == len(labels) or covers_subdomains:
-                    best = entry
-        return best
+        name = domain.lower().rstrip(".")
+        entry = self._entries.get(name)
+        while entry is None and "." in name:
+            name = name.partition(".")[2]
+            entry = self._parents.get(name)
+        return entry
 
     def is_ad(self, domain: str) -> bool:
         return self.match(domain) is not None

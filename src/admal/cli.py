@@ -17,8 +17,7 @@ import os
 import sys
 import time
 
-from . import __version__, analytics, ingest
-from .adlists import load_lists
+from . import __version__, ingest
 from .config import (
     TI_FIXTURE,
     TI_LIVE,
@@ -128,14 +127,15 @@ def _read_corpus(path: str) -> tuple[list[str], int]:
     return list(domains), rejected
 
 
-def _build_matcher(cfg: PipelineConfig):
-    if not cfg.list_files:
+def _build_matcher(cfg: PipelineConfig, list_files):
+    if not list_files:
         return None, []
-    missing = [p for p in cfg.list_files if not os.path.exists(p)]
+    missing = [p for p in list_files if not os.path.exists(p)]
     if missing:
         raise ConfigError(f"list files not found: {', '.join(missing)}")
+    from .adlists import load_lists  # kept out of admal.cli's import: only list users pay
     return load_lists(
-        cfg.list_files,
+        list_files,
         cfg.list_format_hint,
         subdomain_matching=cfg.subdomain_matching,
     )
@@ -285,12 +285,7 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
     list_files = args.lists or cfg.list_files
     if not list_files:
         raise ConfigError("no filter lists: pass --lists or set lists.files")
-    missing = [p for p in list_files if not os.path.exists(p)]
-    if missing:
-        raise ConfigError(f"list files not found: {', '.join(missing)}")
-    matcher, rejects = load_lists(
-        list_files, cfg.list_format_hint, subdomain_matching=cfg.subdomain_matching
-    )
+    matcher, rejects = _build_matcher(cfg, list_files)
 
     campaign = getattr(args, "campaign", None) or cfg.campaign
     domains_path = args.domains or (campaign and cfg.corpus_path(campaign))
@@ -300,7 +295,8 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
 
     if args.store and not campaign:
         raise ConfigError("--store needs a campaign id")
-    out_file = analytics.open_aside(args.out) if args.out else contextlib.nullcontext(sys.stdout)
+    from .analytics import open_aside  # kept out of admal.cli's import, as adlists is
+    out_file = open_aside(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with out_file as out, \
             Repository(cfg.repository) if args.store else contextlib.nullcontext() as repo:
         for domain in domains:
@@ -337,17 +333,22 @@ def cmd_analyze(args, cfg: PipelineConfig) -> int:
     unknown = set(formats) - {"json", "csv", "plotdata"}
     if unknown:
         raise ConfigError(f"unknown formats: {', '.join(sorted(unknown))}")
-    matcher, _rejects = _build_matcher(cfg)
+    matcher, _rejects = _build_matcher(cfg, cfg.list_files)
+    from . import analytics  # kept out of admal.cli's import, as adlists is
     with Repository(cfg.repository) as repo:
-        report = analytics.build_report(
-            repo,
-            campaign,
-            matcher,
-            corpus_size=cfg.corpus_size,
-            ti_figure_base=cfg.ti_figure_base,
-            agreement_denominator=cfg.agreement_denominator,
-            config_digest=cfg.analysis_digest(),
-        )
+        try:
+            report = analytics.build_report(
+                repo,
+                campaign,
+                matcher,
+                corpus_size=cfg.corpus_size,
+                ti_figure_base=cfg.ti_figure_base,
+                agreement_denominator=cfg.agreement_denominator,
+                config_digest=cfg.analysis_digest(),
+            )
+        except analytics.UnknownCampaign as exc:
+            log.error("no records for campaign %s", exc)
+            return EXIT_RUNTIME
         written = analytics.emit_report(report, out_dir, formats)
     _emit({"campaign": campaign, "out": out_dir, "files": sorted(written)})
     return EXIT_OK
@@ -466,9 +467,6 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except (StorageError, RecordSchemaError) as exc:
         log.error("storage error: %s", exc)
-        return EXIT_RUNTIME
-    except analytics.UnknownCampaign as exc:
-        log.error("no records for campaign %s", exc)
         return EXIT_RUNTIME
     except KeyboardInterrupt:
         log.error("interrupted; rerun the same command to resume")

@@ -26,6 +26,22 @@ def entry(pattern, subdomains=False, source="list", line_no=1):
     return FilterEntry(pattern, subdomains, source, line_no)
 
 
+list_name = st.lists(st.sampled_from(("ads", "x", "track", "bücher", "a..b", "Web", "1")),
+                     min_size=1, max_size=3).map(".".join)
+list_line = st.one_of(
+    # hosts lines: one address repeated, and first tokens that only look numeric
+    st.tuples(st.sampled_from(("0.0.0.0", "0.0.0.0", "127.0.0.1", "::1", "10.0.0", "v2")),
+              st.lists(list_name, max_size=3)).map(lambda t: " ".join((t[0], *t[1]))),
+    list_name.map("||{}^".format),
+    list_name.map("||{}^$third-party".format),
+    list_name.map("@@||{}^".format),
+    list_name,
+    list_name.map("*.{}".format),
+    st.sampled_from(("! note", "# header", "##.banner", "ads.example##.ad", "", "   ", "|x/y")),
+).flatmap(lambda line: st.sampled_from(
+    (line, line + " # leak.example", line + "\t# leak.example", line + "\t#leak")))
+
+
 class TestParseList:
     def test_hosts_line(self):
         result = parse_list("0.0.0.0 ads.tracker.net", HOSTS)
@@ -54,9 +70,11 @@ class TestParseList:
         assert result.rejects[0].reason == "comment"
 
     def test_inline_comment_stripped(self):
-        result = parse_list("0.0.0.0 ads.example.com # known tracker", HOSTS)
-        assert result.entries[0].pattern == "ads.example.com"
-        assert result.rejects == ()
+        for text in ("0.0.0.0 ads.example.com # known tracker",
+                     "0.0.0.0 ads.example.com\t# tracker"):
+            result = parse_list(text, HOSTS)
+            assert [e.pattern for e in result.entries] == ["ads.example.com"], text
+            assert result.rejects == ()
 
     def test_hosts_multiple_hostnames(self):
         result = parse_list("127.0.0.1 a.example b.example", HOSTS)
@@ -137,6 +155,25 @@ class TestParseList:
         except IngestError:
             expected = (None, "invalid-domain")
         assert _normalize_pattern(raw) == expected
+
+    @given(st.lists(list_line, max_size=25), st.sampled_from((AUTO, HOSTS, PLAIN, ADBLOCK)))
+    @settings(max_examples=300)
+    def test_every_line_lands_once(self, lines, hint):
+        result = parse_list("\n".join(lines), hint)
+        entry_lines = {e.line_no for e in result.entries}
+        reject_lines = [r.line_no for r in result.rejects]
+        non_blank = {n for n, line in enumerate(lines, 1) if line.strip()}
+        assert entry_lines | set(reject_lines) == non_blank
+        assert not entry_lines & set(reject_lines)
+        assert len(reject_lines) == len(set(reject_lines))
+        assert not any("leak" in e.pattern for e in result.entries)
+        # the address memo carries nothing from one line to the next
+        for n in non_blank:
+            alone = parse_list(lines[n - 1], hint)
+            assert [(e.pattern, e.match_subdomains) for e in alone.entries] == [
+                (e.pattern, e.match_subdomains) for e in result.entries if e.line_no == n]
+            assert [(r.text, r.reason) for r in alone.rejects] == [
+                (r.text, r.reason) for r in result.rejects if r.line_no == n]
 
     def test_total_over_garbage(self):
         # every non-blank line lands in entries or rejects, never vanishes
@@ -232,6 +269,12 @@ class TestMatcher:
 LABELS = ("ads", "www", "x", "track", "net", "com", "example")
 label = st.sampled_from(LABELS)
 name = st.lists(label, min_size=1, max_size=4).map(".".join)
+# lookups fold case and drop a trailing dot; deeper than any pattern
+query = st.tuples(
+    st.lists(st.tuples(label, st.booleans()).map(lambda t: t[0].upper() if t[1] else t[0]),
+             min_size=1, max_size=6).map(".".join),
+    st.sampled_from(("", ".")),
+).map("".join)
 
 
 def reference_match(entries, domain, mode):
@@ -263,12 +306,18 @@ class TestMatcherEquivalence:
     @given(
         st.lists(st.tuples(name, st.booleans(), st.sampled_from("ab"),
                            st.integers(1, 9)), max_size=12),
-        name,
+        query,
         st.sampled_from((STRICT, ALWAYS)),
+        st.data(),
     )
     @settings(max_examples=400)
-    def test_matches_brute_force(self, raw, domain, mode):
+    def test_matches_brute_force(self, raw, domain, mode, data):
         entries = [FilterEntry(p, flag, src, ln) for p, flag, src, ln in raw]
+        if entries and data.draw(st.booleans()):
+            # a query at or below a listed pattern, so the walk has deep hits to find
+            head, dot = domain.rstrip("."), "." * domain.endswith(".")
+            pattern = data.draw(st.sampled_from(entries)).pattern
+            domain = data.draw(st.sampled_from((pattern, f"{head}.{pattern}"))) + dot
         matcher = AdMatcher(entries, subdomain_matching=mode)
         assert matcher.match(domain) == reference_match(entries, domain, mode)
 

@@ -339,9 +339,10 @@ class TestLiveProvider:
 class TestRequestsImport:
     # the repository is imported by every command and by tools that only
     # read a log, so neither may pay for the HTTP or IDNA stacks; no pipeline
-    # command may pay for the mock resolver farm either
+    # command may pay for the mock resolver farm either, nor for the report
+    # and filter-list modules that only analyze and ads-classify run
     @pytest.mark.parametrize("module, absent", [
-        ("admal.cli", ("requests", "admal.mockdns")),
+        ("admal.cli", ("requests", "admal.mockdns", "admal.analytics", "admal.adlists")),
         ("admal.repository", ("requests", "idna")),
     ], ids=["cli", "repository"])
     def test_cli_import_leaves_requests_out(self, module, absent):
