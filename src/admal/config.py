@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dnsbroker import CampaignLimits, ResolverProfile, default_profiles
 from .ticlient import ALL_PARTNERS, OPINIONS
@@ -26,7 +26,6 @@ class ConfigError(Exception):
 
 @dataclass
 class PipelineConfig:
-    path: str
     campaign: str | None
     repository: str
     input_url_list: str | None
@@ -48,7 +47,6 @@ class PipelineConfig:
     corpus_size: int | None
     formats: list
     mock_farm: str | None
-    raw: dict = field(repr=False, default_factory=dict)
 
     def corpus_path(self, campaign_id: str) -> str:
         return os.path.join(self.repository, f"corpus-{campaign_id}.txt")
@@ -83,6 +81,13 @@ def _positive(value) -> bool:
     return type(value) in (int, float) and 0 < value < math.inf
 
 
+def _text(doc: dict, key: str, section: str = "") -> str | None:
+    """``doc[key]`` when it is a string, None when absent or null."""
+    value = doc.get(key)
+    _require(value is None or type(value) is str, f"{section}{key} must be a string")
+    return value
+
+
 def load_config(path: str) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -101,6 +106,8 @@ def load_config(path: str) -> PipelineConfig:
 
     inputs = doc.get("input", {})
     _require(isinstance(inputs, dict), "'input' must be an object")
+    collapse = inputs.get("collapse_registrable", False)
+    _require(type(collapse) is bool, "input.collapse_registrable must be true or false")
 
     resolver_docs = doc.get("resolvers")
     if resolver_docs is None:
@@ -121,10 +128,12 @@ def load_config(path: str) -> PipelineConfig:
         ti_mode in (TI_OFF, TI_FIXTURE, TI_LIVE),
         f"ti.mode must be one of off/fixture/live, got {ti_mode!r}",
     )
+    ti_fixture = _text(ti, "fixture", "ti.")
+    ti_base_url = _text(ti, "base_url", "ti.")
     if ti_mode == TI_FIXTURE:
-        _require(bool(ti.get("fixture")), "ti.mode=fixture needs ti.fixture path")
+        _require(bool(ti_fixture), "ti.mode=fixture needs ti.fixture path")
     if ti_mode == TI_LIVE:
-        _require(bool(ti.get("base_url")), "ti.mode=live needs ti.base_url")
+        _require(bool(ti_base_url), "ti.mode=live needs ti.base_url")
     _require("api_key" not in ti, "API keys belong in ADMAL_TI_API_KEY, not config")
     _require("cache" not in ti, "ti.cache is not read: fetched reports are kept in the repository")
     rpm = ti.get("requests_per_minute", 4.0)
@@ -165,11 +174,11 @@ def load_config(path: str) -> PipelineConfig:
 
     limits_doc = doc.get("limits", {})
     _require(isinstance(limits_doc, dict), "'limits' must be an object")
-    inflight = limits_doc.get("max_inflight", 64)
-    _require(type(inflight) is int and inflight > 0, "limits.max_inflight must be a positive int")
-    qps = limits_doc.get("per_provider_qps", 20.0)
-    _require(_positive(qps), "limits.per_provider_qps must be a positive number")
-    limits = CampaignLimits(max_inflight=inflight, per_provider_qps=float(qps))
+    try:
+        limits = CampaignLimits(max_inflight=limits_doc.get("max_inflight", 64),
+                                per_provider_qps=limits_doc.get("per_provider_qps", 20.0))
+    except ValueError as exc:
+        raise ConfigError(f"limits.{exc}") from None
 
     analytics_doc = doc.get("analytics", {})
     _require(isinstance(analytics_doc, dict), "'analytics' must be an object")
@@ -180,12 +189,12 @@ def load_config(path: str) -> PipelineConfig:
     )
     figure_base = analytics_doc.get("ti_figure_base")
     _require(
-        figure_base is None or (isinstance(figure_base, int) and figure_base > 0),
+        figure_base is None or (type(figure_base) is int and figure_base > 0),
         "analytics.ti_figure_base must be a positive integer",
     )
     corpus_size = analytics_doc.get("corpus_size")
     _require(
-        corpus_size is None or (isinstance(corpus_size, int) and corpus_size > 0),
+        corpus_size is None or (type(corpus_size) is int and corpus_size > 0),
         "analytics.corpus_size must be a positive integer",
     )
     formats = analytics_doc.get("formats", ["json", "plotdata"])
@@ -195,17 +204,16 @@ def load_config(path: str) -> PipelineConfig:
     )
 
     return PipelineConfig(
-        path=path,
-        campaign=doc.get("campaign"),
+        campaign=_text(doc, "campaign"),
         repository=repository,
-        input_url_list=inputs.get("url_list"),
-        input_capture=inputs.get("capture"),
-        collapse_registrable=bool(inputs.get("collapse_registrable", False)),
-        psl_file=inputs.get("psl_file"),
+        input_url_list=_text(inputs, "url_list", "input."),
+        input_capture=_text(inputs, "capture", "input."),
+        collapse_registrable=collapse,
+        psl_file=_text(inputs, "psl_file", "input."),
         resolvers=resolvers,
         ti_mode=ti_mode,
-        ti_fixture=ti.get("fixture"),
-        ti_base_url=ti.get("base_url"),
+        ti_fixture=ti_fixture,
+        ti_base_url=ti_base_url,
         ti_options=ti_options,
         ti_requests_per_minute=float(rpm),
         list_files=list_files,
@@ -216,6 +224,5 @@ def load_config(path: str) -> PipelineConfig:
         ti_figure_base=figure_base,
         corpus_size=corpus_size,
         formats=formats,
-        mock_farm=doc.get("mock_farm"),
-        raw=doc,
+        mock_farm=_text(doc, "mock_farm"),
     )

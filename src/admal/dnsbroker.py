@@ -10,6 +10,7 @@ control (when queried) still resolves it.
 
 import contextvars
 import logging
+import math
 from dataclasses import dataclass, field
 
 from . import dnswire
@@ -28,6 +29,8 @@ SIG_ZERO_ANSWER = "zero_answer_noerror"
 
 _SINKHOLE_KINDS = (SIG_SINKHOLE_A, SIG_SINKHOLE_AAAA)
 _KINDS = (*_SINKHOLE_KINDS, SIG_NXDOMAIN, SIG_REFUSED, SIG_ZERO_ANSWER)
+# the keys of a dns payload, in the order work() returns their values
+_PAYLOAD_KEYS = ("verdict", "reason", "evidence", "queried_at")
 
 
 @dataclass(frozen=True)
@@ -129,20 +132,6 @@ class ResolverProfile:
             timeout_ms=doc.get("timeout_ms", 3000),
             retries=doc.get("retries", 2),
         )
-
-    def to_config(self) -> dict:
-        doc = {
-            "provider_id": self.provider_id,
-            "display_name": self.display_name,
-            "filtered_address": _format_address(self.filtered_address),
-            "transport": self.transport,
-            "blocked_signatures": [s.to_config() for s in self.blocked_signatures],
-            "timeout_ms": self.timeout_ms,
-            "retries": self.retries,
-        }
-        if self.control_address:
-            doc["control_address"] = _format_address(self.control_address)
-        return doc
 
 
 # Best-effort public profiles; endpoints and signatures are config, not code,
@@ -246,34 +235,17 @@ def summarize(response: DnsResponse) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ProviderVerdict:
-    domain: str
-    provider_id: str
-    verdict: str
-    reason: str | None
-    evidence: dict
-    queried_at: str
-
-    def to_payload(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "evidence": self.evidence,
-            "queried_at": self.queried_at,
-        }
-
-
 @dataclass
 class CampaignLimits:
     max_inflight: int = 64
     per_provider_qps: float = 20.0  # per endpoint address, control queries included
 
     def __post_init__(self):
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if self.per_provider_qps <= 0:
-            raise ValueError("per_provider_qps must be positive")
+        inflight, qps = self.max_inflight, self.per_provider_qps
+        if type(inflight) is not int or inflight < 1:
+            raise ValueError(f"max_inflight must be a positive int, got {inflight!r}")
+        if type(qps) not in (int, float) or not 0 < qps < math.inf:
+            raise ValueError(f"per_provider_qps must be a positive finite number, got {qps!r}")
 
 
 @dataclass
@@ -402,10 +374,9 @@ def run_campaign(
             # the single writer: upserts run on the loop, one at a time, and a
             # verdict lost before its flush is simply queried again on resume
             for domain, profile, encodable in pairs:
-                verdict = ProviderVerdict(domain, profile.provider_id,
-                                          *await work(domain, profile, encodable))
+                payload = dict(zip(_PAYLOAD_KEYS, await work(domain, profile, encodable)))
                 repo.upsert(VerdictRecord(domain, profile.provider_id, campaign_id,
-                                          KIND_DNS, verdict.to_payload(), utc_now_rfc3339()))
+                                          KIND_DNS, payload, utc_now_rfc3339()))
                 summary.written += 1
 
         pairs = _pending_pairs(domains, profiles, held)

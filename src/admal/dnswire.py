@@ -22,7 +22,6 @@ opaque hex rdata.
 """
 
 import ipaddress
-import random
 import socket
 import struct
 from dataclasses import dataclass
@@ -103,10 +102,6 @@ class DnsResponse:
         return bool(self.flags & FLAG_TC)
 
     @property
-    def authoritative(self) -> bool:
-        return bool(self.flags & FLAG_AA)
-
-    @property
     def recursion_available(self) -> bool:
         return bool(self.flags & FLAG_RA)
 
@@ -133,26 +128,13 @@ def encode_name(name: str) -> bytes:
     return bytes(out)
 
 
-def build_query(
-    domain: str,
-    qtype: int = TYPE_A,
-    txid: int | None = None,
-    edns_udp_size: int | None = EDNS_UDP_SIZE,
-) -> bytes:
-    """Build a standard recursive query with one question.
-
-    EDNS0 advertises ``edns_udp_size`` bytes of UDP payload; pass None to
-    omit the OPT record.
-    """
-    if txid is None:
-        txid = random.getrandbits(16)
-    arcount = 1 if edns_udp_size else 0
-    msg = _HEADER.pack(txid, FLAG_RD, 1, 0, 0, arcount)
+def build_query(domain: str, qtype: int, txid: int) -> bytes:
+    """Build a standard recursive query with one question and an EDNS0 OPT
+    record advertising ``EDNS_UDP_SIZE`` bytes of UDP payload."""
+    msg = _HEADER.pack(txid, FLAG_RD, 1, 0, 0, 1)
     msg += encode_name(domain) + struct.pack("!HH", qtype, CLASS_IN)
-    if edns_udp_size:
-        # root name, type OPT, class = advertised UDP size, ttl 0, no rdata
-        msg += b"\x00" + _RR_FIXED.pack(TYPE_OPT, edns_udp_size, 0, 0)
-    return msg
+    # root name, type OPT, class = advertised UDP size, ttl 0, no rdata
+    return msg + b"\x00" + _RR_FIXED.pack(TYPE_OPT, EDNS_UDP_SIZE, 0, 0)
 
 
 def decode_name(data: bytes, offset: int) -> tuple[str, int]:

@@ -270,19 +270,6 @@ class Repository:
         except RecordSchemaError:
             raise StorageError(f"corrupt log record at byte {offset}") from None
 
-    def _located(self, campaign_id=None, provider_id=None, kind=None) -> list:
-        """(domain, provider, campaign, offset) of every record, or of one
-        campaign's, provider's or kind's, in (domain, provider, campaign)
-        order; caller holds the lock."""
-        wanted, found = ANY if kind is None else _OF_KIND[kind], []
-        for campaign, (rows, columns) in self._campaigns.items():
-            for provider, col in columns.items():
-                if campaign_id in (None, campaign) and provider_id in (None, provider):
-                    found += compress(zip(rows, repeat(provider), repeat(campaign), col.offsets),
-                                      col.states.translate(wanted))
-        found.sort()  # keys are unique, so no two entries tie before the offset
-        return found
-
     def upsert(self, record: VerdictRecord) -> None:
         """Append the record; the log write is flushed before returning.
         A record that replay would refuse, among them one outside the
@@ -328,9 +315,15 @@ class Repository:
         kind: str | None = None,
     ) -> list[VerdictRecord]:
         """Latest records for a campaign, sorted by (domain, provider)."""
+        wanted, found = ANY if kind is None else _OF_KIND[kind], []
         with self._lock:
-            return [self._read(entry[3])
-                    for entry in self._located(campaign_id, provider_id, kind)]
+            rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
+            for provider, col in columns.items():
+                if provider_id in (None, provider):
+                    found += compress(zip(rows, repeat(provider), col.offsets),
+                                      col.states.translate(wanted))
+            found.sort()  # keys are unique, so no two entries tie before the offset
+            return [self._read(offset) for _domain, _provider, offset in found]
 
     def columns(self, campaign_id: str, kind: str) -> tuple:
         """(domains by row, [(provider, states, five tally columns or None)])
@@ -413,15 +406,6 @@ class Repository:
         with self._lock:
             return sum(len(col.states) - col.states.count(0)
                        for _rows, columns in self._campaigns.values() for col in columns.values())
-
-    def export(self, path) -> int:
-        """Write the latest-wins view as JSONL in (domain, provider, campaign)
-        order; returns the record count."""
-        with self._lock, open(path, "wb") as fh:
-            placed = self._located()
-            for entry in placed:
-                fh.write((self._read(entry[3]).to_json() + "\n").encode("utf-8"))
-            return len(placed)
 
     def manifest_path(self, campaign_id: str) -> Path:
         return self.root / "manifests" / f"{campaign_id}.json"

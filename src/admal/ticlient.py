@@ -2,9 +2,9 @@
 
 A report counts how many scan partners called the domain harmless,
 suspicious or malicious, how many had no verdict (undetected) and how many
-timed out.  The agreement ratio divides the flagging partners by those that
-expressed an opinion; undetected and timeout entries carry no opinion and
-stay out of the default denominator.
+timed out.  ``analytics`` defines the agreement ratio over these tallies:
+the flagging partners over those that expressed an opinion by default
+(``OPINIONS``), or over all partners (``ALL_PARTNERS``).
 
 A tally enters the program only as an int: a fixture line or live response
 holding ``1.9``, ``true`` or ``"2"`` is refused, never rounded.  Fetched
@@ -17,7 +17,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .keydir import NO_REPORT, REPORT, TALLY_MAX
 
@@ -43,10 +42,6 @@ class TransportError(TiError):
 
 class PayloadError(TiError):
     """Got a 2xx response whose body does not match the configured paths."""
-
-
-class UndefinedRatio(TiError):
-    """No partner expressed an opinion, so the ratio has no denominator."""
 
 
 @dataclass(frozen=True)
@@ -92,30 +87,6 @@ class NoReport:
 
     domain: str
     fetched_at: str = ""
-
-
-def threat_flag(report: TiReport) -> bool:
-    """True when at least one partner called the domain suspicious or
-    malicious, i.e. exactly when the agreement ratio is positive."""
-    return report.suspicious + report.malicious > 0
-
-
-def agreement_fraction(report: TiReport, denominator: str = OPINIONS) -> Fraction:
-    return Fraction(*agreement_terms(report, denominator))
-
-
-def agreement_terms(report: TiReport, denominator: str = OPINIONS) -> tuple[int, int]:
-    """(flagged, base) of the agreement ratio, unreduced."""
-    flagged = report.suspicious + report.malicious
-    if denominator == OPINIONS:
-        base = report.opinions
-    elif denominator == ALL_PARTNERS:
-        base = report.partners
-    else:
-        raise ValueError(f"unknown denominator mode {denominator!r}")
-    if base == 0:
-        raise UndefinedRatio(report.domain)
-    return flagged, base
 
 
 def report_to_payload(result: "TiReport | NoReport") -> dict:

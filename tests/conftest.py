@@ -55,6 +55,12 @@ def blocked_payload(signature: str = "sinkhole_a:0.0.0.0") -> dict:
     }
 
 
+def snapshot(repo: Repository, campaigns) -> list[VerdictRecord]:
+    """The latest record of every key in the campaigns, in (domain,
+    provider, campaign) order."""
+    return sorted((r for c in campaigns for r in repo.query(c)), key=lambda r: r.key)
+
+
 def build_blockset_repo(root, campaign_id: str = "reference") -> Repository:
     """Repository holding one blocked verdict per (domain, provider) of the
     fixture sets, plus a campaign manifest carrying the corpus size."""

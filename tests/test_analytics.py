@@ -28,7 +28,7 @@ from admal.analytics import (
 from admal.repository import KIND_DNS, KIND_TI, Repository, VerdictRecord
 from admal.ticlient import ALL_PARTNERS, OPINIONS, NoReport, TiReport, payload_to_report
 
-from conftest import CORPUS_SIZE, provider_sets
+from conftest import CORPUS_SIZE, provider_sets, snapshot
 
 TS = "2024-06-01T00:00:00.000Z"
 
@@ -146,16 +146,12 @@ class TestBlockedSets:
         assert {p: len(s) for p, s in sets.items()} == {
             "quad9": 3_395, "cisco": 472, "cloudflare": 2_229}
 
-    def test_matches_export_scan(self, blockset_repo, tmp_path):
-        out = tmp_path / "export.jsonl"
-        blockset_repo.export(out)
+    def test_matches_export_scan(self, blockset_repo):
         expected: dict[str, set[str]] = {}
-        with open(out) as fh:
-            for line in fh:
-                doc = json.loads(line)
-                expected.setdefault(doc["provider"], set())
-                if doc["kind"] == "dns" and doc["payload"]["verdict"] == "blocked":
-                    expected[doc["provider"]].add(doc["domain"])
+        for record in snapshot(blockset_repo, ["reference"]):
+            expected.setdefault(record.provider_id, set())
+            if record.kind == "dns" and record.payload["verdict"] == "blocked":
+                expected[record.provider_id].add(record.domain)
         assert blocked_sets(blockset_repo, "reference") == expected
 
     def test_zero_blocked_gives_empty_sets(self, tmp_path):

@@ -115,6 +115,18 @@ class TestValidation:
         resolver(filtered_address="127.0.0.1:70000"),
         resolver(filtered_address="127.0.0.1:-1"),
         resolver(control_address="[::1]:70000"),
+        {"campaign": 5},
+        {"input": {"url_list": ["urls.txt"]}},
+        {"input": {"capture": 1}},
+        {"input": {"psl_file": True}},
+        {"ti": {"mode": "fixture", "fixture": ["ti.jsonl"]}},
+        {"ti": {"fixture": 5}},
+        {"ti": {"mode": "live", "base_url": {"host": "x"}}},
+        {"mock_farm": ["farm.json"]},
+        {"input": {"collapse_registrable": "no"}},
+        {"input": {"collapse_registrable": 1}},
+        {"analytics": {"ti_figure_base": True}},
+        {"analytics": {"corpus_size": True}},
     ])
     def test_bad_sections(self, tmp_path, extra):
         with pytest.raises(ConfigError):

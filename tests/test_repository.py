@@ -29,6 +29,8 @@ from admal.repository import (
     utc_now_rfc3339,
 )
 
+from conftest import snapshot
+
 TS = "2024-06-01T00:00:00.000Z"
 TALLIES = {"status": "report", "harmless": 3, "undetected": 0, "suspicious": 1,
            "malicious": 0, "timeout": 0}
@@ -349,25 +351,6 @@ class TestCrashTolerance:
             log.write_bytes(log.read_bytes() + b"{brok")
         with Repository(tmp_path) as repo:
             assert len(repo) == 5
-
-
-class TestExportImport:
-    def test_round_trip_byte_identical(self, tmp_path):
-        src = Repository(tmp_path / "src")
-        for i in range(7):
-            src.upsert(rec(domain=f"d{i}.example", payload={"verdict": "blocked", "i": i}))
-        src.upsert(rec(domain="d3.example", payload={"verdict": "blocked", "i": 99}))  # overwrite
-        out1 = tmp_path / "export1.jsonl"
-        assert src.export(out1) == 7
-        src.close()
-
-        # an export is itself a log: opened as one, it exports the same bytes
-        (tmp_path / "dst").mkdir()
-        shutil.copy(out1, tmp_path / "dst" / "records.jsonl")
-        out2 = tmp_path / "export2.jsonl"
-        with Repository(tmp_path / "dst") as dst:
-            assert dst.export(out2) == 7
-        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestManifests:
@@ -788,7 +771,7 @@ def _model_summary(record):
     return None
 
 
-def _check_against_model(repo, model, export_path):
+def _check_against_model(repo, model):
     assert len(repo) == len(model)
     for key, record in model.items():
         assert repo.get(*key) == record
@@ -808,10 +791,7 @@ def _check_against_model(repo, model, export_path):
                 for p in ("quad9", "cisco")}
             assert sorted(repo.summaries(campaign, kind), key=repr) == sorted(
                 ((r.domain, r.provider_id, _model_summary(r)) for r in of_kind), key=repr)
-    # export breaks a (domain, provider) tie between campaigns by campaign
-    assert repo.export(export_path) == len(model)
-    assert export_path.read_text() == "".join(
-        r.to_json() + "\n" for r in sorted(model.values(), key=lambda r: r.key))
+    assert snapshot(repo, ("c1", "c2")) == sorted(model.values(), key=lambda r: r.key)
 
 
 class TestKeydirModel:
@@ -830,7 +810,7 @@ class TestKeydirModel:
                 if action == "upsert":
                     repo.upsert(arg)
                     model[arg.key] = arg
-                    _check_against_model(repo, model, root / f"export-{step_no}.jsonl")
+                    _check_against_model(repo, model)
                     continue
                 tail, damage = arg
                 repo.close()
@@ -852,8 +832,7 @@ class TestKeydirModel:
                     repo = Repository(root)
                 # and takes the keydir from the hint whenever it is intact
                 assert (repo._hinted is None) is (damage is not None)
-                # a fresh file per step: truncating one can force a disk flush
-                _check_against_model(repo, model, root / f"export-{step_no}.jsonl")
+                _check_against_model(repo, model)
         finally:
             if repo is not None:
                 repo.close()

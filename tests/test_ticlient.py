@@ -1,13 +1,14 @@
 import json
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admal.analytics import ti_stats
 from admal.ticlient import (
     ALL_PARTNERS,
+    OPINIONS,
     AuthError,
     FixtureTiProvider,
     LiveTiProvider,
@@ -16,11 +17,8 @@ from admal.ticlient import (
     TiClient,
     TiReport,
     TransportError,
-    UndefinedRatio,
-    agreement_fraction,
     payload_to_report,
     report_to_payload,
-    threat_flag,
 )
 
 counts = st.integers(min_value=0, max_value=100)
@@ -28,6 +26,18 @@ counts = st.integers(min_value=0, max_value=100)
 
 def report(h=0, u=0, s=0, m=0, t=0, domain="d.example"):
     return TiReport(domain, h, u, s, m, t)
+
+
+# the agreement ratio and threat flag of one report, as analyze reduces them
+def agreement_ratio(r, denominator=OPINIONS):
+    """The report's ratio, or None when it is undefined."""
+    stats = ti_stats([r], denominator=denominator)
+    assert stats.undefined_ratio + len(stats.ecdf_points) == 1
+    return stats.ecdf_points[0].ratio if stats.ecdf_points else None
+
+
+def threat_flag(r):
+    return ti_stats([r]).threat_count == 1
 
 
 class TestTiReport:
@@ -75,40 +85,34 @@ class TestThreatFlag:
     @settings(max_examples=200)
     def test_equivalent_to_positive_ratio(self, h, u, s, m, t):
         r = report(h, u, s, m, t)
-        try:
-            ratio = float(agreement_fraction(r))
-        except UndefinedRatio:
-            return
-        assert threat_flag(r) == (ratio > 0)
+        ratio = agreement_ratio(r)
+        if ratio is not None:
+            assert threat_flag(r) == (ratio > 0)
 
 
 class TestAgreementRatio:
     def test_five_of_fifty(self):
-        assert float(agreement_fraction(report(h=45, u=20, s=3, m=2))) == 0.10
-        assert agreement_fraction(report(h=45, u=20, s=3, m=2)) == Fraction(1, 10)
+        assert agreement_ratio(report(h=45, u=20, s=3, m=2)) == 0.10
 
     def test_unanimous_threat(self):
-        assert float(agreement_fraction(report(u=5, m=7))) == 1.0
+        assert agreement_ratio(report(u=5, m=7)) == 1
 
     def test_opinionless_undefined(self):
-        with pytest.raises(UndefinedRatio):
-            float(agreement_fraction(report(u=80)))
+        assert agreement_ratio(report(u=80)) is None
 
     def test_all_partners_denominator(self):
         r = report(h=45, u=20, s=3, m=2, t=0)
-        assert agreement_fraction(r, ALL_PARTNERS) == Fraction(5, 70)
+        assert agreement_ratio(r, ALL_PARTNERS) == 5 / 70
 
     def test_undetected_excluded_by_default(self):
         # 1 flag of 1 opinion, despite 99 undetected
-        assert float(agreement_fraction(report(u=99, m=1))) == 1.0
+        assert agreement_ratio(report(u=99, m=1)) == 1
 
     @given(counts, counts, counts, counts)
     @settings(max_examples=200)
     def test_bounds_and_extremes(self, h, u, s, m):
-        r = report(h, u, s, m)
-        try:
-            ratio = agreement_fraction(r)
-        except UndefinedRatio:
+        ratio = agreement_ratio(report(h, u, s, m))
+        if ratio is None:
             assert h + s + m == 0
             return
         assert 0 <= ratio <= 1
@@ -342,8 +346,9 @@ class TestRequestsImport:
     # command may pay for the mock resolver farm either, nor for the report
     # and filter-list modules that only analyze and ads-classify run
     @pytest.mark.parametrize("module, absent", [
-        ("admal.cli", ("requests", "admal.mockdns", "admal.analytics", "admal.adlists")),
-        ("admal.repository", ("requests", "idna")),
+        ("admal.cli", ("requests", "admal.mockdns", "admal.analytics", "admal.adlists",
+                       "fractions")),
+        ("admal.repository", ("requests", "idna", "fractions")),
     ], ids=["cli", "repository"])
     def test_cli_import_leaves_requests_out(self, module, absent):
         import os
