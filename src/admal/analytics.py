@@ -13,10 +13,8 @@ per-domain provider bitmasks, whose counts are UpSet's exclusive regions
 b but not c) and carries them only when exactly three providers report.
 """
 
-import contextlib
 import json
 import os
-import stat
 from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass
@@ -25,7 +23,8 @@ from itertools import compress
 from operator import add
 
 from .adlists import AdMatcher
-from .keydir import BLOCKED, INCONCLUSIVE, NO_REPORT, NOT_BLOCKED, ONLY, REPORT, TI_STATES
+from .keydir import (BLOCKED, DNS_STATES, INCONCLUSIVE, NO_REPORT, NOT_BLOCKED, ONLY, REPORT,
+                     TI_STATES, flags, open_aside)
 from .repository import KIND_DNS, KIND_TI, Repository, StorageError
 from .ticlient import ALL_PARTNERS, OPINIONS, NoReport
 
@@ -33,6 +32,7 @@ TRUNCATE2 = "truncate2"
 TRUNCATE1 = "truncate1"
 
 VENN_READING = "exclusive-regions"
+_ANY_VERDICT = flags(DNS_STATES.values())
 
 
 class ZeroBase(Exception):
@@ -93,19 +93,27 @@ def venn3(a: set, b: set, c: set) -> Overlap:
     return Overlap.of((a, b, c))
 
 
-def _blocked_lists(repo: Repository, campaign_id: str, providers) -> dict[str, list[str]]:
-    """Per provider, the domains with a blocked verdict, each once."""
-    if not providers:
+def _dns_verdicts(repo: Repository, campaign_id: str):
+    """From the campaign's ``dns`` columns: per provider holding a verdict,
+    its count of each verdict and its blocked domains in row order, and how
+    many domains hold a verdict from any provider."""
+    domains, columns = repo.columns(campaign_id, KIND_DNS)
+    if not columns:
         raise UnknownCampaign(campaign_id)
-    return {provider_id: repo.verdict_domains(campaign_id, provider_id, BLOCKED)
-            for provider_id in providers}
+    counts, blocked, held = {}, {}, 0
+    for provider_id, states, _tallies in columns:
+        counts[provider_id] = {verdict: states.count(state)
+                               for verdict, state in DNS_STATES.items()}
+        blocked[provider_id] = list(compress(domains, states.translate(ONLY[DNS_STATES[BLOCKED]])))
+        held |= int.from_bytes(states.translate(_ANY_VERDICT), "big")  # one bit per row
+    return counts, blocked, held.bit_count()
 
 
 def blocked_sets(repo: Repository, campaign_id: str) -> dict[str, set[str]]:
     """Per-provider sets of domains with a blocked verdict; inconclusive
     verdicts never enter a set."""
-    lists = _blocked_lists(repo, campaign_id, repo.verdict_counts(campaign_id))
-    return {provider_id: set(domains) for provider_id, domains in lists.items()}
+    return {provider_id: set(domains)
+            for provider_id, domains in _dns_verdicts(repo, campaign_id)[1].items()}
 
 
 @dataclass(frozen=True)
@@ -314,8 +322,7 @@ def build_report(
     Pure given a repository snapshot: no clocks, no network, so identical
     inputs produce identical reports.
     """
-    counts = repo.verdict_counts(campaign_id)
-    lists = _blocked_lists(repo, campaign_id, counts)
+    counts, lists, held = _dns_verdicts(repo, campaign_id)
 
     manifest = repo.read_manifest(campaign_id) or {}
     listed, domains = manifest.get("providers", []), manifest.get("domains")
@@ -327,9 +334,7 @@ def build_report(
     provider_order += [p for p in sorted(lists) if p not in provider_order]
 
     if corpus_size is None:
-        corpus_size = domains or len(
-            {domain for domain, _p, _v in repo.summaries(campaign_id, KIND_DNS)}
-        )
+        corpus_size = domains or held
     if corpus_size <= 0:
         raise ZeroBase("corpus size unknown or zero")
 
@@ -395,28 +400,6 @@ def _flatten(doc, prefix=""):
             yield from _flatten(value, f"{prefix}[{i}]")
     else:
         yield prefix, doc
-
-
-@contextlib.contextmanager
-def open_aside(path: str):
-    """A text file that replaces ``path`` if the block ends without raising: it
-    is written aside, then the old file is unlinked and the new one renamed in,
-    as truncating a file or renaming over one makes ext4 flush it (auto_da_alloc).
-    A path that is not a regular file (``/dev/stdout``, a symlink) is written in place."""
-    aside = not os.path.lexists(path) or stat.S_ISREG(os.lstat(path).st_mode)
-    tmp = path + ".tmp" if aside else path
-    fh = open(tmp, "w", encoding="utf-8", newline="")
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        if aside:
-            os.unlink(tmp)
-        raise
-    if aside:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(path)
-        os.rename(tmp, path)
 
 
 def emit_report(report: AnalysisReport, out_dir: str, formats=("json", "plotdata")):

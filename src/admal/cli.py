@@ -23,9 +23,11 @@ from .config import (
     TI_LIVE,
     ConfigError,
     PipelineConfig,
+    campaign_id,
     load_config,
 )
 from .dnsbroker import run_campaign
+from .keydir import open_aside
 from .repository import (
     KIND_AD,
     KIND_TI,
@@ -92,9 +94,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _campaign_id(args, cfg: PipelineConfig) -> str:
-    campaign = getattr(args, "campaign", None) or cfg.campaign
-    if not campaign:
+def _campaign_id(args, cfg: PipelineConfig, required: bool = True) -> str | None:
+    # load_config has checked cfg.campaign
+    campaign = cfg.campaign if args.campaign is None else campaign_id(args.campaign)
+    if campaign is None and required:
         raise ConfigError("no campaign id: pass --campaign or set 'campaign' in config")
     return campaign
 
@@ -287,7 +290,7 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
         raise ConfigError("no filter lists: pass --lists or set lists.files")
     matcher, rejects = _build_matcher(cfg, list_files)
 
-    campaign = getattr(args, "campaign", None) or cfg.campaign
+    campaign = _campaign_id(args, cfg, required=False)
     domains_path = args.domains or (campaign and cfg.corpus_path(campaign))
     if not domains_path:
         raise ConfigError("no domains file: pass --domains or configure a campaign")
@@ -295,7 +298,6 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
 
     if args.store and not campaign:
         raise ConfigError("--store needs a campaign id")
-    from .analytics import open_aside  # kept out of admal.cli's import, as adlists is
     out_file = open_aside(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with out_file as out, \
             Repository(cfg.repository) if args.store else contextlib.nullcontext() as repo:

@@ -88,6 +88,15 @@ def _text(doc: dict, key: str, section: str = "") -> str | None:
     return value
 
 
+def campaign_id(campaign: str) -> str:
+    """The campaign id, which names files in the repository; ConfigError for
+    one that is empty, holds a ``/``, ``\\`` or NUL, or starts with ``.``."""
+    _require(campaign[:1] not in ("", ".") and not {"/", "\\", "\0"} & set(campaign),
+             f"bad campaign id {campaign!r}: it must be non-empty, hold no '/', '\\' or NUL"
+             " and not start with '.'")
+    return campaign
+
+
 def load_config(path: str) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -203,8 +212,9 @@ def load_config(path: str) -> PipelineConfig:
         "analytics.formats entries must be json/csv/plotdata",
     )
 
+    campaign = _text(doc, "campaign")
     return PipelineConfig(
-        campaign=_text(doc, "campaign"),
+        campaign=campaign if campaign is None else campaign_id(campaign),
         repository=repository,
         input_url_list=_text(inputs, "url_list", "input."),
         input_capture=_text(inputs, "capture", "input."),

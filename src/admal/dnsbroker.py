@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import dnswire
 from .dnsclient import DnsClient, QueryTimeout
 from .dnswire import DnsResponse, MalformedMessage
-from .keydir import BLOCKED, INCONCLUSIVE, NOT_BLOCKED
+from .keydir import BLOCKED, DNS_STATES, INCONCLUSIVE, NOT_BLOCKED
 from .repository import KIND_DNS, Repository, VerdictRecord, utc_now_rfc3339
 
 log = logging.getLogger(__name__)
@@ -430,8 +430,9 @@ def _encodable(domain: str) -> bool:
 
 
 def _inconclusive_counts(repo, campaign_id, providers) -> dict:
-    counts = {provider_id: 0 for provider_id in providers}
-    for provider_id, verdicts in repo.verdict_counts(campaign_id).items():
-        if verdicts[INCONCLUSIVE]:
-            counts[provider_id] = verdicts[INCONCLUSIVE]
+    """Inconclusive verdicts by provider: each given one, and any other holding one."""
+    counts = dict.fromkeys(providers, 0)
+    for provider_id, states, _tallies in repo.columns(campaign_id, KIND_DNS)[1]:
+        if n := states.count(DNS_STATES[INCONCLUSIVE]):
+            counts[provider_id] = n
     return counts

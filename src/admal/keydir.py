@@ -1,4 +1,4 @@
-"""The columnar keydir of a repository and its hint file.
+"""The columnar keydir of a repository, its hint file, and ``open_aside``.
 
 Each campaign has one ``domain -> row`` dict shared by all its providers, so a
 domain string is held once per campaign, and each (campaign, provider) has a
@@ -12,9 +12,11 @@ Each block is read by ``array.fromfile`` and hashed in place, and checked to
 fit the log prefix before use; a hint in the other byte order is replayed.
 """
 
+import contextlib
 import hashlib
 import json
 import os
+import stat
 import sys
 from array import array
 from itertools import compress, count
@@ -73,15 +75,38 @@ def _trailer(digest) -> bytes:
     return (json.dumps({"sha256": digest.hexdigest()}) + "\n").encode("ascii")
 
 
+@contextlib.contextmanager
+def open_aside(path, mode: str = "w"):
+    """A file, text (``"w"``, UTF-8, LF) or binary (``"wb"``), that replaces
+    ``path`` if the block ends without raising: it is written aside, then the
+    old file is unlinked and the new one renamed in, as truncating a file or
+    renaming over one makes ext4 flush it (auto_da_alloc).  A path that is
+    not a regular file (``/dev/stdout``, a symlink) is written in place."""
+    path = os.fspath(path)
+    aside = not os.path.lexists(path) or stat.S_ISREG(os.lstat(path).st_mode)
+    tmp = path + ".tmp" if aside else path
+    text = mode == "w"
+    fh = open(tmp, mode, encoding="utf-8" if text else None, newline="" if text else None)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if aside:
+            os.unlink(tmp)
+        raise
+    if aside:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        os.rename(tmp, path)
+
+
 def write_hint(path: Path, campaigns: dict, size: int, lines: int, log_sha256: str) -> None:
     """Save the keydir as the hint for a log whose first ``size`` bytes hold
-    ``lines`` lines and hash to ``log_sha256``.  Written aside, then the old
-    hint is unlinked and the new one renamed in: renaming over an existing
-    file makes ext4 flush it synchronously.  No fsync: a hint that did not
-    reach the disk whole fails its own digest and is not used."""
-    tmp = path.with_name(path.name + ".tmp")
+    ``lines`` lines and hash to ``log_sha256``, through ``open_aside``.  No
+    fsync: a hint that did not reach the disk whole fails its own digest and
+    is not used."""
     digest = hashlib.sha256()
-    with open(tmp, "wb") as fh:
+    with open_aside(path, "wb") as fh:
         def put(block) -> None:
             digest.update(block)
             fh.write(block)
@@ -98,11 +123,6 @@ def write_hint(path: Path, campaigns: dict, size: int, lines: int, log_sha256: s
                 for block in (col.offsets, col.states, *(col.tallies or ())):
                     put(block)
         fh.write(_trailer(digest))
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    os.rename(tmp, path)
 
 
 def _block(fh, digest, typecode: str, rows: int) -> array:

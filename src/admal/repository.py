@@ -10,7 +10,9 @@ report.  A record outside that vocabulary is refused where it enters: by
 keydir is laid out by column (``keydir.py``): per campaign one ``domain ->
 row`` dict shared by its providers, per (campaign, provider) typed columns
 indexed by row.  Evidence and full payloads stay on disk and are read back by
-offset.
+offset.  Every count and domain list of a report is a reduction of the state
+and tally columns that ``columns`` copies out; ``held``, ``get``, ``query``
+and ``latest_elsewhere`` serve the commands that fetch and resume.
 
 Opening a repository streams the log once, validating every line, unless the
 keydir hint file (Bitcask's hint file, version 4: per campaign its domain
@@ -27,14 +29,13 @@ import json
 import os
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
 
-from .keydir import (AD, ANY, DNS_STATES, NO_REPORT, ONLY, REPORT, TI_STATES, Column, flags,
-                     read_hint, write_hint)
+from .keydir import (AD, ANY, DNS_STATES, NO_REPORT, REPORT, TI_STATES, Column, flags, read_hint,
+                     write_hint)
 from .ticlient import payload_tallies
 
 KIND_DNS = "dns"
@@ -43,10 +44,6 @@ KIND_AD = "ad"
 KINDS = (KIND_DNS, KIND_TI, KIND_AD)
 _OF_KIND = {KIND_DNS: flags(DNS_STATES.values()), KIND_TI: flags(TI_STATES.values()),
             KIND_AD: flags({AD})}
-_REPORTED = TI_STATES[REPORT]
-# what summaries() gives for a row in each state but a report
-_SUMMARY = {**{state: verdict for verdict, state in DNS_STATES.items()},
-            TI_STATES[NO_REPORT]: (NO_REPORT, None, None, None, None, 0), AD: None}
 
 _FSYNC_EVERY = 1000
 
@@ -328,25 +325,13 @@ class Repository:
     def columns(self, campaign_id: str, kind: str) -> tuple:
         """(domains by row, [(provider, states, five tally columns or None)])
         of the campaign's providers holding a record of ``kind``, copied: the
-        records held now, which analyze reduces without an object per row."""
+        records held now, which analyze and the scan manifest reduce without
+        an object per row."""
         with self._lock:
             rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
             return list(rows), [
                 (provider, col.states[:], col.tallies and [column[:] for column in col.tallies])
                 for provider, col in columns.items() if 1 in col.states.translate(_OF_KIND[kind])]
-
-    def summaries(self, campaign_id: str, kind: str):
-        """Yield (domain, provider, summary) of a campaign's records of one
-        kind, in no set order, without reading the log.  The summary is the
-        verdict for ``dns``, (status, harmless, undetected, suspicious,
-        malicious, timeout) for ``ti`` and None for ``ad``.  The records are
-        those held when the first one is asked for."""
-        domains, taken = self.columns(campaign_id, kind)
-        for provider, states, tallies in taken:
-            tallies = zip(*tallies) if tallies else repeat(())
-            for domain, state, tally in compress(zip(domains, states, tallies),
-                                                 states.translate(_OF_KIND[kind])):
-                yield domain, provider, (REPORT, *tally) if state == _REPORTED else _SUMMARY[state]
 
     def held(self, campaign_id: str, kind: str, domains: list, providers) -> dict[str, bytes]:
         """For each provider, one byte per domain: 1 where the domain's latest
@@ -379,28 +364,6 @@ class Repository:
                         latest[domain] = offsets[row]
             return {domain: self._read(offset).payload
                     for domain, offset in sorted(latest.items(), key=itemgetter(1))}
-
-    def verdict_counts(self, campaign_id: str) -> dict[str, Counter]:
-        """{provider: Counter of verdicts} over a campaign's ``dns`` records,
-        for each provider holding one."""
-        with self._lock:
-            columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)[1]
-            counts = {provider: Counter({verdict: n for verdict, state in DNS_STATES.items()
-                                         if (n := col.states.count(state))})
-                      for provider, col in columns.items()}
-            return {provider: verdicts for provider, verdicts in counts.items() if verdicts}
-
-    def verdict_domains(self, campaign_id: str, provider_id: str, verdict) -> list[str]:
-        """Domains whose latest record from the provider in the campaign is
-        a ``dns`` one with this verdict, in the order the campaign first
-        stored each domain."""
-        with self._lock:
-            rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
-            state = type(verdict) is str and DNS_STATES.get(verdict)
-            col = columns.get(provider_id)
-            if not state or col is None:
-                return []
-            return list(compress(rows, col.states.translate(ONLY[state])))
 
     def __len__(self) -> int:
         with self._lock:

@@ -25,7 +25,7 @@ from admal.analytics import (
     ti_stats,
     venn3,
 )
-from admal.repository import KIND_DNS, KIND_TI, Repository, VerdictRecord
+from admal.repository import KIND_AD, KIND_DNS, KIND_TI, Repository, VerdictRecord
 from admal.ticlient import ALL_PARTNERS, OPINIONS, NoReport, TiReport, payload_to_report
 
 from conftest import CORPUS_SIZE, provider_sets, snapshot
@@ -464,6 +464,11 @@ class TestReport:
         with Repository(tmp_path) as repo:
             repo.upsert(dns_record("a.example", "p1", "blocked"))
             repo.upsert(dns_record("b.example", "p1", "not_blocked"))
+            repo.upsert(dns_record("a.example", "p2", "inconclusive"))
+            # rows with no DNS record are not in the corpus
+            repo.upsert(VerdictRecord("t.example", "ti", "c1", KIND_TI,
+                                      {"status": "no_report"}, TS))
+            repo.upsert(VerdictRecord("x.example", "adlists", "c1", KIND_AD, {}, TS))
             report = build_report(repo, "c1")
             assert report.corpus_size == 2
 

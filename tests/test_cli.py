@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import admal
 from admal.cli import main
 from admal.mockdns import BEHAVIOR_NXDOMAIN, MockDnsFarm, MockProviderSpec
 from admal.repository import KIND_AD, KIND_DNS, KIND_TI, Repository, VerdictRecord
@@ -230,6 +234,18 @@ class TestAdsClassify:
         assert self.classify(env, capsys, "--out", str(out_path))[0] == 0
         assert out_path.read_bytes() == first
         assert not (env.tmp / "ads.jsonl.tmp").exists()
+
+    def test_leaves_the_report_module_out(self, env, capsys):
+        # open_aside lives in keydir, so ads-classify pays no analytics import
+        assert run(capsys, "ingest", "--config", env.config)[0] == 0
+        argv = ["ads-classify", "--config", env.config, "--domains", env.corpus,
+                "--out", str(env.tmp / "ads.jsonl"), "--store"]
+        code = (f"import sys; from admal.cli import main; assert main({argv!r}) == 0; "
+                "assert not {*sys.modules} & {'admal.analytics', 'fractions'}")
+        src = os.path.dirname(os.path.dirname(admal.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+        assert len((env.tmp / "ads.jsonl").read_text().splitlines()) == 10
 
     def test_explicit_lists_flag(self, env, capsys):
         other = env.tmp / "other.txt"
@@ -666,6 +682,27 @@ class TestUsageErrors:
         cfg = write_variant(env, drop_campaign, "config-nocamp.json")
         code, _ = run(capsys, "ingest", "--config", cfg)
         assert code == 1
+
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    @pytest.mark.parametrize("campaign", ["../x", "a/b", "a\0b", "a\\b", ".x", ""], ids=repr)
+    def test_bad_campaign_id_is_refused_before_any_write(self, env, capsys, campaign, via):
+        # the id names the corpus and manifest files, so one that leaves
+        # manifests/ or is no filename must stop the scan before it stores
+        corpus = env.tmp / "corpus.txt"
+        corpus.write_text("d0.example\n")
+        if via == "config":
+            config = write_variant(env, lambda doc: doc.update(campaign=campaign), "bad.json")
+            argv = ["dns-scan", "--config", config]
+        else:
+            argv = ["dns-scan", "--config", env.config, "--campaign", campaign]
+        before = set(env.tmp.rglob("*"))
+        assert main([*argv, "--corpus", str(corpus)]) == 1
+        lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert len(lines) == 1 and lines[0]["msg"].startswith("config error: bad campaign id")
+        assert not (env.tmp / "repo" / "records.jsonl").exists()
+        manifests = env.tmp / "repo" / "manifests"
+        assert [path for path in set(env.tmp.rglob("*")) - before
+                if path.is_file() and manifests not in path.parents] == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

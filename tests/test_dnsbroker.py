@@ -573,6 +573,22 @@ class TestRunCampaign:
             assert manifest["started"] <= manifest["finished"]
             assert manifest["inconclusive"] == {"prov0": 0, "prov1": 0}
 
+    def test_manifest_keeps_inconclusive_of_providers_not_scanned(self, tmp_path):
+        # "gone" left an inconclusive verdict in an earlier run with another
+        # profile list; "quiet" left none, so only "gone" joins the map
+        with Repository(tmp_path / "repo") as repo:
+            for domain, provider, verdict in [("d.example", "gone", INCONCLUSIVE),
+                                              ("e.example", "gone", INCONCLUSIVE),
+                                              ("d.example", "quiet", BLOCKED)]:
+                repo.upsert(VerdictRecord(domain, provider, "c9", KIND_DNS,
+                                          {"verdict": verdict}, "x"))
+            summary = run_campaign(["d.example"], self.make_profiles(2),
+                                   CampaignLimits(2, 1000.0), repo, "c9",
+                                   query_fn=stub_query_fn(set()))
+            expected = {"prov0": 0, "prov1": 0, "gone": 2}
+            assert summary.inconclusive == expected
+            assert repo.read_manifest("c9")["inconclusive"] == expected
+
     def test_noop_resume_leaves_manifest_alone(self, tmp_path):
         profiles = self.make_profiles(2)
         with Repository(tmp_path / "repo") as repo:
@@ -605,7 +621,8 @@ class TestRunCampaign:
                          repo, "c1", query_fn=stub_query_fn(set()))
             repo.upsert(VerdictRecord("a.example", "prov0", "c1", KIND_TI,
                                       {"status": "no_report"}, "x"))
-            assert [d for d, _p, _v in repo.summaries("c1", KIND_DNS)] == ["b.example"]
+            assert repo.held("c1", KIND_DNS, ["a.example", "b.example"], ["prov0"]) == {
+                "prov0": b"\x00\x01"}
             rerun = run_campaign(["a.example", "b.example"], profiles,
                                  CampaignLimits(2, 1000.0), repo, "c1",
                                  query_fn=stub_query_fn(set()))

@@ -8,6 +8,7 @@ import threading
 import time
 from array import array
 from datetime import datetime, timedelta, timezone
+from itertools import compress
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admal import repository
-from admal.keydir import REPORT, TI_STATES
+from admal.keydir import AD, BLOCKED, DNS_STATES, NO_REPORT, ONLY, REPORT, TI_STATES
 from admal.repository import (
     HINT_NAME,
     KIND_AD,
@@ -261,12 +262,11 @@ class TestQuery:
             domains = ["a.example", "b.example"]
             assert repo.held("c1", KIND_DNS, domains, ["quad9"]) == {"quad9": b"\x00\x01"}
             assert repo.held("c1", KIND_TI, domains, ["quad9"]) == {"quad9": b"\x01\x00"}
-            assert [d for d, _p, _s in repo.summaries("c1", KIND_DNS)] == ["b.example"]
-            assert [d for d, _p, _s in repo.summaries("c1", KIND_TI)] == ["a.example"]
-            assert repo.verdict_counts("c1") == {"quad9": {"blocked": 1}}
-            assert repo.verdict_domains("c1", "quad9", "blocked") == ["b.example"]
+            # one column holds both kinds: a.example's row is now a TI state
+            assert repo.columns("c1", KIND_DNS) == repo.columns("c1", KIND_TI) == (
+                domains, [("quad9", bytearray([TI_STATES[NO_REPORT], DNS_STATES[BLOCKED]]), None)])
 
-    def test_verdict_counts_keep_json_types_apart(self, tmp_path):
+    def test_verdicts_keep_json_types_apart(self, tmp_path):
         # a verdict is one of the pipeline's own words, so a value of another
         # JSON type is refused at upsert and never counted as its string
         with Repository(tmp_path) as repo:
@@ -280,14 +280,16 @@ class TestQuery:
                                     payload={**TALLIES, "status": value}))
             repo.upsert(rec(domain="y.example", provider="cisco", payload={"verdict": "blocked"}))
             repo.upsert(rec(domain="z.example", provider="adlists", kind=KIND_AD, payload={}))
-            assert repo.verdict_counts("c1") == {
-                "quad9": {"blocked": 2, "not_blocked": 1, "inconclusive": 1},
-                "cisco": {"blocked": 1}}
-            assert repo.verdict_domains("c1", "quad9", "blocked") == ["d0.example", "d3.example"]
-            for value in ("1", 1, True, None, "absent"):
-                assert repo.verdict_domains("c1", "quad9", value) == []
-            assert repo.verdict_domains("c2", "quad9", "blocked") == []
-            assert repo.verdict_counts("c2") == {}
+            domains, taken = repo.columns("c1", KIND_DNS)
+            assert domains == ["d0.example", "d1.example", "d2.example", "d3.example",
+                               "y.example", "z.example"]
+            states = {provider: bytes(states) for provider, states, _tallies in taken}
+            blocked, not_blocked, inconclusive = DNS_STATES.values()
+            assert states == {"quad9": bytes([blocked, not_blocked, inconclusive, blocked, 0, 0]),
+                              "cisco": bytes([0, 0, 0, 0, blocked, 0])}
+            assert list(compress(domains, states["quad9"].translate(ONLY[blocked]))) == [
+                "d0.example", "d3.example"]
+            assert repo.columns("c2", KIND_DNS) == ([], [])
 
     def test_existing_pairs(self, tmp_path):
         with Repository(tmp_path) as repo:
@@ -757,18 +759,38 @@ def _damage(hint, how):
                          else data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
 
 
-def _model_summary(record):
-    """What summaries() gives for a record: the verdict, the TI status and
-    tallies, or nothing."""
+_KIND_STATES = {KIND_DNS: set(DNS_STATES.values()), KIND_TI: set(TI_STATES.values()),
+                KIND_AD: {AD}}
+
+
+def _model_state(record):
+    """What the keydir's columns hold for a record: its state code and, for
+    a TI report, its five tallies."""
     payload = record.payload
     if record.kind == KIND_DNS:
-        return payload["verdict"]
+        return DNS_STATES[payload["verdict"]], ()
     if record.kind == KIND_TI:
-        if payload["status"] == "no_report":
-            return ("no_report", None, None, None, None, 0)
-        return ("report", payload["harmless"], payload["undetected"], payload["suspicious"],
-                payload["malicious"], payload["timeout"])
-    return None
+        if payload["status"] == NO_REPORT:
+            return TI_STATES[NO_REPORT], ()
+        return TI_STATES[REPORT], (payload["harmless"], payload["undetected"],
+                                   payload["suspicious"], payload["malicious"], payload["timeout"])
+    return AD, ()
+
+
+def _column_states(repo, campaign, kind):
+    """{(domain, provider): (state, tallies)} of the rows ``columns`` gives
+    for a kind, tallies read for a report only."""
+    domains, taken = repo.columns(campaign, kind)
+    assert len(set(domains)) == len(domains)
+    found = {}
+    for provider, states, tallies in taken:
+        assert len(states) == len(domains)
+        for row, state in enumerate(states):
+            if state in _KIND_STATES[kind]:
+                found[domains[row], provider] = (state, tuple(
+                    column[row] for column in tallies) if state == TI_STATES[REPORT] else ())
+    assert {provider for provider, _s, _t in taken} == {provider for _d, provider in found}
+    return found
 
 
 def _check_against_model(repo, model):
@@ -789,8 +811,8 @@ def _check_against_model(repo, model):
             assert repo.held(campaign, kind, domains, ["quad9", "cisco"]) == {
                 p: bytes((d, p) in {(r.domain, r.provider_id) for r in of_kind} for d in domains)
                 for p in ("quad9", "cisco")}
-            assert sorted(repo.summaries(campaign, kind), key=repr) == sorted(
-                ((r.domain, r.provider_id, _model_summary(r)) for r in of_kind), key=repr)
+            assert _column_states(repo, campaign, kind) == {
+                (r.domain, r.provider_id): _model_state(r) for r in of_kind}
     assert snapshot(repo, ("c1", "c2")) == sorted(model.values(), key=lambda r: r.key)
 
 
