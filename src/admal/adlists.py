@@ -144,7 +144,13 @@ def parse_list(
 
 def parse_list_file(path: str, format_hint: str = AUTO) -> ListParseResult:
     with open(path, encoding="utf-8") as fh:
-        return parse_list(fh.read(), format_hint, source_list=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            # one read of the whole file: exc.start is its offset in the file
+            raise ValueError(f"filter list {path} is not UTF-8: "
+                             f"invalid byte at offset {exc.start}") from None
+    return parse_list(text, format_hint, source_list=path)
 
 
 class AdMatcher:

@@ -106,27 +106,42 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def _text_file(path: str, what: str):
+    """``path`` open as UTF-8 text.  A file that cannot be read, or is not
+    UTF-8, ends the command as a ConfigError that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                yield fh
+            except UnicodeDecodeError as exc:
+                # the decoder failed in exc.object, the bytes that end where
+                # the buffer stands; a pipe cannot tell where that is
+                where = (f"invalid byte at offset {fh.buffer.tell() - len(exc.object) + exc.start}"
+                         if fh.seekable() else exc.reason)
+                raise ConfigError(f"{what} {path} is not UTF-8: {where}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _read_corpus(path: str) -> tuple[list[str], int]:
     """The corpus file's domains, normalized as ingest normalizes hosts, each
     kept once in first-seen order, and how many lines were rejected."""
     domains: dict[str, None] = {}
     rejected = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                host = line.strip()
-                if not host or line.startswith("#"):
+    with _text_file(path, "corpus") as fh:
+        for line in fh:
+            host = line.strip()
+            if not host or line.startswith("#"):
+                continue
+            if not ingest.is_canonical(host):
+                try:
+                    host = ingest.normalize_hostname(host)
+                except ingest.IngestError as exc:
+                    rejected += 1
+                    log.warning("corpus line rejected: %s", exc)
                     continue
-                if not ingest.is_canonical(host):
-                    try:
-                        host = ingest.normalize_hostname(host)
-                    except ingest.IngestError as exc:
-                        rejected += 1
-                        log.warning("corpus line rejected: %s", exc)
-                        continue
-                domains[host] = None
-    except OSError as exc:
-        raise ConfigError(f"cannot read corpus {path}: {exc}") from exc
+            domains[host] = None
     return list(domains), rejected
 
 
@@ -137,11 +152,14 @@ def _build_matcher(cfg: PipelineConfig, list_files):
     if missing:
         raise ConfigError(f"list files not found: {', '.join(missing)}")
     from .adlists import load_lists  # kept out of admal.cli's import: only list users pay
-    return load_lists(
-        list_files,
-        cfg.list_format_hint,
-        subdomain_matching=cfg.subdomain_matching,
-    )
+    try:
+        return load_lists(
+            list_files,
+            cfg.list_format_hint,
+            subdomain_matching=cfg.subdomain_matching,
+        )
+    except ValueError as exc:  # a list that is not UTF-8
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_ingest(args, cfg: PipelineConfig) -> int:
@@ -151,51 +169,51 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
         raise ConfigError("nothing to ingest: set input.url_list or input.capture")
     campaign = _campaign_id(args, cfg)
 
-    records = []
-    line_rejects = []
+    # the URL list streams through in blocks: only distinct hosts are held
+    corpus = ingest.Corpus()
+    records = rejected_lines = 0
     if url_list:
-        try:
-            with open(url_list, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read url list {url_list}: {exc}") from exc
-        parsed, rejects = ingest.parse_url_list(text)
-        records.extend(parsed)
-        line_rejects.extend(rejects)
+        with _text_file(url_list, "url list") as fh:
+            for block in ingest.line_blocks(fh):
+                hosts, rejected = ingest.parse_url_list(block)
+                ingest.dedupe(hosts, corpus)
+                records += len(hosts)
+                rejected_lines += rejected
     if capture:
-        try:
-            with open(capture, encoding="utf-8") as fh:
+        with _text_file(capture, "capture") as fh:
+            try:
                 doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read capture {capture}: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"capture {capture} is not valid JSON: {exc}") from exc
-        records.extend(ingest.parse_capture(doc))
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"capture {capture} is not valid JSON: {exc}") from exc
+        try:
+            urls = ingest.parse_capture(doc)
+        except ingest.SchemaError as exc:
+            raise ConfigError(f"capture {capture}: {exc}") from None
+        ingest.dedupe([ingest.url_host(url) or "" for url in urls], corpus)
+        records += len(urls)
 
-    psl = None
+    domains = corpus.domains
     if cfg.collapse_registrable:
         if not cfg.psl_file:
             raise ConfigError("input.collapse_registrable needs input.psl_file")
-        psl = ingest.PublicSuffixList.from_file(cfg.psl_file)
-    corpus = ingest.dedupe(records, psl=psl)
+        with _text_file(cfg.psl_file, "psl file") as fh:
+            try:
+                psl = ingest.PublicSuffixList.from_text(fh.read())
+            except ingest.IngestError as exc:  # a rule that is no domain name
+                raise ConfigError(f"psl file {cfg.psl_file}: {exc}") from None
+        # the first FQDN of each registrable name came first in the input
+        domains = dict.fromkeys(map(psl.registrable, domains))
 
     os.makedirs(cfg.repository, exist_ok=True)
     corpus_path = cfg.corpus_path(campaign)
-    with open(corpus_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(corpus.domains))
-        if corpus.domains:
+    with open_aside(corpus_path) as fh:
+        fh.write("\n".join(domains))
+        if domains:
             fh.write("\n")
-    log.info("ingested %d records into %d domains", len(records), len(corpus.domains))
-    _emit(
-        {
-            "campaign": campaign,
-            "corpus": corpus_path,
-            "records": len(records),
-            "domains": len(corpus.domains),
-            "rejected_lines": len(line_rejects),
-            "rejected_domains": len(corpus.rejects),
-        }
-    )
+    log.info("ingested %d records into %d domains", records, len(domains))
+    _emit({"campaign": campaign, "corpus": corpus_path, "records": records,
+           "domains": len(domains), "rejected_lines": rejected_lines,
+           "rejected_domains": sum(corpus.rejects.values())})
     return EXIT_OK
 
 

@@ -1,22 +1,31 @@
 """Turn pre-captured request logs into a deduplicated domain corpus.
 
 Input is either a newline-delimited URL list or a JSON capture document
-(see ``parse_capture`` for the schema).  Hostnames are normalized to
-lowercase ASCII (punycode for IDN labels), ports and trailing dots are
-stripped, and IP-literal hosts are excluded with a counted reject reason.
+(see ``parse_capture`` for the schema).  A URL list is streamed: it is read
+in blocks of whole lines (``line_blocks``), each block is split into the raw
+host of each URL (``parse_url_list``), and the hosts are folded into one
+running ``Corpus`` (``dedupe``).  No object is built per URL, so memory
+grows with the distinct hosts, not with the lines.
+
+Hostnames are normalized to lowercase ASCII (punycode for IDN labels), ports
+and trailing dots are stripped, and IP-literal hosts are excluded with a
+counted reject reason.
 """
 
 import ipaddress
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import Iterable
+from datetime import datetime
+from typing import Iterable, Iterator
 from urllib.parse import urlsplit
 
 import idna
 
 MAX_LABEL_LEN = 63
 MAX_NAME_LEN = 253
+# characters of a URL list read at a time; a block of about 5,000 URLs
+BLOCK_CHARS = 1 << 18
 
 _ASCII_LABEL_RE = re.compile(r"^[a-z0-9_-]+$")
 # a final label a URL parser reads as an IPv4 number (WHATWG URL, "ends in a
@@ -51,36 +60,15 @@ class SchemaError(IngestError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """One observed HTTP(S) request."""
-
-    url: str
-    source_page: str | None = None
-    observed_at: datetime | None = None
-    # raw host, "" if none; set when parse_url_list split the URL, else None
-    host: str | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class LineReject:
-    line_no: int
-    line: str
-    reason: str
-
-
-@dataclass(frozen=True)
-class DomainReject:
-    value: str
-    reason: str
-
-
 @dataclass
-class CorpusResult:
-    """Ordered unique domains plus the rejects that did not make it in."""
+class Corpus:
+    """What ``dedupe`` has folded in so far: the distinct domains in
+    first-seen order, the outcome of each raw host (None when it became a
+    domain, else its reject reason), and the rejected URLs by reason."""
 
-    domains: list[str] = field(default_factory=list)
-    rejects: list[DomainReject] = field(default_factory=list)
+    domains: dict[str, None] = field(default_factory=dict)  # insertion-ordered set
+    outcomes: dict[str, str | None] = field(default_factory=dict)
+    rejects: Counter = field(default_factory=Counter)
 
 
 def normalize_hostname(host: str) -> str:
@@ -152,15 +140,7 @@ def _normalize_label(label: str, host: str) -> str:
     return encoded
 
 
-def extract_domain(url: str) -> str:
-    """Extract and normalize the hostname of an absolute http(s) URL."""
-    host = _url_host(url)
-    if not host:
-        raise InvalidHostError(f"not an absolute http(s) URL with a host: {url!r}")
-    return normalize_hostname(host)
-
-
-def _url_host(url: str) -> str | None:
+def url_host(url: str) -> str | None:
     """The raw host of an absolute http(s) URL ("" when it has none), or None
     when the URL is not one."""
     if plain := _PLAIN_URL_RE.match(url):
@@ -174,36 +154,46 @@ def _url_host(url: str) -> str | None:
     return parts.hostname or ""
 
 
-def parse_url_list(text: str) -> tuple[list[RequestRecord], list[LineReject]]:
-    """Parse a newline-delimited URL list; '#' lines are comments.
+def line_blocks(fh) -> Iterator[str]:
+    """The text of ``fh`` in blocks of whole lines, read ``BLOCK_CHARS``
+    characters at a time.  The last piece of each block's ``splitlines`` is
+    carried into the next block, so the blocks split into exactly the lines
+    the whole text splits into; a line longer than a block is carried until
+    it ends."""
+    carry = ""
+    while block := fh.read(BLOCK_CHARS):
+        block = carry + block
+        carry = block.splitlines(keepends=True)[-1]
+        if len(block) > len(carry):
+            yield block[:len(block) - len(carry)]
+    if carry:
+        yield carry
 
-    Total function: malformed lines land in the rejects list, never raise.
-    Each URL is split once, most by one regex match rather than urlsplit;
-    its raw host rides on the record for dedupe.
+
+def parse_url_list(text: str) -> tuple[list[str], int]:
+    """Split newline-delimited URLs into the raw host of each absolute
+    http(s) URL ("" when it has none) and the number of other lines; blank
+    lines and '#' comments are neither.
+
+    Total function: never raises.  Each URL is split once, most by one regex
+    match rather than urlsplit.
     """
-    records: list[RequestRecord] = []
-    rejects: list[LineReject] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    hosts: list[str] = []
+    rejected = 0
+    for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        host = _url_host(line)
+        host = url_host(line)
         if host is None:
-            rejects.append(LineReject(line_no, line, "not-absolute-http-url"))
+            rejected += 1
         else:
-            records.append(RequestRecord(url=line, host=host))
-    return records, rejects
+            hosts.append(host)
+    return hosts, rejected
 
 
-def _parse_rfc3339(value: str) -> datetime:
-    ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
-
-
-def parse_capture(doc) -> list[RequestRecord]:
-    """Parse a JSON capture document into request records, order preserved.
+def parse_capture(doc) -> list[str]:
+    """The URLs of a JSON capture document, order preserved.
 
     Schema: {"entries": [{"url": str, "page": str?, "ts": RFC3339 str?}]}.
     Raises SchemaError naming the offending path.
@@ -216,7 +206,7 @@ def parse_capture(doc) -> list[RequestRecord]:
     if not isinstance(entries, list):
         raise SchemaError("entries", "expected an array")
 
-    records: list[RequestRecord] = []
+    urls: list[str] = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise SchemaError(f"entries[{i}]", "expected an object")
@@ -226,56 +216,43 @@ def parse_capture(doc) -> list[RequestRecord]:
         page = entry.get("page")
         if page is not None and not isinstance(page, str):
             raise SchemaError(f"entries[{i}].page")
-        observed_at = None
         ts = entry.get("ts")
         if ts is not None:
             if not isinstance(ts, str):
                 raise SchemaError(f"entries[{i}].ts")
             try:
-                observed_at = _parse_rfc3339(ts)
+                datetime.fromisoformat(ts.replace("Z", "+00:00"))
             except ValueError:
                 raise SchemaError(f"entries[{i}].ts", "not an RFC3339 timestamp") from None
-        records.append(RequestRecord(url=url, source_page=page, observed_at=observed_at))
-    return records
+        urls.append(url)
+    return urls
 
 
-def dedupe(
-    records: Iterable[RequestRecord],
-    psl: "PublicSuffixList | None" = None,
-) -> CorpusResult:
-    """Deduplicate records into an ordered set of normalized domains.
+def dedupe(hosts: Iterable[str], corpus: Corpus | None = None) -> Corpus:
+    """Fold raw hosts into ``corpus`` (a new one when None) and return it.
 
-    First-seen order is preserved.  IP-literal and invalid hosts are counted
-    in rejects.  When ``psl`` is given, domains are first collapsed to their
-    registrable form (off by default; FQDNs are the unit otherwise).
+    Each distinct raw host is normalized once: its domain joins the corpus
+    in first-seen order, or each of its URLs counts as a reject by reason
+    (an IP literal or an invalid host).
     """
-    result = CorpusResult()
-    domains: dict[str, None] = {}  # insertion-ordered set
-    # raw host -> (domain, None) or (None, reject reason); hosts repeat across
-    # a crawl's URLs far more often than not
-    outcomes: dict[str, tuple[str | None, str | None]] = {}
-    for record in records:
-        host = record.host
-        if host is None:
-            host = _url_host(record.url) or ""
-        outcome = outcomes.get(host)
-        if outcome is None:
-            try:
-                domain = normalize_hostname(host)
-            except IpLiteralError:
-                outcome = (None, "ip-literal")
-            except InvalidHostError:
-                outcome = (None, "invalid-host")
-            else:
-                outcome = (psl.registrable(domain) if psl is not None else domain, None)
-            outcomes[host] = outcome
-        domain, reason = outcome
-        if reason is not None:
-            result.rejects.append(DomainReject(record.url, reason))
+    corpus = Corpus() if corpus is None else corpus
+    domains, outcomes, rejects = corpus.domains, corpus.outcomes, corpus.rejects
+    # hosts repeat across a crawl's URLs far more often than not
+    for host in hosts:
+        if host in outcomes:
+            reason = outcomes[host]
         else:
-            domains[domain] = None
-    result.domains = list(domains)
-    return result
+            try:
+                domains[normalize_hostname(host)] = None
+                reason = None
+            except IpLiteralError:
+                reason = "ip-literal"
+            except InvalidHostError:
+                reason = "invalid-host"
+            outcomes[host] = reason
+        if reason is not None:
+            rejects[reason] += 1
+    return corpus
 
 
 class PublicSuffixList:
@@ -289,11 +266,6 @@ class PublicSuffixList:
     def __init__(self, rules: dict[tuple[str, ...], bool]):
         # value True marks an exception rule
         self._rules = rules
-
-    @classmethod
-    def from_file(cls, path) -> "PublicSuffixList":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
 
     @classmethod
     def from_text(cls, text: str) -> "PublicSuffixList":

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import admal
-from admal.cli import main
+from admal import ingest
+from admal.cli import _text_file, main
+from admal.config import ConfigError
 from admal.mockdns import BEHAVIOR_NXDOMAIN, MockDnsFarm, MockProviderSpec
 from admal.repository import KIND_AD, KIND_DNS, KIND_TI, Repository, VerdictRecord
 from admal.ticlient import LiveTiProvider, NoReport, TiReport, TransportError
@@ -117,6 +120,98 @@ class TestIngest:
         with open(env.corpus) as fh:
             corpus = fh.read().split()
         assert sorted(corpus) == sorted(DOMAINS)
+
+    # a URL list of mixed line ends, without a final one, and a capture
+    URLS = ("https://Ads.Example.COM:8443/a?b=c\r\nhttp://192.0.2.7/ad\n# comment\n"
+            "not a url\rhttps://b\u00fccher.example/x\u2028HTTPS://ads.example.com./y\n"
+            "http://[2001:db8::1]:8080/ad\x85https://cdn.example.net\nftp://files.example/x\n"
+            "http://a..b/\x0chttps://x.site.co.uk/1\r  https://y.site.co.uk/2  \n\n"
+            "https://deep.www.ck/3\x1ehttps://a.b.foo.ck/4\nhttps://stats.g.doubleclick.com/5\n"
+            "http://:80/\nhttps://b.foo.ck/6")
+    CAPTURE = {"entries": [
+        {"url": "https://doubleclick.com/x", "page": "https://p.example"},
+        {"url": "mailto:a@example.com"},
+        {"url": "https://CDN.example.net/z", "ts": "2024-01-01T00:00:00Z"},
+        {"url": "http://10.0.0.1/"}, {"url": "https://late.site.co.uk/"}]}
+
+    @pytest.mark.parametrize("collapse,corpus,domains", [
+        (False, "ads.example.com xn--bcher-kva.example cdn.example.net x.site.co.uk "
+                "y.site.co.uk deep.www.ck a.b.foo.ck stats.g.doubleclick.com b.foo.ck "
+                "doubleclick.com late.site.co.uk", 11),
+        (True, "example.com xn--bcher-kva.example example.net site.co.uk www.ck b.foo.ck "
+               "doubleclick.com", 7),
+    ])
+    def test_mixed_inputs_give_a_pinned_corpus(self, env, capsys, collapse, corpus, domains):
+        urls, capture, psl = env.tmp / "mixed.txt", env.tmp / "capture.json", env.tmp / "psl.txt"
+        urls.write_text(self.URLS, encoding="utf-8", newline="")
+        capture.write_text(json.dumps(self.CAPTURE))
+        psl.write_text("// rules\ncom\nck\n*.ck\n!www.ck\nco.uk\n")
+        cfg = write_variant(env, lambda doc: doc.update(input={
+            "url_list": str(urls), "capture": str(capture),
+            "collapse_registrable": collapse, "psl_file": str(psl)}), "mixed.json")
+        code, docs = run(capsys, "ingest", "--config", cfg)
+        assert code == 0
+        assert docs == [{"campaign": "t1", "corpus": env.corpus, "records": 19,
+                         "domains": domains, "rejected_lines": 2, "rejected_domains": 6}]
+        with open(env.corpus, "rb") as fh:
+            assert fh.read() == corpus.replace(" ", "\n").encode() + b"\n"
+
+    def test_interrupted_corpus_write_keeps_the_old_corpus(self, env, capsys, monkeypatch):
+        assert run(capsys, "ingest", "--config", env.config)[0] == 0
+        with open(env.corpus, "rb") as fh:
+            before = fh.read()
+        urls = env.tmp / "urls.txt"
+        urls.write_text("".join(f"https://new{i}.example/\n" for i in range(100)))
+        real_open = open
+
+        class Interrupted:
+            # a corpus file whose write stops half way
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise KeyboardInterrupt
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def interrupting_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return Interrupted(fh) if "corpus-t1" in str(path) and "w" in mode else fh
+
+        monkeypatch.setattr("builtins.open", interrupting_open)
+        code = main(["ingest", "--config", env.config])
+        monkeypatch.undo()
+        assert code == 2
+        assert "interrupted" in capsys.readouterr().err
+        with open(env.corpus, "rb") as fh:
+            assert fh.read() == before
+        assert [path.name for path in (env.tmp / "repo").iterdir()] == ["corpus-t1.txt"]
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("capture", '{"entries": [{"page": "https://p.example"}]}',
+         "capture.json: entries[0].url: missing or invalid field"),
+        ("capture", '{"entries": [{"url": "https://a.example", "ts": "noon"}]}',
+         "capture.json: entries[0].ts: not an RFC3339 timestamp"),
+        ("capture", "[1", "capture.json is not valid JSON"),
+        ("psl_file", "com\nfoo$bar\n", "psl.txt: invalid characters in label"),
+    ])
+    def test_bad_capture_or_psl_is_config_error(self, env, capsys, name, text, message):
+        path = env.tmp / ("psl.txt" if name == "psl_file" else "capture.json")
+        path.write_text(text)
+        cfg = write_variant(env, lambda doc: doc["input"].update(
+            {name: str(path), "collapse_registrable": True, "psl_file": str(path)}), "bad.json")
+        code = main(["ingest", "--config", cfg])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert len(lines) == 1 and message in lines[0]["msg"]
+        assert not os.path.exists(env.corpus)
 
 
 class TestScanAndAnalyze:
@@ -534,6 +629,94 @@ class TestTiFetchRuns:
         payloads = {}
         for doc in map(json.loads, lines):
             assert payloads.setdefault(doc["domain"], doc["payload"]) == doc["payload"]
+
+
+class TestNotUtf8:
+    """An input file that is not UTF-8 ends the command as one config error
+    that names the file and the offset of its first bad byte; nothing is
+    written, and an ingest leaves the old corpus as it was."""
+
+    # a good line of each reader's file, other than a domain per line
+    GOOD = {"url_list": b"https://d1.example/\n", "psl_file": b"com\n", "capture": b" "}
+
+    def argv(self, env, reader, path):
+        corpus = ["--corpus", path]
+        if reader in ("url_list", "capture", "psl_file"):
+            return ["ingest", "--config", write_variant(env, lambda doc: doc["input"].update(
+                {reader: path, "collapse_registrable": True}), "bad.json")]
+        if reader == "analyze-list":
+            return ["analyze", "--config", write_variant(
+                env, lambda doc: doc["lists"].update(files=[path]), "bad.json")]
+        if reader == "ti-fetch-corpus":
+            return ["ti-fetch", "--config", TestTiFetch().fixture_config(env), *corpus]
+        return {"dns-scan-corpus": ["dns-scan", "--config", env.config, *corpus],
+                "ads-classify-domains": ["ads-classify", "--config", env.config,
+                                         "--domains", path, "--out", path + ".out", "--store"],
+                "ads-classify-list": ["ads-classify", "--config", env.config, "--lists", path,
+                                      "--domains", env.corpus, "--out", path + ".out", "--store"],
+                }[reader]
+
+    @pytest.mark.parametrize("reader", ["url_list", "capture", "psl_file", "dns-scan-corpus",
+                                        "ti-fetch-corpus", "ads-classify-domains",
+                                        "ads-classify-list", "analyze-list"])
+    def test_refused_before_any_write(self, env, capsys, reader):
+        assert run(capsys, "ingest", "--config", env.config)[0] == 0
+        # 20,000 good bytes, more than one buffer read, before the bad byte
+        good = self.GOOD.get(reader, b"d1.example\n")
+        data = good * (20_000 // len(good)) + b"x\xff.example\n"
+        bad = env.tmp / "bad.txt"
+        bad.write_bytes(data)
+        argv = self.argv(env, reader, str(bad))
+        before = {path: path.read_bytes() for path in env.tmp.rglob("*") if path.is_file()}
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert len(lines) == 1 and lines[0]["level"] == "error"
+        assert lines[0]["msg"].startswith("config error: ")
+        offset = data.index(b"\xff")
+        assert lines[0]["msg"].endswith(f"{bad} is not UTF-8: invalid byte at offset {offset}")
+        assert {path: path.read_bytes() for path in env.tmp.rglob("*") if path.is_file()} == before
+
+    @given(st.text(alphabet="a\u00e9\n\u20ac\U0001f600", max_size=60).map(lambda t: t * 300),
+           st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82"]),
+           st.sampled_from(["lines", "blocks", "whole"]))
+    @settings(max_examples=60, deadline=None)
+    def test_offset_is_the_first_bad_byte(self, prefix, bad, how):
+        # b"\xe2\x82" ends the file inside a character
+        data = prefix.encode() + bad + (b"" if bad == b"\xe2\x82" else b"tail\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with pytest.raises(ConfigError) as err, _text_file(path, "f") as fh:
+                if how == "lines":
+                    for _ in fh:
+                        pass
+                elif how == "blocks":
+                    for _ in ingest.line_blocks(fh):
+                        pass
+                else:
+                    fh.read()
+        assert str(err.value).endswith(f"offset {len(prefix.encode())}")
+
+    def test_pipe_is_refused_without_an_offset(self, tmp_path):
+        fifo = str(tmp_path / "fifo")
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(b"https://a.example/\nhttps://\xff.example/\n")
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with pytest.raises(ConfigError) as err, _text_file(fifo, "url list") as fh:
+                fh.read()
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert str(err.value) == f"url list {fifo} is not UTF-8: invalid start byte"
 
 
 class TestCorruptStore:

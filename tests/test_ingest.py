@@ -1,76 +1,81 @@
+import io
 import ipaddress
+import json
+import tracemalloc
+from collections import Counter
+from unittest import mock
 from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admal import ingest
 from admal.adlists import _is_ip
+from admal.cli import main
 from admal.ingest import (
-    CorpusResult,
     InvalidHostError,
     IpLiteralError,
     PublicSuffixList,
-    RequestRecord,
     IngestError,
     SchemaError,
     _PLAIN_URL_RE,
-    _url_host,
     dedupe,
-    extract_domain,
     is_canonical,
     is_ip_literal,
+    line_blocks,
     normalize_hostname,
     parse_capture,
     parse_url_list,
+    url_host,
 )
+
+
+def _ingested(url):
+    """What ingest makes of one URL line: its domain, or why it was rejected."""
+    hosts, rejected = parse_url_list(url)
+    if rejected:
+        return "not-absolute-http-url"
+    corpus = dedupe(hosts)
+    return next(iter(corpus.domains), None) or next(iter(corpus.rejects))
 
 
 class TestParseUrlList:
     def test_comment_skipped(self):
-        records, rejects = parse_url_list("https://ads.example.com/x\n# c\n")
-        assert len(records) == 1
-        assert records[0].url == "https://ads.example.com/x"
-        assert rejects == []
+        assert parse_url_list("https://ads.example.com/x\n# c\n") == (["ads.example.com"], 0)
 
     def test_malformed_line_rejected(self):
-        records, rejects = parse_url_list("not a url\n")
-        assert records == []
-        assert len(rejects) == 1
-        assert rejects[0].line_no == 1
-        assert rejects[0].reason == "not-absolute-http-url"
+        assert parse_url_list("not a url\n") == ([], 1)
 
     def test_blank_lines_skipped(self):
-        records, rejects = parse_url_list("\n\n  \n")
-        assert records == [] and rejects == []
+        assert parse_url_list("\n\n  \n") == ([], 0)
 
     def test_non_http_scheme_rejected(self):
-        _, rejects = parse_url_list("ftp://example.com/a\n")
-        assert len(rejects) == 1
+        assert parse_url_list("ftp://example.com/a\n") == ([], 1)
 
     def test_million_scale_line_count(self):
         # published corpus cardinality: 1,206,803 domains
         n = 1_206_803
         text = "\n".join(f"https://d{i}.example/x" for i in range(n))
-        records, rejects = parse_url_list(text)
-        assert len(records) == n
-        assert rejects == []
+        hosts, rejected = parse_url_list(text)
+        assert len(hosts) == n
+        assert rejected == 0
 
     def test_round_trip_count(self):
-        lines = [f"https://h{i}.example/p" for i in range(50)]
-        records, _ = parse_url_list("\n".join(lines))
-        rendered = "\n".join(r.url for r in records)
-        again, _ = parse_url_list(rendered)
-        assert len(again) == len(records) == 50
+        lines = [f"https://H{i}.example/p" for i in range(50)]
+        hosts, _ = parse_url_list("\n".join(lines))
+        again, _ = parse_url_list("\n".join(f"http://{host}:80/" for host in hosts))
+        assert again == hosts == [f"h{i}.example" for i in range(50)]
 
 
 class TestParseCapture:
     def test_two_entries(self):
         doc = {"entries": [{"url": "https://a.example/1"},
                            {"url": "https://b.example/2", "page": "https://p.example"}]}
-        records = parse_capture(doc)
-        assert [r.url for r in records] == ["https://a.example/1", "https://b.example/2"]
-        assert records[1].source_page == "https://p.example"
+        assert parse_capture(doc) == ["https://a.example/1", "https://b.example/2"]
+        with pytest.raises(SchemaError) as err:
+            parse_capture({"entries": [{"url": "https://a.example/1", "page": 1}]})
+        assert err.value.path == "entries[0].page"
 
     def test_missing_url_names_path(self):
         with pytest.raises(SchemaError) as err:
@@ -80,14 +85,18 @@ class TestParseCapture:
     def test_order_preserved_no_early_dedupe(self):
         entries = [{"url": f"https://{'shared' if i % 3 == 0 else f'h{i}'}.example/{i}"}
                    for i in range(10)]
-        records = parse_capture({"entries": entries})
-        assert len(records) == 10
-        assert [r.url for r in records] == [e["url"] for e in entries]
+        assert parse_capture({"entries": entries}) == [e["url"] for e in entries]
 
     def test_bad_timestamp_names_path(self):
         with pytest.raises(SchemaError) as err:
             parse_capture({"entries": [{"url": "https://a.example", "ts": "gibberish"}]})
         assert err.value.path == "entries[0].ts"
+
+    def test_timestamp_at_the_range_edge_is_accepted(self):
+        # only checked, never converted, so no UTC shift can overflow it
+        doc = {"entries": [{"url": "https://a.example/", "ts": "0001-01-01T00:00:00+01:00"},
+                           {"url": "https://b.example/", "ts": "9999-12-31T23:59:59-01:00"}]}
+        assert parse_capture(doc) == ["https://a.example/", "https://b.example/"]
 
     def test_root_must_be_object(self):
         with pytest.raises(SchemaError):
@@ -95,29 +104,29 @@ class TestParseCapture:
 
 
 class TestExtractDomain:
+    """One URL through parse_url_list and dedupe, as ingest takes it."""
+
     def test_case_and_port_normalization(self):
-        assert extract_domain("https://Ads.Example.COM:8443/a?b=c") == "ads.example.com"
+        assert _ingested("https://Ads.Example.COM:8443/a?b=c") == "ads.example.com"
 
     def test_idn_label_punycode(self):
         # oracle: stdlib punycode codec on the non-ASCII label
         expected = "xn--" + "bücher".encode("punycode").decode("ascii") + ".example"
-        assert extract_domain("https://bücher.example/x") == expected
-        assert extract_domain("https://bücher.example/x") == "xn--bcher-kva.example"
+        assert _ingested("https://bücher.example/x") == expected
+        assert _ingested("https://bücher.example/x") == "xn--bcher-kva.example"
 
     def test_ipv4_literal_excluded(self):
-        with pytest.raises(IpLiteralError):
-            extract_domain("http://192.0.2.7/ad")
+        assert _ingested("http://192.0.2.7/ad") == "ip-literal"
 
     def test_ipv6_literal_excluded(self):
-        with pytest.raises(IpLiteralError):
-            extract_domain("http://[2001:db8::1]:8080/ad")
+        assert _ingested("http://[2001:db8::1]:8080/ad") == "ip-literal"
 
     def test_trailing_dot_stripped(self):
-        assert extract_domain("https://example.com./x") == "example.com"
+        assert _ingested("https://example.com./x") == "example.com"
 
     def test_non_http_rejected(self):
-        with pytest.raises(InvalidHostError):
-            extract_domain("ftp://example.com/x")
+        assert _ingested("ftp://example.com/x") == "not-absolute-http-url"
+        assert _ingested("http://:80/") == "invalid-host"
 
 
 class TestNormalizeHostname:
@@ -161,9 +170,7 @@ class TestNormalizeHostname:
     def test_numeric_final_label_is_invalid(self, host):
         with pytest.raises(InvalidHostError, match="numeric final label"):
             normalize_hostname(host)
-        result = dedupe([RequestRecord(url=f"http://{host}/x")])
-        assert result.domains == []
-        assert [r.reason for r in result.rejects] == ["invalid-host"]
+        assert _ingested(f"http://{host}/x") == "invalid-host"
 
     @pytest.mark.parametrize("host", ["2001.example", "a1.example", "123.example",
                                       "example.0xg", "example.x0", "example.1a"])
@@ -208,37 +215,40 @@ class TestCanonicalPreCheck:
 
 class TestDedupe:
     def test_case_insensitive_first_seen(self):
-        records = [RequestRecord(url=u) for u in
-                   ("https://a.com/1", "https://A.COM/2", "https://b.com/3")]
-        assert dedupe(records).domains == ["a.com", "b.com"]
+        assert list(dedupe(["a.com", "A.COM", "b.com", "a.com."]).domains) == ["a.com", "b.com"]
 
     def test_empty(self):
-        assert dedupe([]).domains == []
+        corpus = dedupe([])
+        assert (corpus.domains, corpus.outcomes, corpus.rejects) == ({}, {}, {})
 
     def test_ip_literals_counted(self):
-        records = [RequestRecord(url="http://10.0.0.1/x"),
-                   RequestRecord(url="https://ok.example/y")]
-        result = dedupe(records)
-        assert result.domains == ["ok.example"]
-        assert [r.reason for r in result.rejects] == ["ip-literal"]
+        corpus = dedupe(["10.0.0.1", "ok.example", "10.0.0.1", "[::1]", "a..b"])
+        assert list(corpus.domains) == ["ok.example"]
+        assert corpus.rejects == {"ip-literal": 3, "invalid-host": 1}
 
     def test_matches_hash_set_oracle(self):
         import random
 
         rng = random.Random(42)
         hosts = [f"host{i}.example" for i in range(1000)]
-        records = [
-            RequestRecord(url=f"https://{rng.choice(hosts)}/p{j}") for j in range(10_000)
-        ]
-        result = dedupe(records)
-        assert len(result.domains) == len({extract_domain(r.url) for r in records})
-        assert len(result.domains) == len(set(result.domains))
+        urls = [f"https://{rng.choice(hosts)}/p{j}" for j in range(10_000)]
+        result = dedupe(parse_url_list("\n".join(urls))[0])
+        assert len(result.domains) == len({_reference_domain(url) for url in urls})
         assert set(result.domains) <= set(hosts)
 
     def test_output_subset_of_input(self):
-        records = [RequestRecord(url=f"https://h{i % 7}.example/x") for i in range(30)]
-        result = dedupe(records)
+        result = dedupe(f"h{i % 7}.example" for i in range(30))
         assert len(result.domains) == 7
+
+    @given(st.lists(st.sampled_from(["a.example", "A.example", "b.example", "10.0.0.1",
+                                     "a..b", "", "bücher.example", "xn--bcher-kva.example"])),
+           st.integers(0, 20))
+    def test_running_corpus_equals_one_pass(self, hosts, cut):
+        corpus = dedupe(hosts[cut:], dedupe(hosts[:cut]))
+        whole = dedupe(hosts)
+        assert (list(corpus.domains), corpus.rejects) == (list(whole.domains), whole.rejects)
+        assert sum(corpus.rejects.values()) + sum(
+            corpus.outcomes[host] is None for host in hosts) == len(hosts)
 
 
 class TestPublicSuffixList:
@@ -261,10 +271,11 @@ class TestPublicSuffixList:
         assert psl.registrable("shop.brand.co.uk") == "brand.co.uk"
 
     def test_dedupe_collapse(self):
+        # as ingest collapses its corpus: after dedupe, first seen first
         psl = PublicSuffixList.from_text(self.PSL)
-        records = [RequestRecord(url="https://x.site.com/a"),
-                   RequestRecord(url="https://y.site.com/b")]
-        assert dedupe(records, psl=psl).domains == ["site.com"]
+        domains = dedupe(["x.site.com", "other.ck", "y.site.com", "www.ck"]).domains
+        assert list(dict.fromkeys(map(psl.registrable, domains))) == [
+            "site.com", "other.ck", "www.ck"]
 
 
 def _reference_is_ip(text):
@@ -358,13 +369,13 @@ def _reference_domain(url):
 
 
 class TestIngestPathEquivalence:
-    """Splitting once and memoizing per raw host gives what extract_domain
-    on each URL gives."""
+    """Splitting once and memoizing per raw host gives what splitting and
+    normalizing each URL on its own gives."""
 
     @given(st.lists(_url_lines, max_size=40))
     @settings(max_examples=300)
-    def test_matches_extract_domain_per_url(self, lines):
-        records, line_rejects = parse_url_list("\n".join(lines))
+    def test_matches_reference_domain_per_url(self, lines):
+        hosts, rejected = parse_url_list("\n".join(lines))
         accepted = []
         for raw in "\n".join(lines).splitlines():
             line = raw.strip()
@@ -376,30 +387,94 @@ class TestIngestPathEquivalence:
                 continue
             if parts.scheme in ("http", "https") and parts.netloc:
                 accepted.append(line)
-        assert [r.url for r in records] == accepted
-        assert len(records) + len(line_rejects) == sum(
+        assert hosts == [url_host(url) for url in accepted]
+        assert len(hosts) + rejected == sum(
             1 for raw in "\n".join(lines).splitlines()
             if raw.strip() and not raw.strip().startswith("#"))
 
-        domains, rejects = [], []
-        for record in records:
-            expected = _reference_domain(record.url)
+        domains, rejects = [], Counter()
+        for url in accepted:
+            expected = _reference_domain(url)
             try:
-                assert extract_domain(record.url) == expected
+                assert normalize_hostname(url_host(url)) == expected
             except IpLiteralError:
                 assert expected == "ip-literal"
-                rejects.append((record.url, "ip-literal"))
+                rejects[expected] += 1
                 continue
             except InvalidHostError:
                 assert expected == "invalid-host"
-                rejects.append((record.url, "invalid-host"))
+                rejects[expected] += 1
                 continue
             if expected not in domains:
                 domains.append(expected)
-        for given_records in (records, [RequestRecord(url=r.url) for r in records]):
-            result = dedupe(given_records)
-            assert result.domains == domains
-            assert [(r.value, r.reason) for r in result.rejects] == rejects
+        corpus = dedupe(hosts)
+        assert list(corpus.domains) == domains
+        assert corpus.rejects == rejects
+
+
+# every separator str.splitlines splits at, "\r\n" as one
+_SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+_block_texts = st.lists(st.one_of(
+    _url_lines,
+    st.sampled_from(_SEPARATORS),
+    # lines longer than the largest block tried
+    st.builds("https://{}.example/{}".format, st.text("abAB-", min_size=1, max_size=8),
+              st.text("pq/?", min_size=64, max_size=150)),
+)).map("".join)
+
+
+class TestLineBlocks:
+    """Parsing a URL list block by block gives what one parse of the whole
+    text gives, whatever the block size."""
+
+    @given(_block_texts, st.integers(1, 64))
+    @settings(max_examples=500)
+    def test_blocks_parse_as_the_whole_text(self, text, size):
+        with mock.patch.object(ingest, "BLOCK_CHARS", size):
+            blocks = list(line_blocks(io.StringIO(text, newline="")))
+        assert "".join(blocks) == text
+        assert [line for block in blocks for line in block.splitlines()] == text.splitlines()
+        hosts, rejected = [], 0
+        for block in blocks:
+            block_hosts, block_rejected = parse_url_list(block)
+            hosts += block_hosts
+            rejected += block_rejected
+        assert (hosts, rejected) == parse_url_list(text)
+
+    def test_long_line_is_carried_until_it_ends(self):
+        text = "https://a.example/" + "x" * 100 + "\nhttps://b.example/\n"
+        with mock.patch.object(ingest, "BLOCK_CHARS", 16):
+            blocks = list(line_blocks(io.StringIO(text)))
+        assert blocks[0] == text[:text.index("\n") + 1]
+        assert "".join(blocks) == text
+
+
+class TestFlatMemory:
+    """An ingest's peak memory grows with its distinct hosts, not with its
+    URL lines."""
+
+    def peak(self, tmp_path, lines):
+        urls = tmp_path / f"urls-{lines}.txt"
+        with open(urls, "w", encoding="utf-8") as fh:
+            for i in range(lines):
+                fh.write(f"https://h{i * 7919 % 1000}.example/page/{i}?q=1\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"repository": str(tmp_path / "repo"), "campaign": "c",
+                                      "input": {"url_list": str(urls)}}))
+        tracemalloc.start()
+        try:
+            assert main(["ingest", "--config", str(config)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_four_times_the_lines_same_peak(self, tmp_path, capsys):
+        n = 20_000  # about 3 blocks of BLOCK_CHARS
+        small, large = self.peak(tmp_path, n), self.peak(tmp_path, 4 * n)
+        out = capsys.readouterr().out
+        assert json.loads(out[out.rindex("{"):])["records"] == 4 * n
+        assert large - small < 1 << 20, (small, large)
 
 
 _PLAIN_HOST = "aZ09.-_"
@@ -437,14 +512,14 @@ class TestUrlHostFastPath:
     @given(_edge_urls)
     @settings(max_examples=3000)
     def test_matches_urlsplit(self, url):
-        assert _url_host(url) == _reference_url_host(url)
+        assert url_host(url) == _reference_url_host(url)
 
     @pytest.mark.parametrize("url,host", [
         ("https://Ads.Example.COM/x", "ads.example.com"), ("HTTP://a.b:8080?q", "a.b"),
         ("http://a_b-c.d:#f", "a_b-c.d"), ("http://1.2.3.4", "1.2.3.4"),
     ])
     def test_plain_urls_take_it(self, url, host):
-        assert _PLAIN_URL_RE.match(url) and _url_host(url) == host
+        assert _PLAIN_URL_RE.match(url) and url_host(url) == host
 
     @pytest.mark.parametrize("url", [
         "http\u017f://a.b/", "https://a.b:80x/", "http://a.b::80/", "http://a.b:\u0663/",
@@ -453,4 +528,4 @@ class TestUrlHostFastPath:
     ])
     def test_other_urls_fall_back(self, url):
         assert not _PLAIN_URL_RE.match(url)
-        assert _url_host(url) == _reference_url_host(url)
+        assert url_host(url) == _reference_url_host(url)
