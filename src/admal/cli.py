@@ -26,7 +26,6 @@ from .config import (
     campaign_id,
     load_config,
 )
-from .dnsbroker import run_campaign
 from .keydir import open_aside
 from .repository import (
     KIND_AD,
@@ -223,10 +222,10 @@ def cmd_dns_scan(args, cfg: PipelineConfig) -> int:
     domains, rejected = _read_corpus(corpus_path)
     if not domains:
         raise ConfigError(f"corpus {corpus_path} is empty")
+    from .dnsbroker import run_campaign  # only the scan loads the scan engine
+
     with Repository(cfg.repository) as repo:
-        summary = run_campaign(
-            domains, cfg.resolvers, cfg.limits, repo, campaign
-        )
+        summary = run_campaign(domains, cfg.resolvers, cfg.limits, repo, campaign)
     _emit(
         {
             "campaign": campaign,

@@ -3,7 +3,8 @@
 One file drives every subcommand: inputs, resolver profiles, the TI
 provider, filter lists, repository location, limits, and analytics
 options.  The TI API key is the single value that never lives here; it
-comes from the ADMAL_TI_API_KEY environment variable.
+comes from the ADMAL_TI_API_KEY environment variable.  Resolver profiles and
+scan limits are defined here, so reading a config loads no scan engine.
 """
 
 import hashlib
@@ -12,7 +13,6 @@ import math
 import os
 from dataclasses import dataclass
 
-from .dnsbroker import CampaignLimits, ResolverProfile, default_profiles
 from .ticlient import ALL_PARTNERS, OPINIONS
 
 TI_OFF = "off"
@@ -22,6 +22,126 @@ TI_LIVE = "live"
 
 class ConfigError(Exception):
     """Config file missing, unparseable, or structurally invalid."""
+
+
+SIG_SINKHOLE_A = "sinkhole_a"
+SIG_SINKHOLE_AAAA = "sinkhole_aaaa"
+SIG_NXDOMAIN = "nxdomain"
+SIG_REFUSED = "refused"
+SIG_ZERO_ANSWER = "zero_answer_noerror"
+
+_SINKHOLE_KINDS = (SIG_SINKHOLE_A, SIG_SINKHOLE_AAAA)
+_KINDS = (*_SINKHOLE_KINDS, SIG_NXDOMAIN, SIG_REFUSED, SIG_ZERO_ANSWER)
+
+
+@dataclass(frozen=True)
+class BlockSignature:
+    kind: str
+    sinkhole_ips: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown block signature kind {self.kind!r}")
+        if self.kind in _SINKHOLE_KINDS and not self.sinkhole_ips:
+            raise ValueError(f"{self.kind} signature needs at least one IP")
+
+    def label(self) -> str:
+        if self.sinkhole_ips:
+            return f"{self.kind}:{','.join(self.sinkhole_ips)}"
+        return self.kind
+
+    @classmethod
+    def from_config(cls, doc: dict) -> "BlockSignature":
+        return cls(kind=doc["kind"], sinkhole_ips=tuple(doc.get("ips", ())))
+
+    def to_config(self) -> dict:
+        doc = {"kind": self.kind}
+        if self.sinkhole_ips:
+            doc["ips"] = list(self.sinkhole_ips)
+        return doc
+
+
+def _parse_address(value: str) -> tuple[str, int]:
+    """``host``, ``host:port``, ``[v6]``, ``[v6]:port`` or a bare IPv6
+    address; the port defaults to 53 and must lie within 0-65535."""
+    if type(value) is not str:
+        raise ValueError(f"a resolver address is a string, got {value!r}")
+    host, port = value, "53"
+    if value.startswith("["):
+        host, bracket, rest = value[1:].partition("]")
+        if not bracket or (rest and not rest.startswith(":")):
+            raise ValueError(f"bad resolver address {value!r}")
+        port = rest[1:] if rest else port
+    elif value.count(":") == 1:
+        host, _, port = value.rpartition(":")
+    if not (host and port.isdecimal() and int(port) <= 65535):
+        raise ValueError(f"bad resolver address {value!r}")
+    return host, int(port)
+
+
+def _format_address(address: tuple[str, int]) -> str:
+    host, port = address
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+
+
+@dataclass(frozen=True)
+class ResolverProfile:
+    provider_id: str
+    display_name: str
+    filtered_address: tuple[str, int]
+    control_address: tuple[str, int] | None = None
+    transport: str = "udp+tcp"  # "udp+tcp" = UDP with TCP fallback, or "tcp"
+    blocked_signatures: tuple[BlockSignature, ...] = ()
+    timeout_ms: int = 3000
+    retries: int = 2
+
+    def __post_init__(self):
+        if type(self.timeout_ms) is not int or self.timeout_ms <= 0:
+            raise ValueError(f"timeout_ms must be a positive int, got {self.timeout_ms!r}")
+        if type(self.retries) is not int or self.retries < 0:
+            raise ValueError(f"retries must be a nonnegative int, got {self.retries!r}")
+        if self.transport not in ("udp+tcp", "tcp"):
+            raise ValueError(f"unknown transport {self.transport!r}")
+
+    @classmethod
+    def from_config(cls, doc: dict) -> "ResolverProfile":
+        control = doc.get("control_address")
+        return cls(
+            provider_id=doc["provider_id"],
+            display_name=doc.get("display_name", doc["provider_id"]),
+            filtered_address=_parse_address(doc["filtered_address"]),
+            control_address=_parse_address(control) if control else None,
+            transport=doc.get("transport", "udp+tcp"), blocked_signatures=tuple(
+                BlockSignature.from_config(s) for s in doc.get("blocked_signatures", ())),
+            timeout_ms=doc.get("timeout_ms", 3000), retries=doc.get("retries", 2))
+
+
+# Best-effort public profiles; endpoints and signatures are config, not code,
+# and deployments should override them (notably the Cisco sinkhole IPs).
+def default_profiles() -> list[ResolverProfile]:
+    return [
+        ResolverProfile("cloudflare", "Cloudflare Security", ("1.1.1.2", 53), ("1.1.1.1", 53),
+                        blocked_signatures=(BlockSignature(SIG_SINKHOLE_A, ("0.0.0.0",)),
+                                            BlockSignature(SIG_SINKHOLE_AAAA, ("::",)))),
+        ResolverProfile("quad9", "Quad9", ("9.9.9.9", 53), ("9.9.9.10", 53),
+                        blocked_signatures=(BlockSignature(SIG_NXDOMAIN),)),
+        ResolverProfile("cisco", "Cisco OpenDNS", ("208.67.222.222", 53), ("1.1.1.1", 53),
+                        blocked_signatures=(BlockSignature(SIG_SINKHOLE_A, tuple(
+                            f"146.112.61.{n}" for n in range(104, 111))),)),
+    ]
+
+
+@dataclass
+class CampaignLimits:
+    max_inflight: int = 64
+    per_provider_qps: float = 20.0  # per endpoint address, control queries included
+
+    def __post_init__(self):
+        inflight, qps = self.max_inflight, self.per_provider_qps
+        if type(inflight) is not int or inflight < 1:
+            raise ValueError(f"max_inflight must be a positive int, got {inflight!r}")
+        if type(qps) not in (int, float) or not 0 < qps < math.inf:
+            raise ValueError(f"per_provider_qps must be a positive finite number, got {qps!r}")
 
 
 @dataclass

@@ -10,10 +10,11 @@ control (when queried) still resolves it.
 
 import contextvars
 import logging
-import math
 from dataclasses import dataclass, field
 
 from . import dnswire
+from .config import (SIG_NXDOMAIN, SIG_REFUSED, SIG_SINKHOLE_A, SIG_ZERO_ANSWER, BlockSignature,
+                     CampaignLimits, ResolverProfile)
 from .dnsclient import DnsClient, QueryTimeout
 from .dnswire import DnsResponse, MalformedMessage
 from .keydir import BLOCKED, DNS_STATES, INCONCLUSIVE, NOT_BLOCKED
@@ -21,153 +22,26 @@ from .repository import KIND_DNS, Repository, VerdictRecord, utc_now_rfc3339
 
 log = logging.getLogger(__name__)
 
-SIG_SINKHOLE_A = "sinkhole_a"
-SIG_SINKHOLE_AAAA = "sinkhole_aaaa"
-SIG_NXDOMAIN = "nxdomain"
-SIG_REFUSED = "refused"
-SIG_ZERO_ANSWER = "zero_answer_noerror"
-
-_SINKHOLE_KINDS = (SIG_SINKHOLE_A, SIG_SINKHOLE_AAAA)
-_KINDS = (*_SINKHOLE_KINDS, SIG_NXDOMAIN, SIG_REFUSED, SIG_ZERO_ANSWER)
 # the keys of a dns payload, in the order work() returns their values
 _PAYLOAD_KEYS = ("verdict", "reason", "evidence", "queried_at")
+# why a filtered response that neither matched a signature nor resolved is inconclusive
+_RCODE_REASONS = {dnswire.RCODE_NOERROR: "no-address-answers", dnswire.RCODE_NXDOMAIN: "nxdomain",
+                  dnswire.RCODE_SERVFAIL: "servfail", dnswire.RCODE_REFUSED: "refused"}
 
 
-@dataclass(frozen=True)
-class BlockSignature:
-    kind: str
-    sinkhole_ips: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown block signature kind {self.kind!r}")
-        if self.kind in _SINKHOLE_KINDS and not self.sinkhole_ips:
-            raise ValueError(f"{self.kind} signature needs at least one IP")
-
-    def matches(self, response: DnsResponse) -> bool:
-        if self.kind == SIG_NXDOMAIN:
-            return response.rcode == dnswire.RCODE_NXDOMAIN
-        if self.kind == SIG_REFUSED:
-            return response.rcode == dnswire.RCODE_REFUSED
-        if self.kind == SIG_ZERO_ANSWER:
-            return response.rcode == dnswire.RCODE_NOERROR and not response.answers
-        if response.rcode != dnswire.RCODE_NOERROR:
-            return False
-        rtype = dnswire.TYPE_A if self.kind == SIG_SINKHOLE_A else dnswire.TYPE_AAAA
-        return any(
-            rr.rtype == rtype and rr.rdata in self.sinkhole_ips
-            for rr in response.answers
-        )
-
-    def label(self) -> str:
-        if self.sinkhole_ips:
-            return f"{self.kind}:{','.join(self.sinkhole_ips)}"
-        return self.kind
-
-    @classmethod
-    def from_config(cls, doc: dict) -> "BlockSignature":
-        return cls(kind=doc["kind"], sinkhole_ips=tuple(doc.get("ips", ())))
-
-    def to_config(self) -> dict:
-        doc = {"kind": self.kind}
-        if self.sinkhole_ips:
-            doc["ips"] = list(self.sinkhole_ips)
-        return doc
-
-
-def _parse_address(value: str) -> tuple[str, int]:
-    """``host``, ``host:port``, ``[v6]``, ``[v6]:port`` or a bare IPv6
-    address; the port defaults to 53 and must lie within 0-65535."""
-    if type(value) is not str:
-        raise ValueError(f"a resolver address is a string, got {value!r}")
-    host, port = value, "53"
-    if value.startswith("["):
-        host, bracket, rest = value[1:].partition("]")
-        if not bracket or (rest and not rest.startswith(":")):
-            raise ValueError(f"bad resolver address {value!r}")
-        port = rest[1:] if rest else port
-    elif value.count(":") == 1:
-        host, _, port = value.rpartition(":")
-    if not (host and port.isdecimal() and int(port) <= 65535):
-        raise ValueError(f"bad resolver address {value!r}")
-    return host, int(port)
-
-
-def _format_address(address: tuple[str, int]) -> str:
-    host, port = address
-    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
-
-
-@dataclass(frozen=True)
-class ResolverProfile:
-    provider_id: str
-    display_name: str
-    filtered_address: tuple[str, int]
-    control_address: tuple[str, int] | None = None
-    transport: str = "udp+tcp"  # "udp+tcp" = UDP with TCP fallback, or "tcp"
-    blocked_signatures: tuple[BlockSignature, ...] = ()
-    timeout_ms: int = 3000
-    retries: int = 2
-
-    def __post_init__(self):
-        if type(self.timeout_ms) is not int or self.timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be a positive int, got {self.timeout_ms!r}")
-        if type(self.retries) is not int or self.retries < 0:
-            raise ValueError(f"retries must be a nonnegative int, got {self.retries!r}")
-        if self.transport not in ("udp+tcp", "tcp"):
-            raise ValueError(f"unknown transport {self.transport!r}")
-
-    @classmethod
-    def from_config(cls, doc: dict) -> "ResolverProfile":
-        control = doc.get("control_address")
-        return cls(
-            provider_id=doc["provider_id"],
-            display_name=doc.get("display_name", doc["provider_id"]),
-            filtered_address=_parse_address(doc["filtered_address"]),
-            control_address=_parse_address(control) if control else None,
-            transport=doc.get("transport", "udp+tcp"),
-            blocked_signatures=tuple(
-                BlockSignature.from_config(s) for s in doc.get("blocked_signatures", ())
-            ),
-            timeout_ms=doc.get("timeout_ms", 3000),
-            retries=doc.get("retries", 2),
-        )
-
-
-# Best-effort public profiles; endpoints and signatures are config, not code,
-# and deployments should override them (notably the Cisco sinkhole IPs).
-def default_profiles() -> list[ResolverProfile]:
-    return [
-        ResolverProfile(
-            provider_id="cloudflare",
-            display_name="Cloudflare Security",
-            filtered_address=("1.1.1.2", 53),
-            control_address=("1.1.1.1", 53),
-            blocked_signatures=(
-                BlockSignature(SIG_SINKHOLE_A, ("0.0.0.0",)),
-                BlockSignature(SIG_SINKHOLE_AAAA, ("::",)),
-            ),
-        ),
-        ResolverProfile(
-            provider_id="quad9",
-            display_name="Quad9",
-            filtered_address=("9.9.9.9", 53),
-            control_address=("9.9.9.10", 53),
-            blocked_signatures=(BlockSignature(SIG_NXDOMAIN),),
-        ),
-        ResolverProfile(
-            provider_id="cisco",
-            display_name="Cisco OpenDNS",
-            filtered_address=("208.67.222.222", 53),
-            control_address=("1.1.1.1", 53),
-            blocked_signatures=(
-                BlockSignature(
-                    SIG_SINKHOLE_A,
-                    tuple(f"146.112.61.{n}" for n in range(104, 111)),
-                ),
-            ),
-        ),
-    ]
+def matches(signature: BlockSignature, response: DnsResponse) -> bool:
+    """Whether a response carries the block sign the signature describes."""
+    kind = signature.kind
+    if kind == SIG_NXDOMAIN:
+        return response.rcode == dnswire.RCODE_NXDOMAIN
+    if kind == SIG_REFUSED:
+        return response.rcode == dnswire.RCODE_REFUSED
+    if kind == SIG_ZERO_ANSWER:
+        return response.rcode == dnswire.RCODE_NOERROR and not response.answers
+    if response.rcode != dnswire.RCODE_NOERROR:
+        return False
+    rtype = dnswire.TYPE_A if kind == SIG_SINKHOLE_A else dnswire.TYPE_AAAA
+    return any(rr.rtype == rtype and rr.rdata in signature.sinkhole_ips for rr in response.answers)
 
 
 @dataclass(frozen=True)
@@ -187,19 +61,14 @@ def resolves_normally(response: DnsResponse) -> bool:
     return response.rcode == dnswire.RCODE_NOERROR and bool(response.address_answers())
 
 
-def classify(
-    filtered: DnsResponse,
-    control: DnsResponse | None,
-    profile: ResolverProfile,
-) -> Classification:
+def classify(filtered: DnsResponse, control: DnsResponse | None,
+             profile: ResolverProfile) -> Classification:
     """Total, deterministic classification of a filtered response.
 
     ``control=None`` means no control response is available (not configured
     or not queried); transport-level failures are the runner's business.
     """
-    matched = next(
-        (sig for sig in profile.blocked_signatures if sig.matches(filtered)), None
-    )
+    matched = next((sig for sig in profile.blocked_signatures if matches(sig, filtered)), None)
     if matched is not None:
         if control is None or resolves_normally(control):
             return Classification(BLOCKED, matched_signature=matched.label())
@@ -210,42 +79,19 @@ def classify(
     if resolves_normally(filtered):
         return Classification(NOT_BLOCKED)
 
-    reasons = {
-        dnswire.RCODE_NXDOMAIN: "nxdomain",
-        dnswire.RCODE_SERVFAIL: "servfail",
-        dnswire.RCODE_REFUSED: "refused",
-    }
-    if filtered.rcode == dnswire.RCODE_NOERROR:
-        reason = "no-address-answers"
-    else:
-        reason = reasons.get(filtered.rcode, f"rcode-{filtered.rcode}")
-    return Classification(INCONCLUSIVE, reason=reason)
+    rcode = filtered.rcode
+    return Classification(INCONCLUSIVE, reason=_RCODE_REASONS.get(rcode, f"rcode-{rcode}"))
 
 
 def summarize(response: DnsResponse) -> dict:
     """Evidence-sized summary of a parsed response."""
     return {
         "rcode": response.rcode,
-        "answers": [
-            [rr.name, rr.rtype, rr.ttl, rr.rdata] for rr in response.answers[:8]
-        ],
+        "answers": [list(rr) for rr in response.answers[:8]],  # [name, rtype, ttl, rdata]
         "tc": response.truncated,
         "ra": response.recursion_available,
         "latency_ms": response.latency_ms,
     }
-
-
-@dataclass
-class CampaignLimits:
-    max_inflight: int = 64
-    per_provider_qps: float = 20.0  # per endpoint address, control queries included
-
-    def __post_init__(self):
-        inflight, qps = self.max_inflight, self.per_provider_qps
-        if type(inflight) is not int or inflight < 1:
-            raise ValueError(f"max_inflight must be a positive int, got {inflight!r}")
-        if type(qps) not in (int, float) or not 0 < qps < math.inf:
-            raise ValueError(f"per_provider_qps must be a positive finite number, got {qps!r}")
 
 
 @dataclass
@@ -261,39 +107,36 @@ class CampaignSummary:
     interrupted: bool = False
 
 
-# The campaign's DnsClient, for the default query_fn: the query_fn seam,
-# (address, domain, qtype, profile), has no argument to carry it.
+# The campaign's DnsClient, and the encoded name of the domain a worker asks
+# about, for the default query_fn: the query_fn seam, (address, domain,
+# qtype, profile), has no argument to carry them.
 _CLIENT = contextvars.ContextVar("admal_dns_client")
+_QNAME = contextvars.ContextVar("admal_qname", default=None)
 
 
 async def _default_query_fn(address, domain, qtype, profile):
     return await _CLIENT.get().query(
         address, domain, qtype, timeout_ms=profile.timeout_ms,
-        retries=profile.retries, transport=profile.transport,
+        retries=profile.retries, transport=profile.transport, qname=_QNAME.get(),
     )
 
 
 def _pending_pairs(domains, profiles, held):
-    """Yield (domain, profile, encodable) for every pair not yet stored;
-    ``held`` maps a provider to one stored flag per domain."""
+    """Yield (domain, profile, qname) for every pair not yet stored, where
+    qname is the domain's wire name, encoded once for all its providers, or
+    None for a name the wire format cannot carry; ``held`` maps a provider
+    to one stored flag per domain."""
     for domain, stored in zip(domains, zip(*(held[p.provider_id] for p in profiles))):
         if 0 in stored:
             todo = [p for p, done in zip(profiles, stored) if not done]
-            encodable = _encodable(domain)
+            qname = _wire_name(domain)
             for profile in todo:
-                yield domain, profile, encodable
+                yield domain, profile, qname
 
 
-def run_campaign(
-    domains: list[str],
-    profiles: list[ResolverProfile],
-    limits: CampaignLimits,
-    repo: Repository,
-    campaign_id: str,
-    *,
-    qtype: int = dnswire.TYPE_A,
-    query_fn=None,
-) -> CampaignSummary:
+def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: CampaignLimits,
+                 repo: Repository, campaign_id: str, *, qtype: int = dnswire.TYPE_A,
+                 query_fn=None) -> CampaignSummary:
     """Emit exactly one verdict per (domain, profile) pair into the repo.
 
     Already-stored pairs are skipped, so an interrupted campaign resumes
@@ -308,30 +151,25 @@ def run_campaign(
 
     held = repo.held(campaign_id, KIND_DNS, domains, {p.provider_id for p in profiles})
     todo = sum(len(domains) - held[p.provider_id].count(1) for p in profiles)
-    summary = CampaignSummary(
-        campaign_id=campaign_id,
-        domains=len(domains),
-        providers=[p.provider_id for p in profiles],
-        skipped_existing=len(domains) * len(profiles) - todo,
-    )
+    summary = CampaignSummary(campaign_id, len(domains), [p.provider_id for p in profiles],
+                              skipped_existing=len(domains) * len(profiles) - todo)
 
     prior = repo.read_manifest(campaign_id) or {}
     summary.started = prior.get("started") or utc_now_rfc3339()
 
-    async def scan():
-        import asyncio
-
+    async def scan():  # asyncio is imported below, before scan runs
         loop = asyncio.get_running_loop()
         interval = 1.0 / limits.per_provider_qps
         next_send: dict[tuple[str, int], float] = {}
+        batch: list[VerdictRecord] = []  # verdicts finished in this loop turn
 
-        async def pace(address):
-            # one send slot per interval and endpoint, whichever profile asks
+        def pace(address) -> float:
+            """Take the endpoint's next send slot, one per interval whichever
+            profile asks; the delay until it is due."""
             now = loop.time()
             due = next_send.get(address, now)
-            next_send[address] = max(due, now) + interval
-            if due > now:
-                await asyncio.sleep(due - now)
+            next_send[address] = (due if due > now else now) + interval
+            return due - now
 
         async def ask(address, domain, profile, control):
             """The response, or the inconclusive reason its failure maps to."""
@@ -344,12 +182,14 @@ def run_campaign(
             except OSError:
                 return "control-network-error" if control else "network-error"
 
-        async def work(domain, profile, encodable):
+        async def work(domain, profile, qname):
             """(verdict, reason, evidence, queried_at) of one pair."""
             evidence: dict = {"filtered": None, "control": None, "matched_signature": None}
-            if not encodable:
+            if qname is None:
                 return INCONCLUSIVE, "unencodable-name", evidence, utc_now_rfc3339()
-            await pace(profile.filtered_address)
+            _QNAME.set(qname)
+            if (delay := pace(profile.filtered_address)) > 0:
+                await asyncio.sleep(delay)
             queried_at = utc_now_rfc3339()
             filtered = await ask(profile.filtered_address, domain, profile, False)
             if isinstance(filtered, str):
@@ -358,9 +198,10 @@ def run_campaign(
 
             control = None
             if profile.control_address is not None and any(
-                sig.matches(filtered) for sig in profile.blocked_signatures
+                matches(sig, filtered) for sig in profile.blocked_signatures
             ):
-                await pace(profile.control_address)
+                if (delay := pace(profile.control_address)) > 0:
+                    await asyncio.sleep(delay)
                 control = await ask(profile.control_address, domain, profile, True)
                 if isinstance(control, str):
                     return INCONCLUSIVE, control, evidence, queried_at
@@ -371,13 +212,19 @@ def run_campaign(
             return result.verdict, result.reason, evidence, queried_at
 
         async def worker(pairs):
-            # the single writer: upserts run on the loop, one at a time, and a
-            # verdict lost before its flush is simply queried again on resume
-            for domain, profile, encodable in pairs:
-                payload = dict(zip(_PAYLOAD_KEYS, await work(domain, profile, encodable)))
-                repo.upsert(VerdictRecord(domain, profile.provider_id, campaign_id,
-                                          KIND_DNS, payload, utc_now_rfc3339()))
-                summary.written += 1
+            # the single writer: the first worker to finish a verdict in a
+            # loop turn yields once, then appends every verdict finished in
+            # that turn in one write, so a StorageError still ends the run;
+            # a verdict lost before its write is queried again on resume
+            for domain, profile, qname in pairs:
+                payload = dict(zip(_PAYLOAD_KEYS, await work(domain, profile, qname)))
+                batch.append(VerdictRecord(domain, profile.provider_id, campaign_id,
+                                           KIND_DNS, payload, utc_now_rfc3339()))
+                if len(batch) == 1:
+                    await asyncio.sleep(0)
+                    repo.upsert_many(batch)  # no await: nothing joins the batch meanwhile
+                    summary.written += len(batch)
+                    batch.clear()
 
         pairs = _pending_pairs(domains, profiles, held)
         client = DnsClient()
@@ -402,31 +249,23 @@ def run_campaign(
     finally:
         summary.finished = utc_now_rfc3339()
         summary.inconclusive = _inconclusive_counts(repo, campaign_id, summary.providers)
-        manifest = {
-            "started": summary.started,
-            "finished": summary.finished,
-            "providers": summary.providers,
-            "domains": summary.domains,
-            "inconclusive": summary.inconclusive,
-            "interrupted": summary.interrupted,
-        }
+        manifest = {"started": summary.started, "finished": summary.finished,
+                    "providers": summary.providers, "domains": summary.domains,
+                    "inconclusive": summary.inconclusive, "interrupted": summary.interrupted}
         # a run that changed nothing but the clock leaves the manifest alone:
         # rewriting it costs an fsync and a rename
         if {**manifest, "finished": None} != {**prior, "finished": None}:
             repo.write_manifest(campaign_id, manifest)
-        log.info(
-            "campaign %s: %d written, %d skipped", campaign_id,
-            summary.written, summary.skipped_existing,
-        )
+        log.info("campaign %s: %d written, %d skipped", campaign_id,
+                 summary.written, summary.skipped_existing)
     return summary
 
 
-def _encodable(domain: str) -> bool:
+def _wire_name(domain: str) -> bytes | None:
     try:
-        dnswire.encode_name(domain)
+        return dnswire.encode_name(domain)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _inconclusive_counts(repo, campaign_id, providers) -> dict:

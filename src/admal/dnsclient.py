@@ -4,15 +4,18 @@ Each endpoint gets a fixed pool of connected UDP sockets, and each socket a
 table of pending transaction ids.  A datagram completes a query only when it
 comes from the endpoint (the connected socket drops other sources), is a
 response to a pending txid and echoes that query's question (RFC 5452 §9.1);
-anything else is dropped.  Resends are driven by loop deadlines, and a reply
-with TC set is asked again over TCP (RFC 7766).  asyncio is imported when a
-client is made, so importing this module stays cheap.
+anything else is dropped.  Resends are driven by loop deadlines: one
+timeout's deadlines come in send order, so each distinct timeout has one
+deque of (deadline, attempt future) and one loop timer for its head.  A
+reply with TC set is asked again over TCP (RFC 7766).  asyncio is imported
+when a client is made, so importing this module stays cheap.
 """
 
 import random
 import socket
 import struct
-from dataclasses import dataclass, replace
+from collections import defaultdict, deque
+from dataclasses import dataclass
 
 from . import dnswire
 from .dnswire import DnsResponse, MalformedMessage
@@ -39,17 +42,14 @@ def _echoes(response: DnsResponse, name: str, qtype: int) -> bool:
 @dataclass(slots=True)
 class _Pending:
     """A query waiting on a UDP socket: the question a reply must echo, the
-    future of the current attempt, and whether an undecodable reply came."""
+    future that wakes the current attempt, the reply that completed the
+    query, and whether an undecodable reply came."""
 
     name: str
     qtype: int
     future: object = None
+    response: DnsResponse | None = None
     malformed: bool = False
-
-
-def _expire(future) -> None:
-    if not future.done():
-        future.set_result(None)
 
 
 async def _tcp_exchange(address: tuple[str, int], message: bytes) -> bytes:
@@ -78,8 +78,14 @@ class DnsClient:
         self._loop = asyncio.get_running_loop()
         self._pools: dict[tuple[str, int], list[tuple[socket.socket, dict]]] = {}
         self._turn = 0
+        # per timeout: unexpired attempts as (deadline, future), and the timer of the head
+        self._deadlines: dict[float, deque] = defaultdict(deque)
+        self._timers: dict[float, object] = {}
 
     def close(self) -> None:
+        for timer in self._timers.values():
+            timer.cancel()
+        self._timers.clear()
         for pool in self._pools.values():
             for sock, _pending in pool:
                 self._loop.remove_reader(sock.fileno())
@@ -107,22 +113,48 @@ class DnsClient:
         self._turn += 1
         return pool[self._turn % _SOCKETS_PER_ENDPOINT]
 
+    def _arm(self, timeout_s: float, deadline: float, future) -> None:
+        """Wake ``future`` at ``deadline``, ``timeout_s`` after its send,
+        unless it is done by then.  Answered heads are popped here, so the
+        deque holds only attempts in flight or not yet expired."""
+        queue = self._deadlines[timeout_s]
+        while queue and queue[0][1].done():
+            queue.popleft()
+        queue.append((deadline, future))
+        if timeout_s not in self._timers:
+            self._timers[timeout_s] = self._loop.call_at(deadline, self._expire, timeout_s)
+
+    def _expire(self, timeout_s: float) -> None:
+        """Wake every due, unanswered attempt of one timeout; re-arm for the next."""
+        queue, now = self._deadlines[timeout_s], self._loop.time()
+        while queue and (queue[0][0] <= now or queue[0][1].done()):
+            future = queue.popleft()[1]
+            if not future.done():
+                future.set_result(None)
+        if queue:
+            self._timers[timeout_s] = self._loop.call_at(queue[0][0], self._expire, timeout_s)
+        else:
+            del self._timers[timeout_s]
+
     async def query(
         self, address: tuple[str, int], domain: str, qtype: int = dnswire.TYPE_A,
         *, timeout_ms: int = 3000, retries: int = 2, transport: str = "udp+tcp",
+        qname: bytes | None = None,
     ) -> DnsResponse:
         """One resolution attempt chain: UDP first, TCP on truncation, resends
-        on timeout.  Raises QueryTimeout / MalformedMessage / OSError."""
+        on timeout.  ``qname`` is ``domain`` as encode_name encodes it, for a
+        caller that has it.  Raises QueryTimeout / MalformedMessage / OSError."""
         timeout_s = timeout_ms / 1000.0
         name = domain.rstrip(".").lower()
         if transport != "tcp":
-            response = await self._udp(address, domain, name, qtype, timeout_s, retries)
+            response = await self._udp(address, domain, qname or domain, name, qtype,
+                                       timeout_s, retries)
             if not response.truncated:
                 return response
         import asyncio
 
         txid = random.getrandbits(16)
-        message = dnswire.build_query(domain, qtype, txid)
+        message = dnswire.build_query(qname or domain, qtype, txid)
         for _attempt in range(retries + 1):
             started = self._loop.time()
             try:
@@ -132,16 +164,16 @@ class DnsClient:
             response = dnswire.parse_response(data)
             if response.txid != txid or not _echoes(response, name, qtype):
                 raise MalformedMessage("TCP response does not match the query")
-            return replace(response, latency_ms=int((self._loop.time() - started) * 1000))
+            return response._replace(latency_ms=int((self._loop.time() - started) * 1000))
         raise QueryTimeout(f"{domain} via {address[0]} port {address[1]} over TCP")
 
-    async def _udp(self, address, domain, name, qtype, timeout_s, retries) -> DnsResponse:
+    async def _udp(self, address, domain, qname, name, qtype, timeout_s, retries) -> DnsResponse:
         loop = self._loop
         sock, pending = self._socket(address)
         txid = random.getrandbits(16)
         while txid in pending:
             txid = random.getrandbits(16)
-        message = dnswire.build_query(domain, qtype, txid)
+        message = dnswire.build_query(qname, qtype, txid)
         entry = pending[txid] = _Pending(name, qtype)
         try:
             for _attempt in range(retries + 1):
@@ -153,11 +185,10 @@ class DnsClient:
                 except BlockingIOError:
                     pass  # lost like a dropped datagram; the deadline resends it
                 started = loop.time()
-                timer = loop.call_later(timeout_s, _expire, future)
-                response = await future
-                timer.cancel()
-                if response is not None:
-                    return replace(response, latency_ms=int((loop.time() - started) * 1000))
+                self._arm(timeout_s, started + timeout_s, future)
+                await future
+                if entry.response is not None:
+                    return entry.response._replace(latency_ms=int((loop.time() - started) * 1000))
         finally:
             del pending[txid]
         if entry.malformed:
@@ -182,4 +213,5 @@ def _readable(sock: socket.socket, pending: dict) -> None:
             entry.malformed = True
             continue
         if _echoes(response, entry.name, entry.qtype):
-            entry.future.set_result(response)
+            entry.response = response  # the future wakes the query; the deque never holds a reply
+            entry.future.set_result(None)

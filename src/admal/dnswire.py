@@ -18,13 +18,14 @@ Header layout:
 
 Parsing is total over arbitrary bytes: anything that cannot be decoded
 raises MalformedMessage, nothing else.  Unknown RR types are kept as
-opaque hex rdata.
+opaque hex rdata.  The message types are named tuples, cheap to build on
+the scan's path from datagram to verdict.
 """
 
 import ipaddress
 import socket
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TYPE_A = 1
 TYPE_NS = 2
@@ -56,29 +57,28 @@ MAX_NAME_LEN = 255
 MAX_LABEL_LEN = 63
 
 _HEADER = struct.Struct("!HHHHHH")
+_QUESTION_FIXED = struct.Struct("!HH")
 _RR_FIXED = struct.Struct("!HHIH")
+_TO_FIRST_QUESTION = b"\xc0\x0c"  # a compression pointer to the header's end
 
 
 class MalformedMessage(ValueError):
     """Bytes that cannot be decoded as a DNS message."""
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     name: str
     qtype: int
 
 
-@dataclass(frozen=True)
-class ResourceRecord:
+class ResourceRecord(NamedTuple):
     name: str
     rtype: int
     ttl: int
     rdata: str
 
 
-@dataclass(frozen=True)
-class DnsResponse:
+class DnsResponse(NamedTuple):
     """A parsed DNS message (works for queries too; ANCOUNT is then zero)."""
 
     txid: int
@@ -128,11 +128,12 @@ def encode_name(name: str) -> bytes:
     return bytes(out)
 
 
-def build_query(domain: str, qtype: int, txid: int) -> bytes:
-    """Build a standard recursive query with one question and an EDNS0 OPT
-    record advertising ``EDNS_UDP_SIZE`` bytes of UDP payload."""
-    msg = _HEADER.pack(txid, FLAG_RD, 1, 0, 0, 1)
-    msg += encode_name(domain) + struct.pack("!HH", qtype, CLASS_IN)
+def build_query(domain: str | bytes, qtype: int, txid: int) -> bytes:
+    """Build a standard recursive query for ``domain``, or for a name that
+    encode_name already encoded, with one question and an EDNS0 OPT record
+    advertising ``EDNS_UDP_SIZE`` bytes of UDP payload."""
+    qname = encode_name(domain) if isinstance(domain, str) else domain
+    msg = _HEADER.pack(txid, FLAG_RD, 1, 0, 0, 1) + qname + _QUESTION_FIXED.pack(qtype, CLASS_IN)
     # root name, type OPT, class = advertised UDP size, ttl 0, no rdata
     return msg + b"\x00" + _RR_FIXED.pack(TYPE_OPT, EDNS_UDP_SIZE, 0, 0)
 
@@ -192,8 +193,16 @@ def _decode_rdata(data: bytes, rdata_off: int, rdlen: int, rtype: int) -> str:
     return raw.hex()
 
 
-def _parse_rr(data: bytes, offset: int) -> tuple[ResourceRecord, int]:
-    name, offset = decode_name(data, offset)
+def _parse_rr(data: bytes, offset: int, qwire: bytes, qname: str) -> tuple[ResourceRecord, int]:
+    # an owner name that points at the first question's name, or repeats its
+    # bytes ``qwire``, decodes to that question's ``qname``: pointers are
+    # absolute, so either decodes exactly as the question did
+    if qwire and data.startswith(_TO_FIRST_QUESTION, offset):
+        name, offset = qname, offset + 2
+    elif qwire and data.startswith(qwire, offset):
+        name, offset = qname, offset + len(qwire)
+    else:
+        name, offset = decode_name(data, offset)
     if offset + _RR_FIXED.size > len(data):
         raise MalformedMessage("truncated resource record")
     rtype, _rclass, ttl, rdlen = _RR_FIXED.unpack_from(data, offset)
@@ -211,31 +220,24 @@ def parse_response(data: bytes) -> DnsResponse:
     txid, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
     offset = _HEADER.size
 
-    questions = []
+    questions, owner = [], (b"", "")
     for _ in range(qdcount):
-        name, offset = decode_name(data, offset)
-        if offset + 4 > len(data):
+        name, end = decode_name(data, offset)
+        if end + 4 > len(data):
             raise MalformedMessage("truncated question")
-        qtype, _qclass = struct.unpack_from("!HH", data, offset)
-        offset += 4
-        questions.append(Question(name, qtype))
+        if not questions:
+            owner = (data[offset:end], name)
+        questions.append(Question(name, _QUESTION_FIXED.unpack_from(data, end)[0]))
+        offset = end + 4
 
     sections = []
     for count in (ancount, nscount, arcount):
         records = []
         for _ in range(count):
-            rr, offset = _parse_rr(data, offset)
+            rr, offset = _parse_rr(data, offset, *owner)
             records.append(rr)
         sections.append(tuple(records))
-
-    return DnsResponse(
-        txid=txid,
-        flags=flags,
-        questions=tuple(questions),
-        answers=sections[0],
-        authority=sections[1],
-        additional=sections[2],
-    )
+    return DnsResponse(txid, flags, tuple(questions), *sections)
 
 
 def build_response(
@@ -263,7 +265,7 @@ def build_response(
     if ra:
         flags |= FLAG_RA
     msg = bytearray(_HEADER.pack(txid, flags, 1, len(answers), 0, 0))
-    msg += encode_name(question.name) + struct.pack("!HH", question.qtype, CLASS_IN)
+    msg += encode_name(question.name) + _QUESTION_FIXED.pack(question.qtype, CLASS_IN)
     for name, rtype, ttl, value in answers:
         if rtype == TYPE_A:
             rdata = socket.inet_aton(value)

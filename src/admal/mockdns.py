@@ -24,7 +24,7 @@ import threading
 from dataclasses import dataclass
 
 from . import dnswire
-from .dnsbroker import _format_address, _parse_address
+from .config import _format_address, _parse_address
 
 BEHAVIOR_SINKHOLE_A = "sinkhole_a"
 BEHAVIOR_NXDOMAIN = "nxdomain"

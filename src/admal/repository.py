@@ -20,8 +20,9 @@ list as JSON and per provider its columns as raw array blocks) covers a
 prefix of the log: then the keydir is read from the hint, the prefix is only
 hashed, and just the lines after it are replayed.  Any other hint, one of
 version 3 among them, is passed over and rewritten by ``close``.  One writer
-per repository instance; appends are flushed before the ack so a killed
-campaign can resume from exactly what reached the log.
+per repository instance; ``upsert_many`` appends a batch in one write and
+flushes it before returning, so a killed campaign resumes from exactly the
+whole lines that reached the log.
 """
 
 import hashlib
@@ -29,10 +30,10 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .keydir import (AD, ANY, DNS_STATES, NO_REPORT, REPORT, TI_STATES, Column, flags, read_hint,
                      write_hint)
@@ -131,8 +132,7 @@ def _state(kind: str, payload: dict) -> tuple:
     return AD, ()
 
 
-@dataclass(frozen=True)
-class VerdictRecord:
+class VerdictRecord(NamedTuple):
     domain: str
     provider_id: str
     campaign_id: str
@@ -268,34 +268,41 @@ class Repository:
             raise StorageError(f"corrupt log record at byte {offset}") from None
 
     def upsert(self, record: VerdictRecord) -> None:
-        """Append the record; the log write is flushed before returning.
-        A record that replay would refuse, among them one outside the
-        record vocabulary, and one that is not JSON-serializable raise
-        ValueError and are not written."""
-        problem = _unfit(record.domain, record.provider_id, record.campaign_id,
-                         record.kind, record.payload)
-        if problem is not None:
-            raise ValueError(problem)
-        state, tallies = _state(record.kind, record.payload)
-        try:
-            line = (record.to_json() + "\n").encode("utf-8")
-        except TypeError as exc:
-            raise ValueError(f"record is not JSON-serializable: {exc}") from None
-        with self._lock:
-            offset = self._size
+        """Append one record, as upsert_many does."""
+        self.upsert_many((record,))
+
+    def upsert_many(self, records) -> None:
+        """Append the records in one write, flushed before returning.  If
+        one of them is a record that replay would refuse, among them one
+        outside the record vocabulary, or is not JSON-serializable, raise
+        ValueError and write none of them."""
+        lines, entries = [], []
+        for record in records:
+            problem = _unfit(*record[:5])
+            if problem is not None:
+                raise ValueError(problem)
+            state, tallies = _state(record.kind, record.payload)
             try:
-                self._fh.write(line)
+                lines.append((record.to_json() + "\n").encode("utf-8"))
+            except TypeError as exc:
+                raise ValueError(f"record is not JSON-serializable: {exc}") from None
+            entries.append((record.key, state, tallies))
+        data = b"".join(lines)
+        with self._lock:
+            try:
+                self._fh.write(data)
                 self._fh.flush()
-                self._appends_since_sync += 1
+                self._appends_since_sync += len(lines)
                 if self._appends_since_sync >= _FSYNC_EVERY:
                     os.fsync(self._fh.fileno())
                     self._appends_since_sync = 0
             except OSError as exc:
                 raise StorageError(f"log append failed: {exc}") from exc
-            self._size += len(line)
-            self._lines += 1
-            self._digest.update(line)
-            self._put(*record.key, offset, state, tallies)
+            for line, (key, state, tallies) in zip(lines, entries):
+                self._put(*key, self._size, state, tallies)
+                self._size += len(line)
+            self._lines += len(lines)
+            self._digest.update(data)
 
     def get(self, domain: str, provider_id: str, campaign_id: str) -> VerdictRecord | None:
         with self._lock:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from admal import dnswire, mockdns
+from admal.config import SIG_SINKHOLE_AAAA, _parse_address, default_profiles
 from admal.dnsbroker import (
     BLOCKED,
     INCONCLUSIVE,
@@ -21,11 +22,9 @@ from admal.dnsbroker import (
     SIG_NXDOMAIN,
     SIG_REFUSED,
     SIG_SINKHOLE_A,
-    SIG_SINKHOLE_AAAA,
     SIG_ZERO_ANSWER,
-    _parse_address,
     classify,
-    default_profiles,
+    matches,
     run_campaign,
 )
 from admal.dnsclient import DnsClient
@@ -67,30 +66,30 @@ def profile(signatures, control=("198.51.100.53", 53)):
 
 class TestBlockSignature:
     def test_sinkhole_a_match(self):
-        assert SINK_A.matches(resp(answers=(a_answer("0.0.0.0"),)))
-        assert not SINK_A.matches(resp(answers=(a_answer("203.0.113.9"),)))
+        assert matches(SINK_A, resp(answers=(a_answer("0.0.0.0"),)))
+        assert not matches(SINK_A, resp(answers=(a_answer("203.0.113.9"),)))
 
     def test_sinkhole_aaaa_match(self):
-        assert SINK_AAAA.matches(resp(answers=(aaaa_answer("::"),)))
-        assert not SINK_AAAA.matches(resp(answers=(aaaa_answer("2001:db8::1"),)))
+        assert matches(SINK_AAAA, resp(answers=(aaaa_answer("::"),)))
+        assert not matches(SINK_AAAA, resp(answers=(aaaa_answer("2001:db8::1"),)))
 
     def test_sinkhole_ignores_error_rcodes(self):
-        assert not SINK_A.matches(resp(rcode=dnswire.RCODE_NXDOMAIN))
+        assert not matches(SINK_A, resp(rcode=dnswire.RCODE_NXDOMAIN))
 
     def test_nxdomain_match(self):
-        assert NX.matches(resp(rcode=dnswire.RCODE_NXDOMAIN))
-        assert not NX.matches(resp())
+        assert matches(NX, resp(rcode=dnswire.RCODE_NXDOMAIN))
+        assert not matches(NX, resp())
 
     def test_refused_match(self):
         sig = BlockSignature(SIG_REFUSED)
-        assert sig.matches(resp(rcode=dnswire.RCODE_REFUSED))
-        assert not sig.matches(resp())
+        assert matches(sig, resp(rcode=dnswire.RCODE_REFUSED))
+        assert not matches(sig, resp())
 
     def test_zero_answer_match(self):
         sig = BlockSignature(SIG_ZERO_ANSWER)
-        assert sig.matches(resp())
-        assert not sig.matches(resp(answers=(a_answer("203.0.113.9"),)))
-        assert not sig.matches(resp(rcode=dnswire.RCODE_NXDOMAIN))
+        assert matches(sig, resp())
+        assert not matches(sig, resp(answers=(a_answer("203.0.113.9"),)))
+        assert not matches(sig, resp(rcode=dnswire.RCODE_NXDOMAIN))
 
     def test_sinkhole_requires_ips(self):
         with pytest.raises(ValueError):
@@ -431,6 +430,99 @@ class TestQueryEndpoint:
         threading.Thread(target=run, daemon=True).start()
         r = query_endpoint(addr, "v6.example", timeout_ms=2000)
         assert r.address_answers() == ("7.7.7.7",)
+
+
+class TestDeadlineQueues:
+    def test_each_timeout_expires_on_its_own(self):
+        """Two profiles' timeouts on one client: each query times out after
+        its own timeout times its attempts, not after the other's."""
+        silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        silent.bind(("127.0.0.1", 0))
+        addr = silent.getsockname()[:2]
+        fast = ResolverProfile("fast", "F", addr, timeout_ms=150, retries=1)
+        slow = ResolverProfile("slow", "S", addr, timeout_ms=500, retries=0)
+
+        async def timed(client, profile, domain):
+            started = time.monotonic()
+            with pytest.raises(QueryTimeout):
+                await client.query(addr, domain, timeout_ms=profile.timeout_ms,
+                                   retries=profile.retries)
+            return time.monotonic() - started
+
+        async def run():
+            client = DnsClient()
+            try:
+                elapsed = await asyncio.gather(timed(client, slow, "s.example"),
+                                               timed(client, fast, "f.example"))
+                return elapsed, sorted(client._deadlines)
+            finally:
+                client.close()
+
+        try:
+            (slow_s, fast_s), timeouts = asyncio.run(run())
+        finally:
+            silent.close()
+        assert timeouts == [0.15, 0.5]
+        assert 0.3 <= fast_s < slow_s
+        assert slow_s >= 0.5
+
+    def test_dropping_provider_gets_retries_plus_one_sends(self, monkeypatch):
+        # the farm's drop decision is a pure function of (seed, qname), so
+        # drop_rate 1.0 drops every resend of a query too
+        sends = []
+        respond = mockdns.respond
+
+        def counting(spec, seed, data, **kw):
+            sends.append(parse_response(data).questions[0].name)
+            return respond(spec, seed, data, **kw)
+
+        monkeypatch.setattr(mockdns, "respond", counting)
+        spec = mockdns.MockProviderSpec("p", ("127.0.0.1", 0), frozenset(), drop_rate=1.0)
+        names = [f"d{i}.example" for i in range(6)]
+
+        async def run(address):
+            client = DnsClient()
+            try:
+                return await asyncio.gather(*(
+                    client.query(address, name, timeout_ms=80, retries=2) for name in names),
+                    return_exceptions=True)
+            finally:
+                client.close()
+
+        with mockdns.MockDnsFarm([spec]) as farm:
+            outcomes = asyncio.run(run(farm.addresses["p"]))
+        assert {type(o) for o in outcomes} == {QueryTimeout}
+        assert sorted(sends) == sorted(names * 3)
+
+    def test_answered_attempts_leave_the_deque(self):
+        spec = mockdns.MockProviderSpec("p", ("127.0.0.1", 0), frozenset())
+        inflight, total = 8, 400
+        lengths = []
+
+        async def run(address):
+            client = DnsClient()
+            names = iter(f"d{i}.example" for i in range(total))
+
+            async def worker():
+                for name in names:
+                    await client.query(address, name, timeout_ms=5000)
+                    lengths.append(len(client._deadlines[5.0]))
+
+            try:
+                await asyncio.gather(*(worker() for _ in range(inflight)))
+                # every attempt so far was answered: arming one more pops them all
+                await client.query(address, "last.example", timeout_ms=5000)
+                return len(client._deadlines[5.0])
+            finally:
+                client.close()
+
+        with mockdns.MockDnsFarm([spec]) as farm:
+            last = asyncio.run(run(farm.addresses["p"]))
+        assert len(lengths) == total
+        assert last == 1
+        # answered heads are popped as new attempts are armed, so the deque
+        # holds attempts in flight and answers behind one, never all sends
+        assert max(lengths) <= 4 * inflight
 
 
 def stub_query_fn(blocked, calls=None):

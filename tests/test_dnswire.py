@@ -137,6 +137,112 @@ class TestParseResponse:
         assert parsed.answers[0].rdata == "1.2.3.4"
 
 
+def reference_parse(data: bytes) -> dnswire.DnsResponse:
+    """parse_response with every owner name decoded by decode_name."""
+    if len(data) < 12:
+        raise MalformedMessage("message shorter than header")
+    txid, flags, qdcount, *counts = struct.unpack_from("!HHHHHH", data)
+    offset, questions, sections = 12, [], []
+    for _ in range(qdcount):
+        name, offset = decode_name(data, offset)
+        if offset + 4 > len(data):
+            raise MalformedMessage("truncated question")
+        questions.append(Question(name, struct.unpack_from("!H", data, offset)[0]))
+        offset += 4
+    for count in counts:
+        records = []
+        for _ in range(count):
+            name, offset = decode_name(data, offset)
+            if offset + 10 > len(data):
+                raise MalformedMessage("truncated resource record")
+            rtype, _rclass, ttl, rdlen = struct.unpack_from("!HHIH", data, offset)
+            offset += 10
+            if offset + rdlen > len(data):
+                raise MalformedMessage("rdata runs past end of message")
+            rdata = dnswire._decode_rdata(data, offset, rdlen, rtype)
+            records.append(dnswire.ResourceRecord(name, rtype, ttl, rdata))
+            offset += rdlen
+        sections.append(tuple(records))
+    return dnswire.DnsResponse(txid, flags, tuple(questions), *sections)
+
+
+OWNERS = ("pointer", "copy", "case", "other", "prefixed", "loop", "wild", "garbage")
+
+
+@st.composite
+def replies(draw):
+    """A reply to one question whose answers' owner names point at the
+    question, repeat its bytes, differ from it only in case, or are other,
+    looping, wild or garbage names; sometimes cut short."""
+    qname = draw(domain)
+    qwire = encode_name(qname)
+    qdcount = draw(st.sampled_from((1, 1, 1, 0, 2)))
+    body = (qwire + struct.pack("!HH", dnswire.TYPE_A, 1)) * min(qdcount, 1)
+    kinds = draw(st.lists(st.sampled_from(OWNERS), min_size=1, max_size=4))
+    if qdcount == 2:
+        body += encode_name(draw(domain)) + struct.pack("!HH", dnswire.TYPE_A, 1)
+    for kind in kinds:
+        at = 12 + len(body)
+        owner = {
+            "pointer": b"\xc0\x0c",
+            "copy": qwire,
+            "case": encode_name("".join(c.upper() if draw(st.booleans()) else c for c in qname)),
+            "other": encode_name(draw(domain)),
+            "prefixed": encode_name(draw(label))[:-1] + b"\xc0\x0c",
+            "loop": bytes([0xC0 | at >> 8, at & 0xFF]),
+            "wild": b"\xc0" + bytes([draw(st.integers(0, 255))]),
+            "garbage": draw(st.binary(min_size=1, max_size=6)),
+        }[kind]
+        rtype = draw(st.sampled_from((dnswire.TYPE_A, dnswire.TYPE_CNAME, dnswire.TYPE_TXT)))
+        rdata = b"\xc0\x0c" if rtype == dnswire.TYPE_CNAME else bytes([10, 0, 0, 1])
+        body += owner + struct.pack("!HHIH", rtype, 1, 60, len(rdata)) + rdata
+    msg = struct.pack("!HHHHHH", 7, 0x8180, qdcount, len(kinds), 0, 0) + body
+    if draw(st.integers(0, 3)) == 0:
+        msg = msg[:draw(st.integers(0, len(msg)))]
+    return msg
+
+
+class TestOwnerNameShortcut:
+    def reply(self, owner: bytes, qname="c.example") -> bytes:
+        header = struct.pack("!HHHHHH", 5, 0x8180, 1, 1, 0, 0)
+        question = encode_name(qname) + struct.pack("!HH", dnswire.TYPE_A, 1)
+        return (header + question + owner + struct.pack("!HHIH", dnswire.TYPE_A, 1, 60, 4)
+                + bytes([1, 2, 3, 4]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(replies())
+    def test_matches_a_parse_that_decodes_every_name(self, data):
+        try:
+            expected = reference_parse(data)
+        except MalformedMessage:
+            with pytest.raises(MalformedMessage):
+                parse_response(data)
+            return
+        assert parse_response(data) == expected
+
+    def test_uncompressed_copy_of_the_question(self):
+        parsed = parse_response(self.reply(encode_name("c.example")))
+        assert parsed.answers[0].name == "c.example"
+        assert parsed.answers[0].rdata == "1.2.3.4"
+
+    def test_name_differing_only_in_case_keeps_its_case(self):
+        parsed = parse_response(self.reply(encode_name("C.Example")))
+        assert parsed.questions[0].name == "c.example"
+        assert parsed.answers[0].name == "C.Example"
+
+    @pytest.mark.parametrize("owner", [
+        b"\xc0\x1b",  # a pointer to itself, after the 12-byte header and 15-byte question
+        b"\xc0",  # a pointer cut in half
+        b"\x3fabc",  # a label running past the end
+    ], ids=["pointer-loop", "truncated-pointer", "label-overrun"])
+    def test_broken_owner_names_still_raise(self, owner):
+        data = self.reply(owner)
+        if owner != b"\xc0\x1b":
+            data = data[:12 + 15 + len(owner)]
+        with pytest.raises(MalformedMessage):
+            parse_response(data)
+
+
 class TestBuildResponse:
     def test_flags(self):
         msg = build_response(1, Question("f.example", dnswire.TYPE_A),

@@ -355,6 +355,62 @@ class TestCrashTolerance:
             assert len(repo) == 5
 
 
+class TestUpsertMany:
+    BATCH = [rec(domain="b.example"), rec(domain="c.example", provider="cisco"),
+             rec(domain="b.example", payload={"verdict": "not_blocked", "note": "é"}),
+             rec(domain="d.example", provider="ti", kind=KIND_TI, payload=dict(TALLIES))]
+
+    def test_read_your_writes(self, tmp_path):
+        with Repository(tmp_path) as repo:
+            repo.upsert_many(self.BATCH)
+            assert repo.get("b.example", "quad9", "c1") == self.BATCH[2]
+            assert repo.get("c.example", "cisco", "c1") == self.BATCH[1]
+            assert repo.query("c1", kind=KIND_DNS) == [self.BATCH[2], self.BATCH[1]]
+            assert repo.query("c1", kind=KIND_TI) == [self.BATCH[3]]
+            assert len(repo) == 3
+
+    def test_log_bytes_equal_one_by_one(self, tmp_path):
+        with Repository(tmp_path / "many") as repo:
+            repo.upsert_many(self.BATCH)
+        with Repository(tmp_path / "one") as repo:
+            for record in self.BATCH:
+                repo.upsert(record)
+        assert ((tmp_path / "many" / "records.jsonl").read_bytes()
+                == (tmp_path / "one" / "records.jsonl").read_bytes())
+
+    def test_refused_record_writes_none_of_the_batch(self, tmp_path):
+        with Repository(tmp_path) as repo:
+            with pytest.raises(ValueError):
+                repo.upsert_many([rec(), rec(domain="x.example", payload={"verdict": "maybe"})])
+            assert len(repo) == 0
+        assert (tmp_path / "records.jsonl").read_bytes() == b""
+
+    def test_cut_inside_a_batch_reopens_to_the_whole_lines(self, tmp_path):
+        """A writer killed at any byte of a batch leaves a log that reopens
+        to exactly the lines whose JSON text lies wholly before the cut."""
+        with Repository(tmp_path / "full") as repo:
+            repo.upsert(rec(domain="a.example"))
+            start = (tmp_path / "full" / "records.jsonl").stat().st_size
+            repo.upsert_many(self.BATCH)
+        full = (tmp_path / "full" / "records.jsonl").read_bytes()
+        ends, at = [], start  # where each batch line's JSON text ends, newline excluded
+        for record in self.BATCH:
+            at += len(record.to_json().encode())
+            ends.append(at)
+            at += 1
+        cut_root = tmp_path / "cut"
+        for cut in range(start, len(full) + 1):
+            shutil.rmtree(cut_root, ignore_errors=True)
+            cut_root.mkdir()
+            (cut_root / "records.jsonl").write_bytes(full[:cut])
+            whole = [r for r, end in zip(self.BATCH, ends) if end <= cut]
+            latest = {r.key: r for r in [rec(domain="a.example"), *whole]}
+            with Repository(cut_root) as repo:
+                assert repo.query("c1") == sorted(latest.values(), key=lambda r: r.key), cut
+            kept = full[:ends[len(whole) - 1] + 1] if whole else full[:start]
+            assert (cut_root / "records.jsonl").read_bytes() == kept, cut
+
+
 class TestManifests:
     def test_round_trip(self, tmp_path):
         with Repository(tmp_path) as repo:

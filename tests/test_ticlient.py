@@ -344,10 +344,11 @@ class TestRequestsImport:
     # the repository is imported by every command and by tools that only
     # read a log, so neither may pay for the HTTP or IDNA stacks; no pipeline
     # command may pay for the mock resolver farm either, nor for the report
-    # and filter-list modules that only analyze and ads-classify run
+    # and filter-list modules that only analyze and ads-classify run, nor
+    # for the scan engine that only dns-scan runs
     @pytest.mark.parametrize("module, absent", [
         ("admal.cli", ("requests", "admal.mockdns", "admal.analytics", "admal.adlists",
-                       "fractions")),
+                       "fractions", "admal.dnsbroker", "admal.dnswire", "admal.dnsclient")),
         ("admal.repository", ("requests", "idna", "fractions")),
     ], ids=["cli", "repository"])
     def test_cli_import_leaves_requests_out(self, module, absent):
