@@ -8,7 +8,6 @@ blocked when the configured signature matches the filtered answer and the
 control (when queried) still resolves it.
 """
 
-import contextvars
 import logging
 from dataclasses import dataclass, field
 
@@ -107,20 +106,6 @@ class CampaignSummary:
     interrupted: bool = False
 
 
-# The campaign's DnsClient, and the encoded name of the domain a worker asks
-# about, for the default query_fn: the query_fn seam, (address, domain,
-# qtype, profile), has no argument to carry them.
-_CLIENT = contextvars.ContextVar("admal_dns_client")
-_QNAME = contextvars.ContextVar("admal_qname", default=None)
-
-
-async def _default_query_fn(address, domain, qtype, profile):
-    return await _CLIENT.get().query(
-        address, domain, qtype, timeout_ms=profile.timeout_ms,
-        retries=profile.retries, transport=profile.transport, qname=_QNAME.get(),
-    )
-
-
 def _pending_pairs(domains, profiles, held):
     """Yield (domain, profile, qname) for every pair not yet stored, where
     qname is the domain's wire name, encoded once for all its providers, or
@@ -136,18 +121,20 @@ def _pending_pairs(domains, profiles, held):
 
 def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: CampaignLimits,
                  repo: Repository, campaign_id: str, *, qtype: int = dnswire.TYPE_A,
-                 query_fn=None) -> CampaignSummary:
+                 client=None) -> CampaignSummary:
     """Emit exactly one verdict per (domain, profile) pair into the repo.
 
     Already-stored pairs are skipped, so an interrupted campaign resumes
     cleanly.  Network failures and names the wire format cannot carry become
-    inconclusive verdicts; only storage failures abort the run.  ``query_fn``
-    is a coroutine function ``(address, domain, qtype, profile)`` returning
-    a DnsResponse; by default a DnsClient on the campaign's loop answers.
+    inconclusive verdicts; only storage failures abort the run.  ``client``
+    is any object with ``DnsClient.query``'s signature and a ``close()``;
+    with ``None`` a DnsClient is made on the campaign's loop.  run_campaign
+    closes the client it scans with when the scan ends, however it ends; a
+    campaign with no pair left to query runs no scan and leaves a given
+    client as it is.
     """
     if not profiles:
         raise ValueError("at least one resolver profile is required")
-    query_fn = query_fn or _default_query_fn
 
     held = repo.held(campaign_id, KIND_DNS, domains, {p.provider_id for p in profiles})
     todo = sum(len(domains) - held[p.provider_id].count(1) for p in profiles)
@@ -157,7 +144,9 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
     prior = repo.read_manifest(campaign_id) or {}
     summary.started = prior.get("started") or utc_now_rfc3339()
 
-    async def scan():  # asyncio is imported below, before scan runs
+    async def scan(client):  # asyncio is imported below, before scan runs
+        if client is None:
+            client = DnsClient()  # binds to the running loop
         loop = asyncio.get_running_loop()
         interval = 1.0 / limits.per_provider_qps
         next_send: dict[tuple[str, int], float] = {}
@@ -171,10 +160,12 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
             next_send[address] = (due if due > now else now) + interval
             return due - now
 
-        async def ask(address, domain, profile, control):
+        async def ask(address, domain, qname, profile, control):
             """The response, or the inconclusive reason its failure maps to."""
             try:
-                return await query_fn(address, domain, qtype, profile)
+                return await client.query(
+                    address, domain, qtype, timeout_ms=profile.timeout_ms,
+                    retries=profile.retries, transport=profile.transport, qname=qname)
             except QueryTimeout:
                 return "control-timeout" if control else "timeout"
             except MalformedMessage:
@@ -187,11 +178,10 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
             evidence: dict = {"filtered": None, "control": None, "matched_signature": None}
             if qname is None:
                 return INCONCLUSIVE, "unencodable-name", evidence, utc_now_rfc3339()
-            _QNAME.set(qname)
             if (delay := pace(profile.filtered_address)) > 0:
                 await asyncio.sleep(delay)
             queried_at = utc_now_rfc3339()
-            filtered = await ask(profile.filtered_address, domain, profile, False)
+            filtered = await ask(profile.filtered_address, domain, qname, profile, False)
             if isinstance(filtered, str):
                 return INCONCLUSIVE, filtered, evidence, queried_at
             evidence["filtered"] = summarize(filtered)
@@ -202,7 +192,7 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
             ):
                 if (delay := pace(profile.control_address)) > 0:
                     await asyncio.sleep(delay)
-                control = await ask(profile.control_address, domain, profile, True)
+                control = await ask(profile.control_address, domain, qname, profile, True)
                 if isinstance(control, str):
                     return INCONCLUSIVE, control, evidence, queried_at
                 evidence["control"] = summarize(control)
@@ -227,8 +217,6 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
                     batch.clear()
 
         pairs = _pending_pairs(domains, profiles, held)
-        client = DnsClient()
-        _CLIENT.set(client)
         workers = [asyncio.ensure_future(worker(pairs))
                    for _ in range(min(limits.max_inflight, todo))]
         try:
@@ -242,7 +230,7 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
         if todo:
             import asyncio
 
-            asyncio.run(scan())
+            asyncio.run(scan(client))
     except KeyboardInterrupt:
         summary.interrupted = True
         raise

@@ -80,8 +80,11 @@ def open_aside(path, mode: str = "w"):
     """A file, text (``"w"``, UTF-8, LF) or binary (``"wb"``), that replaces
     ``path`` if the block ends without raising: it is written aside, then the
     old file is unlinked and the new one renamed in, as truncating a file or
-    renaming over one makes ext4 flush it (auto_da_alloc).  A path that is
-    not a regular file (``/dev/stdout``, a symlink) is written in place."""
+    renaming over one makes ext4 flush it (auto_da_alloc).  A process killed
+    between that unlink and the rename leaves only ``<path>.tmp``, which
+    holds the whole new content; rerunning the command restores ``path``.
+    A path that is not a regular file (``/dev/stdout``, a symlink) is
+    written in place."""
     path = os.fspath(path)
     aside = not os.path.lexists(path) or stat.S_ISREG(os.lstat(path).st_mode)
     tmp = path + ".tmp" if aside else path

@@ -1,4 +1,6 @@
 import asyncio
+import collections
+import dataclasses
 import logging
 import socket
 import struct
@@ -28,8 +30,8 @@ from admal.dnsbroker import (
     run_campaign,
 )
 from admal.dnsclient import DnsClient
-from admal.dnswire import Question, build_response, parse_response
-from admal.repository import KIND_DNS, KIND_TI, Repository, VerdictRecord
+from admal.dnswire import MalformedMessage, Question, build_response, parse_response
+from admal.repository import KIND_DNS, KIND_TI, Repository, StorageError, VerdictRecord
 
 
 def resp(rcode=0, answers=(), txid=0):
@@ -209,41 +211,60 @@ class TestProfiles:
             "q6", "Q6", ("2620:fe::fe", 53), control_address=("::1", 5353))
 
 
-def recording_query_fn(sent):
-    """Async resolver that notes (loop time, address) of every query and
-    answers like stub_query_fn with every domain blocked."""
-    inner = stub_query_fn(blocked=None)
+CONTROL = ("198.51.100.250", 53)
 
-    async def fn(address, domain, qtype, prof):
-        sent.append((asyncio.get_running_loop().time(), address))
-        return await inner(address, domain, qtype, prof)
+StubCall = collections.namedtuple(
+    "StubCall", "time address domain qtype timeout_ms retries transport qname")
 
-    return fn
+
+class StubClient:
+    """Canned resolver with DnsClient's query signature: the CONTROL address
+    always resolves, every other address sinkholes the domains in
+    ``blocked`` (every domain when ``blocked`` is None).  Each call is
+    recorded, with its loop time, before ``fail(calls)`` may name an
+    exception to raise in place of the answer."""
+
+    def __init__(self, blocked=frozenset(), fail=None):
+        self.blocked, self.fail = blocked, fail
+        self.calls: list[StubCall] = []
+        self.closed = False
+
+    async def query(self, address, domain, qtype=dnswire.TYPE_A, *, timeout_ms=3000,
+                    retries=2, transport="udp+tcp", qname=None):
+        self.calls.append(StubCall(asyncio.get_running_loop().time(), address, domain, qtype,
+                                   timeout_ms, retries, transport, qname))
+        if self.fail is not None and (exc := self.fail(self.calls)) is not None:
+            raise exc
+        sinkholed = address != CONTROL and (self.blocked is None or domain in self.blocked)
+        ip = "0.0.0.0" if sinkholed else "93.184.216.34"
+        return parse_response(build_response(1, Question(domain, qtype),
+                                             answers=((domain, dnswire.TYPE_A, 60, ip),)))
+
+    def close(self):
+        self.closed = True
 
 
 class TestPacing:
     def test_shared_control_endpoint_paced(self, tmp_path):
         """Two profiles send their control queries to one endpoint; the rate
         holds at that endpoint, not once per profile."""
-        control = ("198.51.100.250", 53)
         profiles = [
             ResolverProfile(f"prov{i}", f"P{i}", ("198.51.100.1", 53 + i),
-                            control_address=control, blocked_signatures=(SINK_A,))
+                            control_address=CONTROL, blocked_signatures=(SINK_A,))
             for i in range(2)
         ]
-        sent = []
+        client = StubClient(blocked=None)
         qps = 40.0
         with Repository(tmp_path / "repo") as repo:
             summary = run_campaign([f"d{i}.example" for i in range(8)], profiles,
-                                   CampaignLimits(16, qps), repo, "c1",
-                                   query_fn=recording_query_fn(sent))
+                                   CampaignLimits(16, qps), repo, "c1", client=client)
         assert summary.written == 16
-        for address in {a for _t, a in sent}:
+        for address in {c.address for c in client.calls}:
             # the k-th query to an endpoint waits for slot k of its schedule
-            times = sorted(t for t, a in sent if a == address)
+            times = sorted(c.time for c in client.calls if c.address == address)
             for k, t in enumerate(times):
                 assert t - times[0] >= k / qps - 1e-3, (address, k, t - times[0])
-        assert sum(1 for _t, a in sent if a == control) == 16
+        assert sum(1 for c in client.calls if c.address == CONTROL) == 16
 
     def test_rejects_nonpositive_rate(self):
         for limits in ({"per_provider_qps": 0}, {"max_inflight": 0},
@@ -525,23 +546,6 @@ class TestDeadlineQueues:
         assert max(lengths) <= 4 * inflight
 
 
-def stub_query_fn(blocked, calls=None):
-    """Canned resolver: filtered address sinkholes blocked domains, the
-    control (any other address) always resolves."""
-
-    async def fn(address, domain, qtype, prof):
-        if calls is not None:
-            calls.append((address, domain))
-        question = Question(domain, qtype)
-        if address == prof.filtered_address and (blocked is None or domain in blocked):
-            wire = build_response(1, question, answers=((domain, dnswire.TYPE_A, 60, "0.0.0.0"),))
-        else:
-            wire = build_response(1, question, answers=((domain, dnswire.TYPE_A, 60, "93.184.216.34"),))
-        return parse_response(wire)
-
-    return fn
-
-
 class TestRunCampaign:
     def make_profiles(self, n=3):
         return [
@@ -549,7 +553,7 @@ class TestRunCampaign:
                 provider_id=f"prov{i}",
                 display_name=f"Prov {i}",
                 filtered_address=("198.51.100.1", 53 + i),
-                control_address=("198.51.100.250", 53),
+                control_address=CONTROL,
                 blocked_signatures=(SINK_A,),
                 timeout_ms=200,
                 retries=0,
@@ -559,13 +563,15 @@ class TestRunCampaign:
 
     def test_cardinality(self, tmp_path):
         domains = [f"d{i}.example" for i in range(10)]
+        client = StubClient()
         with Repository(tmp_path / "repo") as repo:
             summary = run_campaign(
                 domains, self.make_profiles(), CampaignLimits(8, 1000.0),
-                repo, "c1", query_fn=stub_query_fn(set()),
+                repo, "c1", client=client,
             )
             assert summary.written == 30
             assert len(repo.query("c1", kind=KIND_DNS)) == 30
+        assert client.closed
 
     def test_resume_skips_existing(self, tmp_path):
         domains = [f"d{i}.example" for i in range(10)]
@@ -581,22 +587,20 @@ class TestRunCampaign:
                 ))
             summary = run_campaign(
                 domains, profiles, CampaignLimits(8, 1000.0),
-                repo, "c1", query_fn=stub_query_fn(set()),
+                repo, "c1", client=StubClient(),
             )
             assert summary.skipped_existing == 4
             assert summary.written == 26
             assert len(repo.query("c1", kind=KIND_DNS)) == 30
 
     def test_control_only_queried_on_signature_match(self, tmp_path):
-        calls = []
+        client = StubClient({"blocked.example"})
         domains = ["blocked.example", "clean.example"]
         profiles = self.make_profiles(1)
         with Repository(tmp_path / "repo") as repo:
-            run_campaign(
-                domains, profiles, CampaignLimits(1, 1000.0), repo, "c1",
-                query_fn=stub_query_fn({"blocked.example"}, calls),
-            )
-        control_calls = [d for a, d in calls if a == ("198.51.100.250", 53)]
+            run_campaign(domains, profiles, CampaignLimits(1, 1000.0), repo, "c1",
+                         client=client)
+        control_calls = [c.domain for c in client.calls if c.address == CONTROL]
         assert control_calls == ["blocked.example"]
 
     def test_verdicts_against_mock_farm(self, tmp_path):
@@ -658,7 +662,7 @@ class TestRunCampaign:
         domains = ["d.example"]
         with Repository(tmp_path / "repo") as repo:
             run_campaign(domains, self.make_profiles(2), CampaignLimits(2, 1000.0),
-                         repo, "c9", query_fn=stub_query_fn(set()))
+                         repo, "c9", client=StubClient())
             manifest = repo.read_manifest("c9")
             assert manifest["domains"] == 1
             assert manifest["providers"] == ["prov0", "prov1"]
@@ -676,7 +680,7 @@ class TestRunCampaign:
                                           {"verdict": verdict}, "x"))
             summary = run_campaign(["d.example"], self.make_profiles(2),
                                    CampaignLimits(2, 1000.0), repo, "c9",
-                                   query_fn=stub_query_fn(set()))
+                                   client=StubClient())
             expected = {"prov0": 0, "prov1": 0, "gone": 2}
             assert summary.inconclusive == expected
             assert repo.read_manifest("c9")["inconclusive"] == expected
@@ -685,11 +689,11 @@ class TestRunCampaign:
         profiles = self.make_profiles(2)
         with Repository(tmp_path / "repo") as repo:
             run_campaign(["d.example"], profiles, CampaignLimits(2, 1000.0),
-                         repo, "c9", query_fn=stub_query_fn(set()))
+                         repo, "c9", client=StubClient())
             path = repo.manifest_path("c9")
             before, inode = path.read_bytes(), path.stat().st_ino
             rerun = run_campaign(["d.example"], profiles, CampaignLimits(2, 1000.0),
-                                 repo, "c9", query_fn=stub_query_fn(set()))
+                                 repo, "c9", client=StubClient())
             assert rerun.written == 0
             assert (path.read_bytes(), path.stat().st_ino) == (before, inode)
 
@@ -697,11 +701,11 @@ class TestRunCampaign:
         profiles = self.make_profiles(2)
         with Repository(tmp_path / "repo") as repo:
             run_campaign(["d.example"], profiles, CampaignLimits(2, 1000.0),
-                         repo, "c9", query_fn=stub_query_fn(set()))
+                         repo, "c9", client=StubClient())
             manifest = repo.read_manifest("c9")
             repo.write_manifest("c9", {**manifest, "interrupted": True})
             run_campaign(["d.example"], profiles, CampaignLimits(2, 1000.0),
-                         repo, "c9", query_fn=stub_query_fn(set()))
+                         repo, "c9", client=StubClient())
             rewritten = repo.read_manifest("c9")
             assert rewritten["interrupted"] is False
             assert {**rewritten, "finished": None} == {**manifest, "finished": None}
@@ -710,14 +714,14 @@ class TestRunCampaign:
         profiles = self.make_profiles(1)
         with Repository(tmp_path / "repo") as repo:
             run_campaign(["a.example", "b.example"], profiles, CampaignLimits(2, 1000.0),
-                         repo, "c1", query_fn=stub_query_fn(set()))
+                         repo, "c1", client=StubClient())
             repo.upsert(VerdictRecord("a.example", "prov0", "c1", KIND_TI,
                                       {"status": "no_report"}, "x"))
             assert repo.held("c1", KIND_DNS, ["a.example", "b.example"], ["prov0"]) == {
                 "prov0": b"\x00\x01"}
             rerun = run_campaign(["a.example", "b.example"], profiles,
                                  CampaignLimits(2, 1000.0), repo, "c1",
-                                 query_fn=stub_query_fn(set()))
+                                 client=StubClient())
             assert (rerun.written, rerun.skipped_existing) == (1, 1)
             assert repo.get("a.example", "prov0", "c1").kind == KIND_DNS
 
@@ -728,7 +732,7 @@ class TestRunCampaign:
         def verdicts(order, root):
             with Repository(root) as repo:
                 run_campaign(order, self.make_profiles(2), CampaignLimits(4, 1000.0),
-                             repo, "c", query_fn=stub_query_fn(blocked))
+                             repo, "c", client=StubClient(blocked))
                 return {
                     (r.domain, r.provider_id, r.payload["verdict"])
                     for r in repo.query("c", kind=KIND_DNS)
@@ -740,10 +744,22 @@ class TestRunCampaign:
 
     def test_unencodable_name_becomes_inconclusive(self, tmp_path):
         domains = ["ok.example", "bad..example"]
-        profiles = self.make_profiles(2)
+        first, second = self.make_profiles(2)
+        profiles = [first, dataclasses.replace(second, timeout_ms=700, retries=3,
+                                               transport="tcp")]
+        client = StubClient()
         with Repository(tmp_path / "repo") as repo:
             summary = run_campaign(domains, profiles, CampaignLimits(2, 1000.0),
-                                   repo, "c1", query_fn=stub_query_fn(set()))
+                                   repo, "c1", client=client)
+            # only the encodable name reaches the client, with its wire name
+            # and the settings of the profile it is asked for
+            assert sorted(c.address for c in client.calls) == [p.filtered_address
+                                                               for p in profiles]
+            for call, prof in zip(sorted(client.calls, key=lambda c: c.address), profiles):
+                assert (call.domain, call.qtype, call.qname) == (
+                    "ok.example", dnswire.TYPE_A, dnswire.encode_name("ok.example"))
+                assert (call.timeout_ms, call.retries, call.transport) == (
+                    prof.timeout_ms, prof.retries, prof.transport)
             assert summary.written == 4
             assert summary.inconclusive == {"prov0": 1, "prov1": 1}
             for provider in ("prov0", "prov1"):
@@ -751,7 +767,7 @@ class TestRunCampaign:
                 assert payload["verdict"] == INCONCLUSIVE
                 assert payload["reason"] == "unencodable-name"
             rerun = run_campaign(domains, profiles, CampaignLimits(2, 1000.0),
-                                 repo, "c1", query_fn=stub_query_fn(set()))
+                                 repo, "c1", client=StubClient())
             assert rerun.written == 0
             assert rerun.skipped_existing == 4
 
@@ -795,27 +811,53 @@ class TestRunCampaign:
         assert {d for (d, p), v in truncated.items() if v[0] == BLOCKED} == blocked
 
     def test_keyboard_interrupt_marks_manifest(self, tmp_path):
-        inner = stub_query_fn(set())
-        calls = []
-
-        async def interrupting(address, domain, qtype, prof):
-            calls.append(domain)
-            if len(calls) == 5:
-                raise KeyboardInterrupt
-            return await inner(address, domain, qtype, prof)
-
+        client = StubClient(fail=lambda calls: KeyboardInterrupt if len(calls) == 5 else None)
         domains = [f"d{i}.example" for i in range(20)]
         with Repository(tmp_path / "repo") as repo:
             with pytest.raises(KeyboardInterrupt):
                 run_campaign(domains, self.make_profiles(1), CampaignLimits(1, 1000.0),
-                             repo, "c1", query_fn=interrupting)
+                             repo, "c1", client=client)
+            assert client.closed
             assert repo.read_manifest("c1")["interrupted"] is True
             assert len(repo.query("c1", kind=KIND_DNS)) == 4
             resumed = run_campaign(domains, self.make_profiles(1),
                                    CampaignLimits(1, 1000.0), repo, "c1",
-                                   query_fn=stub_query_fn(set()))
+                                   client=StubClient())
             assert (resumed.skipped_existing, resumed.written) == (4, 16)
             assert repo.read_manifest("c1")["interrupted"] is False
+
+    def test_storage_error_ends_run_and_closes_client(self, tmp_path, monkeypatch):
+        def refuse(records):
+            raise StorageError("log append failed: disk full")
+
+        client = StubClient()
+        with Repository(tmp_path / "repo") as repo:
+            monkeypatch.setattr(repo, "upsert_many", refuse)
+            with pytest.raises(StorageError, match="disk full"):
+                run_campaign(["d.example", "e.example"], self.make_profiles(1),
+                             CampaignLimits(2, 1000.0), repo, "c1", client=client)
+        assert client.closed
+
+    @pytest.mark.parametrize("exc, on_control, reason", [
+        (QueryTimeout, False, "timeout"),
+        (MalformedMessage, False, "malformed-response"),
+        (OSError, False, "network-error"),
+        (QueryTimeout, True, "control-timeout"),
+        (MalformedMessage, True, "control-malformed"),
+        (OSError, True, "control-network-error"),
+    ])
+    def test_query_failure_maps_to_reason(self, tmp_path, exc, on_control, reason):
+        """The domain is sinkholed, so a control query follows a filtered one
+        that answers; either query may fail instead."""
+        client = StubClient({"d.example"},
+                            fail=lambda calls: exc if (calls[-1].address == CONTROL) == on_control
+                            else None)
+        with Repository(tmp_path / "repo") as repo:
+            run_campaign(["d.example"], self.make_profiles(1), CampaignLimits(1, 1000.0),
+                         repo, "c1", client=client)
+            payload = repo.get("d.example", "prov0", "c1").payload
+        assert (payload["verdict"], payload["reason"]) == (INCONCLUSIVE, reason)
+        assert [c.address == CONTROL for c in client.calls] == [False, True][:1 + on_control]
 
     def test_requires_profiles(self, tmp_path):
         with Repository(tmp_path / "repo") as repo:
