@@ -17,16 +17,16 @@ import json
 import os
 from collections import Counter
 from collections.abc import Collection
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import add
+from typing import NamedTuple
 
 from .adlists import AdMatcher
+from .config import ALL_PARTNERS, OPINIONS
 from .keydir import (BLOCKED, DNS_STATES, INCONCLUSIVE, NO_REPORT, NOT_BLOCKED, ONLY, REPORT,
-                     TI_STATES, flags, open_aside)
+                     TALLIES, TI_STATES, flags, open_aside)
 from .repository import KIND_DNS, KIND_TI, Repository, StorageError
-from .ticlient import ALL_PARTNERS, OPINIONS, NoReport
 
 TRUNCATE2 = "truncate2"
 TRUNCATE1 = "truncate1"
@@ -116,8 +116,7 @@ def blocked_sets(repo: Repository, campaign_id: str) -> dict[str, set[str]]:
             for provider_id, domains in _dns_verdicts(repo, campaign_id)[1].items()}
 
 
-@dataclass(frozen=True)
-class AdShare:
+class AdShare(NamedTuple):
     ad_count: int
     share_pct: float
     empty_base: bool  # blocked set was empty, share forced to 0
@@ -131,8 +130,7 @@ def ad_share(blocked: Collection[str], matcher: AdMatcher) -> AdShare:
     return AdShare(ad_count, percent(ad_count, len(blocked)), False)
 
 
-@dataclass(frozen=True)
-class EcdfPoint:
+class EcdfPoint(NamedTuple):
     ratio: float
     count: int
     cum_count: int
@@ -161,29 +159,29 @@ def _ecdf_from_counter(counter: Counter) -> list[EcdfPoint]:
     return points
 
 
-@dataclass
-class TiStats:
-    with_report: int = 0
-    no_report: int = 0
-    threat_count: int = 0
-    undefined_ratio: int = 0
-    ad_threat_count: int = 0
-    threat_share_pct: float = 0.0
-    figure_base: int | None = None
-    threat_share_pct_figure: float | None = None
-    ad_threat_share_pct: float = 0.0
-    denominator: str = OPINIONS
-    ecdf_points: list | None = None
+class TiStats(NamedTuple):
+    with_report: int
+    no_report: int
+    threat_count: int
+    undefined_ratio: int
+    ad_threat_count: int
+    threat_share_pct: float
+    figure_base: int | None
+    threat_share_pct_figure: float | None
+    ad_threat_share_pct: float
+    denominator: str
+    ecdf_points: list
 
 
 def ti_stats(results, matcher: AdMatcher | None = None, *, figure_base: int | None = None,
              denominator: str = OPINIONS) -> TiStats:
     """Reduce a stream of reports / no-report markers to the threat-side
     numbers, as a column of reports and one of markers for ``ti_column_stats``."""
+    from .ticlient import NoReport  # only a stream of reports needs the TI client
+
     results = list(results)
     reports = [r for r in results if not isinstance(r, NoReport)]
-    tallies = [[getattr(r, name) for r in reports]
-               for name in ("harmless", "undetected", "suspicious", "malicious", "timeout")]
+    tallies = [[getattr(r, name) for r in reports] for name in TALLIES]
     columns = [(None, bytes([TI_STATES[REPORT]]) * len(reports), tallies),
                (None, bytes([TI_STATES[NO_REPORT]]) * (len(results) - len(reports)), None)]
     return ti_column_stats([r.domain for r in reports], columns, matcher,
@@ -199,10 +197,10 @@ def ti_column_stats(domains: list, columns, matcher: AdMatcher | None = None, *,
     overwritten by a no_report leaves its old tallies in the columns."""
     if denominator not in (OPINIONS, ALL_PARTNERS):
         raise ValueError(f"unknown denominator mode {denominator!r}")
-    stats = TiStats(figure_base=figure_base, denominator=denominator)
+    no_report = 0
     terms, threats = Counter(), []  # (flagged, base) -> reports; base 0: undefined
     for _provider, states, tallies in columns:
-        stats.no_report += states.count(TI_STATES[NO_REPORT])
+        no_report += states.count(TI_STATES[NO_REPORT])
         if tallies is None:
             continue
         reported = states.translate(ONLY[TI_STATES[REPORT]])
@@ -214,29 +212,34 @@ def ti_column_stats(domains: list, columns, matcher: AdMatcher | None = None, *,
             base = map(add, base, map(add, undetected, timeout))
         terms.update(zip(flagged, base))
         threats += compress(compress(domains, reported), flagged)
-    stats.threat_count = len(threats)
-    if matcher is not None:
-        stats.ad_threat_count = sum(map(matcher.is_ad, threats))
+    threat_count = len(threats)
+    ad_threat_count = sum(map(matcher.is_ad, threats)) if matcher is not None else 0
     # one Fraction per distinct pair; pairs like 1/2 and 2/4 merge into one step
     ratio_counts: Counter = Counter()
+    with_report = undefined_ratio = 0
     for (flagged, base), reports in terms.items():
-        stats.with_report += reports
+        with_report += reports
         if base:
             ratio_counts[Fraction(flagged, base)] += reports
         else:
-            stats.undefined_ratio += reports
-    if stats.with_report:
-        stats.threat_share_pct = percent(stats.threat_count, stats.with_report, TRUNCATE1)
-    if figure_base:
-        stats.threat_share_pct_figure = percent(stats.threat_count, figure_base, TRUNCATE1)
-    if stats.threat_count:
-        stats.ad_threat_share_pct = percent(stats.ad_threat_count, stats.threat_count)
-    stats.ecdf_points = _ecdf_from_counter(ratio_counts) if ratio_counts else []
-    return stats
+            undefined_ratio += reports
+    return TiStats(
+        with_report=with_report,
+        no_report=no_report,
+        threat_count=threat_count,
+        undefined_ratio=undefined_ratio,
+        ad_threat_count=ad_threat_count,
+        threat_share_pct=percent(threat_count, with_report, TRUNCATE1) if with_report else 0.0,
+        figure_base=figure_base,
+        threat_share_pct_figure=(percent(threat_count, figure_base, TRUNCATE1)
+                                 if figure_base else None),
+        ad_threat_share_pct=percent(ad_threat_count, threat_count) if threat_count else 0.0,
+        denominator=denominator,
+        ecdf_points=_ecdf_from_counter(ratio_counts) if ratio_counts else [],
+    )
 
 
-@dataclass(frozen=True)
-class ProviderStats:
+class ProviderStats(NamedTuple):
     provider_id: str
     blocked: int
     blocked_pct: float
@@ -247,8 +250,7 @@ class ProviderStats:
     ad_share_empty_base: bool
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     campaign_id: str
     corpus_size: int
     providers: list

@@ -12,12 +12,11 @@ Logs are JSONL on stderr; data goes to stdout or files.
 import argparse
 import contextlib
 import json
-import logging
 import os
 import sys
 import time
 
-from . import __version__, ingest
+from . import __version__, ingest, log, show_library_logs
 from .config import (
     TI_FIXTURE,
     TI_LIVE,
@@ -36,19 +35,6 @@ from .repository import (
     VerdictRecord,
     utc_now_rfc3339,
 )
-from .ticlient import (
-    AuthError,
-    FixtureTiProvider,
-    LiveTiProvider,
-    NoReport,
-    PayloadError,
-    TiClient,
-    TransportError,
-    payload_to_report,
-    report_to_payload,
-)
-
-log = logging.getLogger("admal")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,32 +43,6 @@ EXIT_RUNTIME = 2
 TI_PROVIDER_ID = "ti"
 ADLIST_PROVIDER_ID = "adlists"
 _encode = json.JSONEncoder(separators=(",", ":")).encode
-
-
-class _JsonLogFormatter(logging.Formatter):
-    def format(self, record):
-        doc = {
-            "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(record.created)),
-            "level": record.levelname.lower(),
-            "logger": record.name,
-            "msg": record.getMessage(),
-        }
-        if record.exc_info:
-            doc["exc"] = self.formatException(record.exc_info)
-        return json.dumps(doc, separators=(",", ":"))
-
-
-class _StderrHandler(logging.StreamHandler):
-    # sys.stderr as it is at each emit, never a stream swapped out since setup
-    stream = property(lambda self: sys.stderr, lambda self, value: None)
-
-
-def _setup_logging(verbose: bool) -> None:
-    handler = _StderrHandler()
-    handler.setFormatter(_JsonLogFormatter())
-    root = logging.getLogger()
-    root.handlers[:] = [handler]
-    root.setLevel(logging.DEBUG if verbose else logging.INFO)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,7 +98,7 @@ def _read_corpus(path: str) -> tuple[list[str], int]:
                     host = ingest.normalize_hostname(host)
                 except ingest.IngestError as exc:
                     rejected += 1
-                    log.warning("corpus line rejected: %s", exc)
+                    log("warning", f"corpus line rejected: {exc}")
                     continue
             domains[host] = None
     return list(domains), rejected
@@ -209,7 +169,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
         fh.write("\n".join(domains))
         if domains:
             fh.write("\n")
-    log.info("ingested %d records into %d domains", records, len(domains))
+    log("info", f"ingested {records} records into {len(domains)} domains")
     _emit({"campaign": campaign, "corpus": corpus_path, "records": records,
            "domains": len(domains), "rejected_lines": rejected_lines,
            "rejected_domains": sum(corpus.rejects.values())})
@@ -240,24 +200,34 @@ def cmd_dns_scan(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _ti_provider(cfg: PipelineConfig):
+def _ti_provider(cfg: PipelineConfig, ticlient):
     if cfg.ti_mode == TI_FIXTURE:
         if not os.path.exists(cfg.ti_fixture):
             raise ConfigError(f"ti fixture not found: {cfg.ti_fixture}")
         try:
-            return FixtureTiProvider(cfg.ti_fixture)
+            return ticlient.FixtureTiProvider(cfg.ti_fixture)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     if cfg.ti_mode == TI_LIVE:
-        return LiveTiProvider(cfg.ti_base_url, **cfg.ti_options)
+        return ticlient.LiveTiProvider(cfg.ti_base_url, **cfg.ti_options)
     raise ConfigError("ti.mode is 'off'; nothing to fetch")
 
 
 def cmd_ti_fetch(args, cfg: PipelineConfig) -> int:
+    from . import ticlient  # only ti-fetch loads the TI client
+
+    try:
+        return _fetch_reports(args, cfg, ticlient)
+    except ticlient.AuthError as exc:
+        log("error", f"auth error: {exc}")
+        return EXIT_RUNTIME
+
+
+def _fetch_reports(args, cfg: PipelineConfig, ticlient) -> int:
     campaign = _campaign_id(args, cfg)
     corpus_path = args.corpus or cfg.corpus_path(campaign)
     domains, rejected = _read_corpus(corpus_path)
-    provider = _ti_provider(cfg)
+    provider = _ti_provider(cfg, ticlient)
 
     fetched = no_report = unfetched = 0
     with Repository(cfg.repository) as repo:
@@ -265,15 +235,15 @@ def cmd_ti_fetch(args, cfg: PipelineConfig) -> int:
         todo = [domain for domain, stored in zip(domains, done) if not stored]
         # a report another campaign holds is reused, not asked for again
         reused = repo.latest_elsewhere(campaign, TI_PROVIDER_ID, KIND_TI, todo)
-        client = TiClient(provider, {domain: payload_to_report(domain, payload)
-                                     for domain, payload in reused.items()},
-                          requests_per_minute=cfg.ti_requests_per_minute)
+        client = ticlient.TiClient(provider, {domain: ticlient.payload_to_report(domain, payload)
+                                              for domain, payload in reused.items()},
+                                   requests_per_minute=cfg.ti_requests_per_minute)
         for domain in todo:
             try:
                 result = client.fetch(domain)
-            except (TransportError, PayloadError) as exc:
+            except (ticlient.TransportError, ticlient.PayloadError) as exc:
                 unfetched += 1
-                log.warning("unfetched %s: %s", domain, exc)
+                log("warning", f"unfetched {domain}: {exc}")
                 continue
             repo.upsert(
                 VerdictRecord(
@@ -281,12 +251,12 @@ def cmd_ti_fetch(args, cfg: PipelineConfig) -> int:
                     provider_id=TI_PROVIDER_ID,
                     campaign_id=campaign,
                     kind=KIND_TI,
-                    payload=report_to_payload(result),
+                    payload=ticlient.report_to_payload(result),
                     recorded_at=utc_now_rfc3339(),
                 )
             )
             fetched += 1
-            no_report += isinstance(result, NoReport)
+            no_report += isinstance(result, ticlient.NoReport)
     _emit(
         {
             "campaign": campaign,
@@ -338,10 +308,8 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
                         recorded_at=utc_now_rfc3339(),
                     )
                 )
-    log.info(
-        "classified %d domains against %d entries (%d rejects across lists)",
-        len(domains), matcher.entry_count, len(rejects),
-    )
+    log("info", f"classified {len(domains)} domains against {matcher.entry_count} entries"
+        f" ({len(rejects)} rejects across lists)")
     return EXIT_OK
 
 
@@ -366,7 +334,7 @@ def cmd_analyze(args, cfg: PipelineConfig) -> int:
                 config_digest=cfg.analysis_digest(),
             )
         except analytics.UnknownCampaign as exc:
-            log.error("no records for campaign %s", exc)
+            log("error", f"no records for campaign {exc}")
             return EXIT_RUNTIME
         written = analytics.emit_report(report, out_dir, formats)
     _emit({"campaign": campaign, "out": out_dir, "files": sorted(written)})
@@ -376,7 +344,7 @@ def cmd_analyze(args, cfg: PipelineConfig) -> int:
 def cmd_run_all(args, cfg: PipelineConfig) -> int:
     for step in (cmd_ingest, cmd_dns_scan, cmd_ti_fetch, cmd_analyze):
         if step is cmd_ti_fetch and cfg.ti_mode not in (TI_FIXTURE, TI_LIVE):
-            log.info("ti.mode=off; skipping report fetch")
+            log("info", "ti.mode=off; skipping report fetch")
             continue
         code = step(args, cfg)
         if code != EXIT_OK:
@@ -405,7 +373,7 @@ def cmd_mock_dns(args, cfg: PipelineConfig) -> int:
                 while True:
                     time.sleep(3600)
         except KeyboardInterrupt:
-            log.info("farm stopping")
+            log("info", "farm stopping")
     return EXIT_OK
 
 
@@ -413,7 +381,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="pipeline config JSON")
     common.add_argument("--campaign", help="campaign id (overrides config)")
-    common.add_argument("--verbose", action="store_true", help="debug logging")
+    common.add_argument("--verbose", action="store_true", help="log library debug lines too")
 
     parser = _Parser(prog="admal", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -471,7 +439,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _setup_logging(getattr(args, "verbose", False))
+    show_library_logs(getattr(args, "verbose", False))
     if not getattr(args, "func", None):
         parser.print_help(sys.stderr)
         return EXIT_USAGE
@@ -479,19 +447,16 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         return args.func(args, cfg)
     except ConfigError as exc:
-        log.error("config error: %s", exc)
+        log("error", f"config error: {exc}")
         return EXIT_USAGE
-    except AuthError as exc:
-        log.error("auth error: %s", exc)
-        return EXIT_RUNTIME
     except (StorageError, RecordSchemaError) as exc:
-        log.error("storage error: %s", exc)
+        log("error", f"storage error: {exc}")
         return EXIT_RUNTIME
     except KeyboardInterrupt:
-        log.error("interrupted; rerun the same command to resume")
+        log("error", "interrupted; rerun the same command to resume")
         return EXIT_RUNTIME
     except OSError as exc:
-        log.error("io error: %s", exc)
+        log("error", f"io error: {exc}")
         return EXIT_RUNTIME
 
 

@@ -4,20 +4,27 @@ One file drives every subcommand: inputs, resolver profiles, the TI
 provider, filter lists, repository location, limits, and analytics
 options.  The TI API key is the single value that never lives here; it
 comes from the ADMAL_TI_API_KEY environment variable.  Resolver profiles and
-scan limits are defined here, so reading a config loads no scan engine.
+scan limits are defined here, so reading a config loads no scan engine,
+and the agreement denominators too, so it loads no TI client.  Its value
+types are NamedTuples, the checked ones with a ``__new__`` that raises
+ValueError.  It imports ``hashlib``, ``json``, ``math``, ``os`` and
+``typing``, and nothing of admal.
 """
 
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
-
-from .ticlient import ALL_PARTNERS, OPINIONS
+from typing import NamedTuple
 
 TI_OFF = "off"
 TI_FIXTURE = "fixture"
 TI_LIVE = "live"
+
+# the partners a TI agreement ratio divides by: those that expressed an
+# opinion (harmless, suspicious or malicious), or all of them
+OPINIONS = "opinions"
+ALL_PARTNERS = "all_partners"
 
 
 class ConfigError(Exception):
@@ -34,16 +41,21 @@ _SINKHOLE_KINDS = (SIG_SINKHOLE_A, SIG_SINKHOLE_AAAA)
 _KINDS = (*_SINKHOLE_KINDS, SIG_NXDOMAIN, SIG_REFUSED, SIG_ZERO_ANSWER)
 
 
-@dataclass(frozen=True)
-class BlockSignature:
+class _BlockSignature(NamedTuple):
     kind: str
     sinkhole_ips: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class BlockSignature(_BlockSignature):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown block signature kind {self.kind!r}")
         if self.kind in _SINKHOLE_KINDS and not self.sinkhole_ips:
             raise ValueError(f"{self.kind} signature needs at least one IP")
+        return self
 
     def label(self) -> str:
         if self.sinkhole_ips:
@@ -84,8 +96,7 @@ def _format_address(address: tuple[str, int]) -> str:
     return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
 
 
-@dataclass(frozen=True)
-class ResolverProfile:
+class _ResolverProfile(NamedTuple):
     provider_id: str
     display_name: str
     filtered_address: tuple[str, int]
@@ -95,13 +106,19 @@ class ResolverProfile:
     timeout_ms: int = 3000
     retries: int = 2
 
-    def __post_init__(self):
+
+class ResolverProfile(_ResolverProfile):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if type(self.timeout_ms) is not int or self.timeout_ms <= 0:
             raise ValueError(f"timeout_ms must be a positive int, got {self.timeout_ms!r}")
         if type(self.retries) is not int or self.retries < 0:
             raise ValueError(f"retries must be a nonnegative int, got {self.retries!r}")
         if self.transport not in ("udp+tcp", "tcp"):
             raise ValueError(f"unknown transport {self.transport!r}")
+        return self
 
     @classmethod
     def from_config(cls, doc: dict) -> "ResolverProfile":
@@ -131,21 +148,25 @@ def default_profiles() -> list[ResolverProfile]:
     ]
 
 
-@dataclass
-class CampaignLimits:
+class _CampaignLimits(NamedTuple):
     max_inflight: int = 64
     per_provider_qps: float = 20.0  # per endpoint address, control queries included
 
-    def __post_init__(self):
-        inflight, qps = self.max_inflight, self.per_provider_qps
+
+class CampaignLimits(_CampaignLimits):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        inflight, qps = self
         if type(inflight) is not int or inflight < 1:
             raise ValueError(f"max_inflight must be a positive int, got {inflight!r}")
         if type(qps) not in (int, float) or not 0 < qps < math.inf:
             raise ValueError(f"per_provider_qps must be a positive finite number, got {qps!r}")
+        return self
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     campaign: str | None
     repository: str
     input_url_list: str | None

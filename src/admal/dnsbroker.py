@@ -8,18 +8,15 @@ blocked when the configured signature matches the filtered answer and the
 control (when queried) still resolves it.
 """
 
-import logging
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from . import dnswire
+from . import dnswire, library_logs, log
 from .config import (SIG_NXDOMAIN, SIG_REFUSED, SIG_SINKHOLE_A, SIG_ZERO_ANSWER, BlockSignature,
                      CampaignLimits, ResolverProfile)
 from .dnsclient import DnsClient, QueryTimeout
 from .dnswire import DnsResponse, MalformedMessage
 from .keydir import BLOCKED, DNS_STATES, INCONCLUSIVE, NOT_BLOCKED
 from .repository import KIND_DNS, Repository, VerdictRecord, utc_now_rfc3339
-
-log = logging.getLogger(__name__)
 
 # the keys of a dns payload, in the order work() returns their values
 _PAYLOAD_KEYS = ("verdict", "reason", "evidence", "queried_at")
@@ -43,17 +40,22 @@ def matches(signature: BlockSignature, response: DnsResponse) -> bool:
     return any(rr.rtype == rtype and rr.rdata in signature.sinkhole_ips for rr in response.answers)
 
 
-@dataclass(frozen=True)
-class Classification:
+class _Classification(NamedTuple):
     verdict: str
     reason: str | None = None
     matched_signature: str | None = None
 
-    def __post_init__(self):
+
+class Classification(_Classification):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.verdict == INCONCLUSIVE and not self.reason:
             raise ValueError("inconclusive verdicts need a reason")
         if self.verdict == BLOCKED and not self.matched_signature:
             raise ValueError("blocked verdicts need a matching signature")
+        return self
 
 
 def resolves_normally(response: DnsResponse) -> bool:
@@ -93,17 +95,19 @@ def summarize(response: DnsResponse) -> dict:
     }
 
 
-@dataclass
 class CampaignSummary:
-    campaign_id: str
-    domains: int
-    providers: list[str]
-    written: int = 0
-    skipped_existing: int = 0
-    inconclusive: dict = field(default_factory=dict)
-    started: str = ""
-    finished: str = ""
-    interrupted: bool = False
+    """What ``run_campaign`` did, filled in as it runs."""
+
+    __slots__ = ("campaign_id", "domains", "providers", "written", "skipped_existing",
+                 "inconclusive", "started", "finished", "interrupted")
+
+    def __init__(self, campaign_id: str, domains: int, providers: list[str], *,
+                 skipped_existing: int = 0):
+        self.campaign_id, self.domains, self.providers = campaign_id, domains, providers
+        self.written, self.skipped_existing = 0, skipped_existing
+        self.inconclusive: dict = {}
+        self.started = self.finished = ""
+        self.interrupted = False
 
 
 def _pending_pairs(domains, profiles, held):
@@ -230,6 +234,7 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
         if todo:
             import asyncio
 
+            library_logs()
             asyncio.run(scan(client))
     except KeyboardInterrupt:
         summary.interrupted = True
@@ -244,8 +249,8 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
         # rewriting it costs an fsync and a rename
         if {**manifest, "finished": None} != {**prior, "finished": None}:
             repo.write_manifest(campaign_id, manifest)
-        log.info("campaign %s: %d written, %d skipped", campaign_id,
-                 summary.written, summary.skipped_existing)
+        log("info", f"campaign {campaign_id}: {summary.written} written, "
+            f"{summary.skipped_existing} skipped", "admal.dnsbroker")
     return summary
 
 

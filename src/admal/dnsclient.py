@@ -15,7 +15,6 @@ import random
 import socket
 import struct
 from collections import defaultdict, deque
-from dataclasses import dataclass
 
 from . import dnswire
 from .dnswire import DnsResponse, MalformedMessage
@@ -39,17 +38,18 @@ def _echoes(response: DnsResponse, name: str, qtype: int) -> bool:
     )
 
 
-@dataclass(slots=True)
 class _Pending:
     """A query waiting on a UDP socket: the question a reply must echo, the
     future that wakes the current attempt, the reply that completed the
     query, and whether an undecodable reply came."""
 
-    name: str
-    qtype: int
-    future: object = None
-    response: DnsResponse | None = None
-    malformed: bool = False
+    __slots__ = ("name", "qtype", "future", "response", "malformed")
+
+    def __init__(self, name: str, qtype: int):
+        self.name, self.qtype = name, qtype
+        self.future = None
+        self.response: DnsResponse | None = None
+        self.malformed = False
 
 
 async def _tcp_exchange(address: tuple[str, int], message: bytes) -> bytes:

@@ -9,18 +9,14 @@ grows with the distinct hosts, not with the lines.
 
 Hostnames are normalized to lowercase ASCII (punycode for IDN labels), ports
 and trailing dots are stripped, and IP-literal hosts are excluded with a
-counted reject reason.
+counted reject reason.  ``idna`` is imported on the first non-ASCII label.
 """
 
 import ipaddress
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from datetime import datetime
 from typing import Iterable, Iterator
 from urllib.parse import urlsplit
-
-import idna
 
 MAX_LABEL_LEN = 63
 MAX_NAME_LEN = 253
@@ -38,6 +34,12 @@ _CANONICAL_RE = re.compile(
 # an http(s) URL with a plain ASCII host and an optional decimal port: urlsplit's
 # hostname is group 1 lowercased (no IGNORECASE: it folds "\u017f" to "s")
 _PLAIN_URL_RE = re.compile(r"[hH][tT][tT][pP][sS]?://([A-Za-z0-9._-]+)(?::[0-9]*)?(?=[/?#]|\Z)")
+# an RFC 3339 section 5.6 date-time; "T" and "Z" may be lower case (its
+# section 5.6 note); groups: year, month, day, hour, minute, second, and the
+# offset's hour and minute
+_DATE_TIME_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})[Tt]([0-9]{2}):([0-9]{2}):([0-9]{2})"
+                           r"(?:\.[0-9]+)?(?:[Zz]|[+-]([0-9]{2}):([0-9]{2}))")
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
 class IngestError(ValueError):
@@ -60,15 +62,17 @@ class SchemaError(IngestError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass
 class Corpus:
     """What ``dedupe`` has folded in so far: the distinct domains in
     first-seen order, the outcome of each raw host (None when it became a
     domain, else its reject reason), and the rejected URLs by reason."""
 
-    domains: dict[str, None] = field(default_factory=dict)  # insertion-ordered set
-    outcomes: dict[str, str | None] = field(default_factory=dict)
-    rejects: Counter = field(default_factory=Counter)
+    __slots__ = ("domains", "outcomes", "rejects")
+
+    def __init__(self):
+        self.domains: dict[str, None] = {}  # insertion-ordered set
+        self.outcomes: dict[str, str | None] = {}
+        self.rejects: Counter = Counter()
 
 
 def normalize_hostname(host: str) -> str:
@@ -126,6 +130,8 @@ def _normalize_label(label: str, host: str) -> str:
         if not _ASCII_LABEL_RE.match(label):
             raise InvalidHostError(f"invalid characters in label {label!r}")
         return label
+    import idna
+
     try:
         encoded = idna.encode(label, uts46=True).decode("ascii")
     except idna.IDNAError:
@@ -220,12 +226,26 @@ def parse_capture(doc) -> list[str]:
         if ts is not None:
             if not isinstance(ts, str):
                 raise SchemaError(f"entries[{i}].ts")
-            try:
-                datetime.fromisoformat(ts.replace("Z", "+00:00"))
-            except ValueError:
-                raise SchemaError(f"entries[{i}].ts", "not an RFC3339 timestamp") from None
+            if not _is_date_time(ts):
+                raise SchemaError(f"entries[{i}].ts", "not an RFC3339 timestamp")
         urls.append(url)
     return urls
+
+
+def _is_date_time(text: str) -> bool:
+    """True when the text is an RFC 3339 date-time (section 5.6), each field
+    in its range: a day that its month has (February 29 in leap years only),
+    hour 00-23, minute 00-59, second 00-60 (60: a leap second), and an offset
+    within -23:59 to +23:59."""
+    match = _DATE_TIME_RE.fullmatch(text)
+    if match is None:
+        return False
+    year, month, day, hour, minute, second, off_hour, off_minute = (
+        int(group or 0) for group in match.groups())
+    leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    return (1 <= month <= 12 and 1 <= day <= _MONTH_DAYS[month - 1] + (month == 2 and leap)
+            and hour <= 23 and minute <= 59 and second <= 60
+            and off_hour <= 23 and off_minute <= 59)
 
 
 def dedupe(hosts: Iterable[str], corpus: Corpus | None = None) -> Corpus:

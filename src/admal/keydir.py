@@ -34,6 +34,8 @@ TI_STATES = {REPORT: 4, NO_REPORT: 5}
 AD = 6
 N_STATES = AD + 1  # codes 0 (no record) to AD
 TALLY_MAX = 0xFFFF  # the most an array("H") tally column holds
+# a TI report's tallies, in the order of a column's five tally columns
+TALLIES = ("harmless", "undetected", "suspicious", "malicious", "timeout")
 
 
 def flags(states) -> bytes:

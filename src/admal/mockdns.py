@@ -21,9 +21,9 @@ import ipaddress
 import json
 import socket
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import dnswire
+from . import dnswire, library_logs
 from .config import _format_address, _parse_address
 
 BEHAVIOR_SINKHOLE_A = "sinkhole_a"
@@ -34,8 +34,7 @@ class BindError(OSError):
     pass
 
 
-@dataclass
-class MockProviderSpec:
+class _MockProviderSpec(NamedTuple):
     provider_id: str
     listen: tuple[str, int] = ("127.0.0.1", 0)
     blocklist: frozenset = frozenset()
@@ -46,7 +45,14 @@ class MockProviderSpec:
     drop_rate: float = 0.0
     truncate: bool = False
 
-    def __post_init__(self):
+
+class MockProviderSpec(_MockProviderSpec):
+    """One simulated provider; its blocklist is held lowercased."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if type(self.latency_ms) is not int or self.latency_ms < 0:
             raise ValueError(f"latency_ms must be a nonnegative int, got {self.latency_ms!r}")
         if type(self.drop_rate) not in (int, float) or not 0 <= self.drop_rate <= 1:
@@ -59,7 +65,7 @@ class MockProviderSpec:
             raise ValueError(f"blocklist must be a list of names, got {self.blocklist!r}")
         for address in (self.sinkhole_ip, self.default_answer):
             ipaddress.IPv4Address(str(address))  # ValueError for anything else
-        self.blocklist = frozenset(map(str.lower, self.blocklist))
+        return self._replace(blocklist=frozenset(map(str.lower, self.blocklist)))
 
     @classmethod
     def from_config(cls, doc: dict) -> "MockProviderSpec":
@@ -174,6 +180,8 @@ class MockDnsFarm:
 
     def _run(self, ready: threading.Event) -> None:
         import asyncio
+
+        library_logs()
 
         async def serve():
             loop = asyncio.get_running_loop()

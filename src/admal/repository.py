@@ -35,9 +35,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .keydir import (AD, ANY, DNS_STATES, NO_REPORT, REPORT, TI_STATES, Column, flags, read_hint,
-                     write_hint)
-from .ticlient import payload_tallies
+from .keydir import (AD, ANY, DNS_STATES, NO_REPORT, REPORT, TALLIES, TALLY_MAX, TI_STATES, Column,
+                     flags, read_hint, write_hint)
 
 KIND_DNS = "dns"
 KIND_TI = "ti"
@@ -113,6 +112,33 @@ def _unfit(domain, provider, campaign, kind, payload) -> str | None:
     if not isinstance(payload, dict):
         return "payload is not an object"
     return None
+
+
+def payload_tallies(payload: dict) -> tuple:
+    """The (harmless, undetected, suspicious, malicious, timeout) a
+    repository keeps in memory for a stored report payload, or () for a
+    no_report one.  Analyze reduces them alone, so each must be an
+    int in [0, TALLY_MAX] and a partner map must agree with them; raises
+    ValueError for these and for any other status."""
+    status = payload.get("status")
+    if status == NO_REPORT:
+        return ()
+    if status != REPORT:
+        raise ValueError(f"bad TI payload: unknown status {status!r}")
+    tallies = (payload.get("harmless"), payload.get("undetected"), payload.get("suspicious"),
+               payload.get("malicious"), payload.get("timeout", 0))
+    for name, value in zip(TALLIES, tallies):
+        if type(value) is not int or not 0 <= value <= TALLY_MAX:
+            raise ValueError(f"bad TI payload: {name} is {value!r}, "
+                             f"not a nonnegative int up to {TALLY_MAX}")
+    if payload.get("partners") is not None:
+        from .ticlient import payload_to_report  # the TI client checks a partner map
+
+        try:
+            payload_to_report("", payload)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"bad TI payload: {exc!r}") from None
+    return tallies
 
 
 def _state(kind: str, payload: dict) -> tuple:

@@ -4,28 +4,29 @@ A report counts how many scan partners called the domain harmless,
 suspicious or malicious, how many had no verdict (undetected) and how many
 timed out.  ``analytics`` defines the agreement ratio over these tallies:
 the flagging partners over those that expressed an opinion by default
-(``OPINIONS``), or over all partners (``ALL_PARTNERS``).
+(``config.OPINIONS``), or over all partners (``config.ALL_PARTNERS``).
 
 A tally enters the program only as an int: a fixture line or live response
 holding ``1.9``, ``true`` or ``"2"`` is refused, never rounded.  Fetched
 reports are kept in the repository log alone; ``ti-fetch`` hands
 ``TiClient`` those another campaign already holds, so each domain is asked
 for once per repository.
+
+Of the commands, only ``ti-fetch`` imports this module; the repository
+loads it only to check a stored partner map.  It imports ``ingest`` and
+``keydir``, and ``requests`` only when a live provider is made.
 """
 
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .keydir import NO_REPORT, REPORT, TALLY_MAX
+from . import library_logs
+from .ingest import is_canonical, normalize_hostname
+from .keydir import NO_REPORT, REPORT, TALLIES, TALLY_MAX
 
 DEFAULT_API_KEY_ENV = "ADMAL_TI_API_KEY"
-
-OPINIONS = "opinions"
-ALL_PARTNERS = "all_partners"
-
-_TALLY_FIELDS = ("harmless", "undetected", "suspicious", "malicious", "timeout")
 
 
 class TiError(Exception):
@@ -44,8 +45,7 @@ class PayloadError(TiError):
     """Got a 2xx response whose body does not match the configured paths."""
 
 
-@dataclass(frozen=True)
-class TiReport:
+class _TiReport(NamedTuple):
     domain: str
     harmless: int
     undetected: int
@@ -55,22 +55,28 @@ class TiReport:
     partner_verdicts: dict | None = None
     fetched_at: str = ""
 
-    def __post_init__(self):
-        for name in _TALLY_FIELDS:
-            value = getattr(self, name)
+
+class TiReport(_TiReport):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        tallies = self[1:6]
+        for name, value in zip(TALLIES, tallies):
             if type(value) is not int or not 0 <= value <= TALLY_MAX:
                 raise ValueError(f"{name} must be an int in [0, {TALLY_MAX}], got {value!r}")
         if self.partner_verdicts is not None:
-            tallied = {name: 0 for name in _TALLY_FIELDS}
+            tallied = dict.fromkeys(TALLIES, 0)
             for category in self.partner_verdicts.values():
                 if category not in tallied:
                     raise ValueError(f"unknown partner category {category!r}")
                 tallied[category] += 1
-            counts = {name: getattr(self, name) for name in _TALLY_FIELDS}
+            counts = dict(zip(TALLIES, tallies))
             if tallied != counts:
                 raise ValueError(
                     f"partner verdicts tally {tallied} != counts {counts}"
                 )
+        return self
 
     @property
     def opinions(self) -> int:
@@ -81,8 +87,7 @@ class TiReport:
         return self.opinions + self.undetected + self.timeout
 
 
-@dataclass(frozen=True)
-class NoReport:
+class NoReport(NamedTuple):
     """The service has never analyzed this domain (a definitive 404)."""
 
     domain: str
@@ -107,37 +112,12 @@ def report_to_payload(result: "TiReport | NoReport") -> dict:
 
 
 def payload_to_report(domain: str, payload: dict) -> "TiReport | NoReport":
-    """The report of a payload that ``payload_tallies`` accepts."""
+    """The report of a payload that ``repository.payload_tallies`` accepts."""
     if payload.get("status") == NO_REPORT:
         return NoReport(domain, payload.get("fetched_at", ""))
     return TiReport(domain, payload["harmless"], payload["undetected"], payload["suspicious"],
                     payload["malicious"], payload.get("timeout", 0),
                     payload.get("partners"), payload.get("fetched_at", ""))
-
-
-def payload_tallies(payload: dict) -> tuple:
-    """The (harmless, undetected, suspicious, malicious, timeout) a
-    repository keeps in memory for a stored report payload, or () for a
-    no_report one.  Analyze reduces them alone, so each must be an
-    int in [0, TALLY_MAX] and a partner map must agree with them; raises
-    ValueError for these and for any other status."""
-    status = payload.get("status")
-    if status == NO_REPORT:
-        return ()
-    if status != REPORT:
-        raise ValueError(f"bad TI payload: unknown status {status!r}")
-    tallies = (payload.get("harmless"), payload.get("undetected"), payload.get("suspicious"),
-               payload.get("malicious"), payload.get("timeout", 0))
-    for name, value in zip(_TALLY_FIELDS, tallies):
-        if type(value) is not int or not 0 <= value <= TALLY_MAX:
-            raise ValueError(f"bad TI payload: {name} is {value!r}, "
-                             f"not a nonnegative int up to {TALLY_MAX}")
-    if payload.get("partners") is not None:
-        try:
-            payload_to_report("", payload)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"bad TI payload: {exc!r}") from None
-    return tallies
 
 
 class FixtureTiProvider:
@@ -148,9 +128,6 @@ class FixtureTiProvider:
     finds it."""
 
     def __init__(self, path: str):
-        # here, as the repository imports this module and need not load idna
-        from .ingest import is_canonical, normalize_hostname
-
         self.path = path
         self._reports: dict[str, TiReport] = {}
         with open(path, "rb") as fh:
@@ -215,6 +192,7 @@ class LiveTiProvider:
     ):
         import requests  # here, so that no other command pays for loading it
 
+        library_logs()  # urllib3's records
         if api_key is None:
             api_key = os.environ.get(DEFAULT_API_KEY_ENV)
         if not api_key:
@@ -265,7 +243,7 @@ class LiveTiProvider:
         if tallies is None and self.partners_path:
             partner_map = _dig(doc, self.partners_path)
             if isinstance(partner_map, dict):
-                tallies = {name: 0 for name in _TALLY_FIELDS}
+                tallies = dict.fromkeys(TALLIES, 0)
                 for entry in partner_map.values():
                     category = entry.get("category") if isinstance(entry, dict) else None
                     if category in tallies:
@@ -312,7 +290,7 @@ class TiClient:
         self.requests_made += 1
         if not result.fetched_at:
             fetched_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-            result = replace(result, fetched_at=fetched_at)
+            result = type(result)(*result[:-1], fetched_at)  # fetched_at is the last field
         self._reports[domain] = result
         return result
 

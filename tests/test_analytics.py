@@ -25,8 +25,9 @@ from admal.analytics import (
     ti_stats,
     venn3,
 )
+from admal.config import ALL_PARTNERS, OPINIONS
 from admal.repository import KIND_AD, KIND_DNS, KIND_TI, Repository, VerdictRecord
-from admal.ticlient import ALL_PARTNERS, OPINIONS, NoReport, TiReport, payload_to_report
+from admal.ticlient import NoReport, TiReport, payload_to_report
 
 from conftest import CORPUS_SIZE, provider_sets, snapshot
 

@@ -424,7 +424,7 @@ class TestTiFetch:
                     raise TransportError(domain)
                 return NoReport(domain)
 
-        monkeypatch.setattr("admal.cli.FixtureTiProvider", FailingProvider)
+        monkeypatch.setattr("admal.ticlient.FixtureTiProvider", FailingProvider)
         cfg = self.fixture_config(env)
         assert run(capsys, "ingest", "--config", cfg)[0] == 0
         code, docs = run(capsys, "ti-fetch", "--config", cfg)
@@ -452,7 +452,7 @@ class TestTiFetch:
                 return Response(404, "")
 
         monkeypatch.setenv("ADMAL_TI_API_KEY", "k")
-        monkeypatch.setattr("admal.cli.LiveTiProvider",
+        monkeypatch.setattr("admal.ticlient.LiveTiProvider",
                             functools.partial(LiveTiProvider, session=Session()))
         cfg = write_variant(env, lambda doc: doc.update({"ti": {
             "mode": "live", "base_url": "https://ti.invalid", "requests_per_minute": 100000,
@@ -544,7 +544,7 @@ class TestTiFetch:
                     raise TransportError(domain)
                 return NoReport(domain)
 
-        monkeypatch.setattr("admal.cli.FixtureTiProvider", FlakyProvider)
+        monkeypatch.setattr("admal.ticlient.FixtureTiProvider", FlakyProvider)
         cfg = self.fixture_config(env)
         assert run(capsys, "ingest", "--config", cfg)[0] == 0
         assert run(capsys, "ti-fetch", "--config", cfg)[0] == 2
@@ -600,7 +600,7 @@ class TestTiFetchRuns:
     def test_one_record_per_pair_and_one_answer_per_domain(self, flaky, runs):
         provider = CountingFixture(flaky)
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch("admal.cli.FixtureTiProvider", lambda path: provider), \
+                mock.patch("admal.ticlient.FixtureTiProvider", lambda path: provider), \
                 mock.patch("sys.stdout"), mock.patch("sys.stderr"):
             tmp = Path(tmp)
             (tmp / "ti.jsonl").write_text("")
@@ -896,7 +896,6 @@ class TestUsageErrors:
 class TestLogging:
     def test_log_stream_follows_current_stderr(self, tmp_path):
         import io
-        import logging
         from contextlib import redirect_stderr
 
         absent = str(tmp_path / "absent.json")
@@ -908,6 +907,36 @@ class TestLogging:
             stream.close()
         current = io.StringIO()
         with redirect_stderr(current):
-            logging.getLogger("admal").warning("after the swap")
+            admal.log("warning", "after the swap")
         assert "after the swap" in current.getvalue()
         assert "Logging error" not in current.getvalue()
+
+    def test_asyncio_record_during_dns_scan_is_one_log_line(self, env, capsys):
+        # in a fresh process asyncio loads logging only once the scan starts;
+        # a record on its logger must still leave as one JSONL line, never
+        # as the plain text of logging's last-resort handler
+        assert run(capsys, "ingest", "--config", env.config)[0] == 0
+        script = "\n".join([
+            "import sys, admal.cli, admal.dnsbroker as broker",
+            "assert 'logging' not in sys.modules",
+            "classify, said = broker.classify, []",
+            "def noisy(*args):",
+            "    if not said:",
+            "        import logging",
+            "        logging.getLogger('asyncio').warning('noise from the loop')",
+            "        said.append(True)",
+            "    return classify(*args)",
+            "broker.classify = noisy",
+            "sys.exit(admal.cli.main(sys.argv[1:]))",
+        ])
+        src = os.path.dirname(os.path.dirname(admal.__file__))
+        done = subprocess.run([sys.executable, "-c", script, "dns-scan", "--config", env.config],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        noise = [line for line in done.stderr.splitlines() if "noise from the loop" in line]
+        assert len(noise) == 1
+        doc = json.loads(noise[0])
+        assert list(doc) == ["ts", "level", "logger", "msg"]
+        assert (doc["level"], doc["logger"], doc["msg"]) == (
+            "warning", "asyncio", "noise from the loop")

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from admal.config import ConfigError, load_config
-from admal.ticlient import ALL_PARTNERS, OPINIONS
+from admal.config import ALL_PARTNERS, OPINIONS, ConfigError, load_config
 
 
 def resolver(**settings):

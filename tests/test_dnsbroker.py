@@ -1,6 +1,5 @@
 import asyncio
 import collections
-import dataclasses
 import logging
 import socket
 import struct
@@ -745,8 +744,7 @@ class TestRunCampaign:
     def test_unencodable_name_becomes_inconclusive(self, tmp_path):
         domains = ["ok.example", "bad..example"]
         first, second = self.make_profiles(2)
-        profiles = [first, dataclasses.replace(second, timeout_ms=700, retries=3,
-                                               transport="tcp")]
+        profiles = [first, second._replace(timeout_ms=700, retries=3, transport="tcp")]
         client = StubClient()
         with Repository(tmp_path / "repo") as repo:
             summary = run_campaign(domains, profiles, CampaignLimits(2, 1000.0),

@@ -102,6 +102,42 @@ class TestParseCapture:
         with pytest.raises(SchemaError):
             parse_capture([1, 2])
 
+    @pytest.mark.parametrize("ts, ok", [
+        ("2026-01-01T00:00:00Z", True),
+        ("2026-01-01t00:00:00z", True),  # RFC 3339 section 5.6 allows lower case
+        ("2024-02-29T12:30:45.123456+05:30", True),  # a leap day
+        ("2000-02-29T00:00:00Z", True),  # divisible by 400: a leap year
+        ("2026-06-30T23:59:60Z", True),  # a leap second
+        ("2026-W01-1", False),  # ISO 8601 week date
+        ("20260101T000000Z", False),  # ISO 8601 basic format
+        ("2026-01-01", False),  # a date, no time
+        ("2026-01-01T00:00", False),  # no seconds, no offset
+        ("2026-01-01T00:00:00", False),  # no offset
+        ("2026-01-01 00:00:00Z", False),
+        ("2026-01-01T00:00:00+0100", False),
+        ("2026-01-01T00:00:00.Z", False),
+        ("2026-01-01T00:00:00Z\n", False),
+        ("\uff12\uff10\uff12\uff16-01-01T00:00:00Z", False),  # fullwidth digits
+        ("2025-02-29T00:00:00Z", False),
+        ("1900-02-29T00:00:00Z", False),  # divisible by 100: no leap year
+        ("2026-04-31T00:00:00Z", False),
+        ("2026-00-01T00:00:00Z", False),
+        ("2026-13-01T00:00:00Z", False),
+        ("2026-01-00T00:00:00Z", False),
+        ("2026-01-01T24:00:00Z", False),
+        ("2026-01-01T00:60:00Z", False),
+        ("2026-01-01T00:00:61Z", False),
+        ("2026-01-01T00:00:00+24:00", False),
+        ("2026-01-01T00:00:00-01:60", False),
+    ])
+    def test_timestamp_is_an_rfc3339_date_time(self, ts, ok):
+        doc = {"entries": [{"url": "https://a.example/", "ts": ts}]}
+        if ok:
+            assert parse_capture(doc) == ["https://a.example/"]
+        else:
+            with pytest.raises(SchemaError, match="not an RFC3339 timestamp"):
+                parse_capture(doc)
+
 
 class TestExtractDomain:
     """One URL through parse_url_list and dedupe, as ingest takes it."""

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admal.analytics import ti_stats
+from admal.config import ALL_PARTNERS, OPINIONS
 from admal.ticlient import (
-    ALL_PARTNERS,
-    OPINIONS,
     AuthError,
     FixtureTiProvider,
     LiveTiProvider,
@@ -345,12 +344,19 @@ class TestRequestsImport:
     # read a log, so neither may pay for the HTTP or IDNA stacks; no pipeline
     # command may pay for the mock resolver farm either, nor for the report
     # and filter-list modules that only analyze and ads-classify run, nor
-    # for the scan engine that only dns-scan runs
+    # for the scan engine that only dns-scan runs; and no module that every
+    # command imports loads dataclasses, logging, datetime, the IDNA codec or
+    # the TI client, which only ti-fetch runs
+    LEAN = ("dataclasses", "inspect", "logging", "datetime", "idna", "admal.ticlient")
+
     @pytest.mark.parametrize("module, absent", [
         ("admal.cli", ("requests", "admal.mockdns", "admal.analytics", "admal.adlists",
-                       "fractions", "admal.dnsbroker", "admal.dnswire", "admal.dnsclient")),
-        ("admal.repository", ("requests", "idna", "fractions")),
-    ], ids=["cli", "repository"])
+                       "fractions", "admal.dnsbroker", "admal.dnswire", "admal.dnsclient",
+                       *LEAN)),
+        ("admal.repository", ("requests", "idna", "fractions", *LEAN)),
+        ("admal.config", LEAN),
+        ("admal.adlists", LEAN),
+    ], ids=["cli", "repository", "config", "adlists"])
     def test_cli_import_leaves_requests_out(self, module, absent):
         import os
         import subprocess
