@@ -25,7 +25,7 @@ from .config import (
     campaign_id,
     load_config,
 )
-from .keydir import open_aside
+from .keydir import NO_REPORT, open_aside
 from .repository import (
     KIND_AD,
     KIND_TI,
@@ -41,6 +41,7 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 TI_PROVIDER_ID = "ti"
+REUSE_BATCH = 1000  # reused TI reports copied per upsert_many
 ADLIST_PROVIDER_ID = "adlists"
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -229,16 +230,25 @@ def _fetch_reports(args, cfg: PipelineConfig, ticlient) -> int:
     domains, rejected = _read_corpus(corpus_path)
     provider = _ti_provider(cfg, ticlient)
 
+    client = ticlient.TiClient(provider, requests_per_minute=cfg.ti_requests_per_minute)
     fetched = no_report = unfetched = 0
     with Repository(cfg.repository) as repo:
-        done = repo.held(campaign, KIND_TI, domains, [TI_PROVIDER_ID])[TI_PROVIDER_ID]
-        todo = [domain for domain, stored in zip(domains, done) if not stored]
-        # a report another campaign holds is reused, not asked for again
-        reused = repo.latest_elsewhere(campaign, TI_PROVIDER_ID, KIND_TI, todo)
-        client = ticlient.TiClient(provider, {domain: ticlient.payload_to_report(domain, payload)
-                                              for domain, payload in reused.items()},
-                                   requests_per_minute=cfg.ti_requests_per_minute)
-        for domain in todo:
+        def missing(among):
+            held = repo.held(campaign, KIND_TI, among, [TI_PROVIDER_ID])[TI_PROVIDER_ID]
+            return [domain for domain, stored in zip(among, held) if not stored]
+
+        todo = missing(domains)
+        # a report another campaign holds is copied as stored, not asked for again
+        batch = []
+        for record in repo.latest_elsewhere(campaign, TI_PROVIDER_ID, KIND_TI, todo):
+            batch.append(record._replace(campaign_id=campaign, recorded_at=utc_now_rfc3339()))
+            fetched += 1
+            no_report += record.payload["status"] == NO_REPORT
+            if len(batch) == REUSE_BATCH:
+                repo.upsert_many(batch)
+                batch = []
+        repo.upsert_many(batch)
+        for domain in missing(todo):
             try:
                 result = client.fetch(domain)
             except (ticlient.TransportError, ticlient.PayloadError) as exc:

@@ -38,6 +38,28 @@ TALLY_MAX = 0xFFFF  # the most an array("H") tally column holds
 TALLIES = ("harmless", "undetected", "suspicious", "malicious", "timeout")
 
 
+def check_report(tallies, partners=None) -> None:
+    """Refuse, with ValueError, a TI report that analyze could not reduce:
+    each of its five ``tallies`` must be an int in [0, TALLY_MAX], and a
+    ``partners`` map, unless None, an object of ``TALLIES`` categories
+    that agrees with them."""
+    for name, value in zip(TALLIES, tallies):
+        if type(value) is not int or not 0 <= value <= TALLY_MAX:
+            raise ValueError(f"{name} is {value!r}, not a nonnegative int up to {TALLY_MAX}")
+    if partners is None:
+        return
+    if not isinstance(partners, dict):
+        raise ValueError(f"partner map is {type(partners).__name__}, not an object")
+    tallied = dict.fromkeys(TALLIES, 0)
+    for category in partners.values():
+        if type(category) is not str or category not in tallied:  # a list is unhashable
+            raise ValueError(f"unknown partner category {category!r}")
+        tallied[category] += 1
+    if tuple(tallied.values()) != tuple(tallies):
+        raise ValueError(f"partner verdicts tally {tallied} != counts "
+                         f"{dict(zip(TALLIES, tallies))}")
+
+
 def flags(states) -> bytes:
     """The bytes.translate table turning a state column into 0/1 flags for
     the given state codes."""

@@ -31,12 +31,11 @@ import os
 import threading
 import time
 from itertools import compress, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .keydir import (AD, ANY, DNS_STATES, NO_REPORT, REPORT, TALLIES, TALLY_MAX, TI_STATES, Column,
-                     flags, read_hint, write_hint)
+from .keydir import (AD, ANY, DNS_STATES, NO_REPORT, REPORT, TI_STATES, Column, check_report, flags,
+                     read_hint, write_hint)
 
 KIND_DNS = "dns"
 KIND_TI = "ti"
@@ -117,9 +116,9 @@ def _unfit(domain, provider, campaign, kind, payload) -> str | None:
 def payload_tallies(payload: dict) -> tuple:
     """The (harmless, undetected, suspicious, malicious, timeout) a
     repository keeps in memory for a stored report payload, or () for a
-    no_report one.  Analyze reduces them alone, so each must be an
-    int in [0, TALLY_MAX] and a partner map must agree with them; raises
-    ValueError for these and for any other status."""
+    no_report one.  Analyze reduces them alone, so they must pass
+    ``keydir.check_report``; raises ValueError for a report that does not
+    and for any other status."""
     status = payload.get("status")
     if status == NO_REPORT:
         return ()
@@ -127,17 +126,10 @@ def payload_tallies(payload: dict) -> tuple:
         raise ValueError(f"bad TI payload: unknown status {status!r}")
     tallies = (payload.get("harmless"), payload.get("undetected"), payload.get("suspicious"),
                payload.get("malicious"), payload.get("timeout", 0))
-    for name, value in zip(TALLIES, tallies):
-        if type(value) is not int or not 0 <= value <= TALLY_MAX:
-            raise ValueError(f"bad TI payload: {name} is {value!r}, "
-                             f"not a nonnegative int up to {TALLY_MAX}")
-    if payload.get("partners") is not None:
-        from .ticlient import payload_to_report  # the TI client checks a partner map
-
-        try:
-            payload_to_report("", payload)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"bad TI payload: {exc!r}") from None
+    try:
+        check_report(tallies, payload.get("partners"))
+    except ValueError as exc:
+        raise ValueError(f"bad TI payload: {exc}") from None
     return tallies
 
 
@@ -379,11 +371,12 @@ class Repository:
                 flags[provider] = bytes(map((hit + b"\0").__getitem__, at))
             return flags
 
-    def latest_elsewhere(self, campaign_id: str, provider_id: str, kind: str,
-                         domains: list) -> dict[str, dict]:
-        """{domain: payload} of the latest record, by log offset, of ``kind``
+    def latest_elsewhere(self, campaign_id: str, provider_id: str, kind: str, domains: list):
+        """Yield, in log order, the latest record, by log offset, of ``kind``
         from the provider for each of ``domains`` held in any campaign but
-        ``campaign_id``; domains held in none are left out."""
+        ``campaign_id``; domains held in none are left out.  Each record is
+        read back when it is asked for, and the lock is not held across a
+        yield, so the caller may upsert between records."""
         latest = {}
         with self._lock:
             for campaign, (rows, columns) in self._campaigns.items():
@@ -395,8 +388,10 @@ class Repository:
                     row = rows.get(domain)
                     if row is not None and hit[row] and offsets[row] > latest.get(domain, -1):
                         latest[domain] = offsets[row]
-            return {domain: self._read(offset).payload
-                    for domain, offset in sorted(latest.items(), key=itemgetter(1))}
+        for offset in sorted(latest.values()):
+            with self._lock:
+                record = self._read(offset)
+            yield record
 
     def __len__(self) -> int:
         with self._lock:

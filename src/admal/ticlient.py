@@ -7,14 +7,16 @@ the flagging partners over those that expressed an opinion by default
 (``config.OPINIONS``), or over all partners (``config.ALL_PARTNERS``).
 
 A tally enters the program only as an int: a fixture line or live response
-holding ``1.9``, ``true`` or ``"2"`` is refused, never rounded.  Fetched
-reports are kept in the repository log alone; ``ti-fetch`` hands
-``TiClient`` those another campaign already holds, so each domain is asked
-for once per repository.
+holding ``1.9``, ``true`` or ``"2"`` is refused, never rounded, by
+``keydir.check_report``, the rule the repository applies to a stored report
+too.  Fetched reports are kept in the repository log alone: ``ti-fetch``
+copies those another campaign already holds without this module and asks
+``TiClient`` only for the rest, so each domain is asked for once per
+repository.
 
-Of the commands, only ``ti-fetch`` imports this module; the repository
-loads it only to check a stored partner map.  It imports ``ingest`` and
-``keydir``, and ``requests`` only when a live provider is made.
+Of the commands, only ``ti-fetch`` imports this module.  It imports
+``ingest`` and ``keydir``, and ``requests`` only when a live provider is
+made.
 """
 
 import json
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 from . import library_logs
 from .ingest import is_canonical, normalize_hostname
-from .keydir import NO_REPORT, REPORT, TALLIES, TALLY_MAX
+from .keydir import NO_REPORT, REPORT, TALLIES, check_report
 
 DEFAULT_API_KEY_ENV = "ADMAL_TI_API_KEY"
 
@@ -61,21 +63,7 @@ class TiReport(_TiReport):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        tallies = self[1:6]
-        for name, value in zip(TALLIES, tallies):
-            if type(value) is not int or not 0 <= value <= TALLY_MAX:
-                raise ValueError(f"{name} must be an int in [0, {TALLY_MAX}], got {value!r}")
-        if self.partner_verdicts is not None:
-            tallied = dict.fromkeys(TALLIES, 0)
-            for category in self.partner_verdicts.values():
-                if category not in tallied:
-                    raise ValueError(f"unknown partner category {category!r}")
-                tallied[category] += 1
-            counts = dict(zip(TALLIES, tallies))
-            if tallied != counts:
-                raise ValueError(
-                    f"partner verdicts tally {tallied} != counts {counts}"
-                )
+        check_report(self[1:6], self.partner_verdicts)
         return self
 
     @property
@@ -97,27 +85,10 @@ class NoReport(NamedTuple):
 def report_to_payload(result: "TiReport | NoReport") -> dict:
     if isinstance(result, NoReport):
         return {"status": NO_REPORT, "fetched_at": result.fetched_at}
-    payload = {
-        "status": REPORT,
-        "harmless": result.harmless,
-        "undetected": result.undetected,
-        "suspicious": result.suspicious,
-        "malicious": result.malicious,
-        "timeout": result.timeout,
-        "fetched_at": result.fetched_at,
-    }
+    payload = {"status": REPORT, **dict(zip(TALLIES, result[1:6])), "fetched_at": result.fetched_at}
     if result.partner_verdicts is not None:
         payload["partners"] = result.partner_verdicts
     return payload
-
-
-def payload_to_report(domain: str, payload: dict) -> "TiReport | NoReport":
-    """The report of a payload that ``repository.payload_tallies`` accepts."""
-    if payload.get("status") == NO_REPORT:
-        return NoReport(domain, payload.get("fetched_at", ""))
-    return TiReport(domain, payload["harmless"], payload["undetected"], payload["suspicious"],
-                    payload["malicious"], payload.get("timeout", 0),
-                    payload.get("partners"), payload.get("fetched_at", ""))
 
 
 class FixtureTiProvider:
@@ -139,15 +110,9 @@ class FixtureTiProvider:
                     doc = json.loads(line)
                     domain = doc["domain"]
                     report = TiReport(
-                        domain=domain if is_canonical(domain) else normalize_hostname(domain),
-                        harmless=doc.get("harmless", 0),
-                        undetected=doc.get("undetected", 0),
-                        suspicious=doc.get("suspicious", 0),
-                        malicious=doc.get("malicious", 0),
-                        timeout=doc.get("timeout", 0),
-                        partner_verdicts=doc.get("partners"),
-                        fetched_at=doc.get("fetched_at", ""),
-                    )
+                        domain if is_canonical(domain) else normalize_hostname(domain),
+                        *(doc.get(name, 0) for name in TALLIES), doc.get("partners"),
+                        doc.get("fetched_at", ""))
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     raise ValueError(f"{path} line {line_no}: bad report: {exc}") from None
                 self._reports[report.domain] = report
@@ -251,47 +216,33 @@ class LiveTiProvider:
         if not isinstance(tallies, dict):
             raise PayloadError(f"{domain}: no tallies at {self.stats_path!r}")
         try:
-            return TiReport(
-                domain=domain,
-                harmless=tallies.get("harmless", 0),
-                undetected=tallies.get("undetected", 0),
-                suspicious=tallies.get("suspicious", 0),
-                malicious=tallies.get("malicious", 0),
-                timeout=tallies.get("timeout", 0),
-            )
+            return TiReport(domain, *(tallies.get(name, 0) for name in TALLIES))
         except ValueError as exc:
             raise PayloadError(f"{domain}: bad tally values") from exc
 
 
 class TiClient:
-    """Rate-limited front for a report provider.
-
-    ``reports`` seeds the domains already answered, so ``fetch`` serves them
-    without a request; every other domain costs one request, and its answer
-    (a NoReport included) is kept for the life of the client.  Transport
-    failures are not kept and surface to the caller.
+    """Rate-limited front for a report provider: each ``fetch`` is one
+    request, whose answer (a NoReport included) is stamped with the time it
+    was fetched and kept nowhere; the caller stores it.  Transport failures
+    surface to the caller.
     """
 
-    def __init__(self, provider, reports=(), *, requests_per_minute: float = 4.0):
+    def __init__(self, provider, *, requests_per_minute: float = 4.0):
         if requests_per_minute <= 0:
             raise ValueError("requests_per_minute must be positive")
         self.provider = provider
         self.min_interval = 60.0 / requests_per_minute
         self.requests_made = 0
         self._last_request = 0.0
-        self._reports: dict[str, TiReport | NoReport] = dict(reports)
 
     def fetch(self, domain: str) -> "TiReport | NoReport":
-        known = self._reports.get(domain)
-        if known is not None:
-            return known
         self._throttle()
         result = self.provider.lookup(domain)
         self.requests_made += 1
         if not result.fetched_at:
             fetched_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
             result = type(result)(*result[:-1], fetched_at)  # fetched_at is the last field
-        self._reports[domain] = result
         return result
 
     def _throttle(self) -> None:

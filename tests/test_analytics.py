@@ -26,8 +26,9 @@ from admal.analytics import (
     venn3,
 )
 from admal.config import ALL_PARTNERS, OPINIONS
+from admal.keydir import TALLIES
 from admal.repository import KIND_AD, KIND_DNS, KIND_TI, Repository, VerdictRecord
-from admal.ticlient import NoReport, TiReport, payload_to_report
+from admal.ticlient import NoReport, TiReport
 
 from conftest import CORPUS_SIZE, provider_sets, snapshot
 
@@ -378,7 +379,8 @@ class TestTiColumnReduction:
                 repo.upsert(record)
                 latest[record.key] = record
             for campaign in ("c1", "c2"):
-                reports = [payload_to_report(r.domain, r.payload)
+                reports = [TiReport(r.domain, *(r.payload[name] for name in TALLIES))
+                           if r.payload["status"] == "report" else NoReport(r.domain)
                            for r in latest.values() if r.campaign_id == campaign]
                 got = build_report(repo, campaign, matcher, corpus_size=3,
                                    ti_figure_base=figure_base,

@@ -1,6 +1,9 @@
 import functools
 import json
 import os
+import re
+import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 import admal
 from admal import ingest
-from admal.cli import _text_file, main
+from admal.cli import REUSE_BATCH, _text_file, main
 from admal.config import ConfigError
 from admal.mockdns import BEHAVIOR_NXDOMAIN, MockDnsFarm, MockProviderSpec
 from admal.repository import KIND_AD, KIND_DNS, KIND_TI, Repository, VerdictRecord
@@ -570,6 +573,157 @@ class TestTiFetch:
         assert run(capsys, "ingest", "--config", env.config)[0] == 0
         code, _ = run(capsys, "ti-fetch", "--config", env.config)
         assert code == 1
+
+    def test_reused_payload_is_copied_byte_for_byte(self, env, capsys):
+        payloads = {
+            "r0.example": {"status": "report", "malicious": 1, "harmless": 2, "undetected": 0,
+                           "suspicious": 0},
+            "r1.example": {"partners": {"b": "malicious", "a": "harmless"}, "status": "report",
+                           "harmless": 1, "undetected": 0, "suspicious": 0, "malicious": 1,
+                           "note": "caf\u00e9"},
+            "r2.example": {"status": "no_report"},
+        }
+        with Repository(env.repo) as repo:
+            for domain, payload in payloads.items():
+                repo.upsert(VerdictRecord(domain, "ti", "c1", KIND_TI, payload, "x"))
+        corpus = env.tmp / "corpus.txt"
+        corpus.write_text("".join(f"{domain}\n" for domain in payloads))
+        code, docs = run(capsys, "ti-fetch", "--config", self.fixture_config(env),
+                         "--campaign", "c2", "--corpus", str(corpus))
+        assert code == 0
+        assert (docs[-1]["fetched"], docs[-1]["no_report"], docs[-1]["remote_requests"]) \
+            == (3, 1, 0)
+        stored = {}
+        for line in (env.tmp / "repo" / "records.jsonl").read_bytes().splitlines():
+            doc = json.loads(line)
+            stored[doc["campaign"], doc["domain"]] = re.search(rb'"payload":(.*),"ts":', line)[1]
+        for domain in payloads:
+            assert stored["c2", domain] == stored["c1", domain]
+
+    def test_analyze_replaying_a_partner_map_leaves_the_ti_client_out(self, env):
+        with Repository(env.repo) as repo:
+            for provider in ("p1", "p2", "p3"):
+                repo.upsert(VerdictRecord("d0.example", provider, "t1", KIND_DNS,
+                                          {"verdict": "blocked"}, "x"))
+            repo.upsert(VerdictRecord("d0.example", "ti", "t1", KIND_TI, {
+                "status": "report", "harmless": 1, "undetected": 0, "suspicious": 0,
+                "malicious": 1, "timeout": 0, "partners": {"a": "harmless", "b": "malicious"},
+            }, "x"))
+        os.unlink(env.tmp / "repo" / "keydir.hint")  # so the open replays the TI line
+        code = ("import sys; from admal.cli import main; "
+                f"assert main(['analyze', '--config', {env.config!r}]) == 0; "
+                "assert 'admal.ticlient' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+
+
+# runs admal.cli.main on argv[2:] and SIGKILLs itself at the argv[1]-th call
+# of Repository.upsert_many (0: never), before that call writes
+KILLER = """
+import os, signal, sys
+from admal.cli import main
+from admal.repository import Repository
+
+upsert_many, calls = Repository.upsert_many, 0
+
+def killing(self, records):
+    global calls
+    calls += 1
+    if calls == int(sys.argv[1]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    upsert_many(self, records)
+
+Repository.upsert_many = killing
+sys.exit(main(sys.argv[2:]))
+"""
+SRC = os.path.dirname(os.path.dirname(admal.__file__))
+
+
+class TestTiFetchReuseBatches:
+    """ti-fetch copies reused reports in batches of REUSE_BATCH; one killed
+    between two batches leaves whole batches, which a rerun completes to what
+    a clean run stores."""
+
+    REUSED = 2 * REUSE_BATCH + REUSE_BATCH // 2
+    FETCHED = [f"new{i}.example" for i in range(5)]
+
+    @staticmethod
+    def payload(i):
+        if i % 7 == 0:
+            return {"status": "no_report", "fetched_at": "2024-01-01T00:00:00Z"}
+        payload = {"status": "report", "harmless": i % 11, "undetected": 1, "suspicious": 0,
+                   "malicious": i % 2, "timeout": 0}
+        if i % 5 == 0:
+            payload["partners"] = {f"p{j}": "harmless" for j in range(i % 11)}
+            payload["partners"].update({"u": "undetected", "m": "malicious"} if i % 2
+                                       else {"u": "undetected"})
+        return payload
+
+    @pytest.fixture
+    def runs(self, tmp_path):
+        """Two copies of a repository whose campaign c1 holds REUSED reports,
+        and for each a ti-fetch config of campaign c2 over them and FETCHED."""
+        reused = [f"r{i}.example" for i in range(self.REUSED)]
+        with Repository(tmp_path / "base") as repo:
+            repo.upsert_many([VerdictRecord(domain, "ti", "c1", KIND_TI, self.payload(i), "x")
+                              for i, domain in enumerate(reused)])
+        (tmp_path / "ti.jsonl").write_text("".join(
+            json.dumps({"domain": d, "harmless": 3, "fetched_at": "2024-01-02T00:00:00Z"}) + "\n"
+            for d in self.FETCHED))
+        (tmp_path / "corpus.txt").write_text("\n".join(reused + self.FETCHED) + "\n")
+        configs = {}
+        for name in ("clean", "killed"):
+            shutil.copytree(tmp_path / "base", tmp_path / name)
+            configs[name] = tmp_path / f"config-{name}.json"
+            configs[name].write_text(json.dumps({
+                "repository": str(tmp_path / name), "campaign": "c2",
+                "ti": {"mode": "fixture", "fixture": str(tmp_path / "ti.jsonl"),
+                       "requests_per_minute": 1e9}}))
+        return tmp_path, configs
+
+    def admal(self, config, kill_at=0):
+        done = subprocess.run(
+            [sys.executable, "-c", KILLER, str(kill_at), "ti-fetch", "--config", str(config),
+             "--corpus", str(config.parent / "corpus.txt")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+        return done.returncode, parse_stdout(done.stdout)
+
+    @staticmethod
+    def stored(root):
+        """(c2's keydir rows as a set, every log line with its ts masked, sorted)"""
+        with Repository(root) as repo:
+            domains, columns = repo.columns("c2", KIND_TI)
+        rows = {(provider, domain, states[row], tallies and tuple(t[row] for t in tallies))
+                for provider, states, tallies in columns for row, domain in enumerate(domains)}
+        lines = (root / "records.jsonl").read_text().splitlines()
+        return rows, sorted(re.sub(r'"ts":"[^"]*"', '"ts":""', line) for line in lines)
+
+    def test_kill_between_copy_batches_then_rerun(self, runs):
+        root, configs = runs
+        code, clean = self.admal(configs["clean"])
+        no_reports = sum(self.payload(i)["status"] == "no_report" for i in range(self.REUSED))
+        assert code == 0
+        assert {k: clean[-1][k] for k in ("fetched", "no_report", "remote_requests",
+                                          "skipped_existing", "unfetched")} \
+            == {"fetched": self.REUSED + 5, "no_report": no_reports, "remote_requests": 5,
+                "skipped_existing": 0, "unfetched": 0}
+        rows, lines = self.stored(root / "clean")
+        # each reused line is c1's, payload bytes and all, under campaign c2
+        c1 = [line for line in lines if '"campaign":"c1"' in line]
+        assert sorted(line.replace('"campaign":"c1"', '"campaign":"c2"') for line in c1) \
+            == [line for line in lines if '"campaign":"c2"' in line and "new" not in line]
+
+        assert self.admal(configs["killed"], kill_at=2)[0] == -signal.SIGKILL
+        log = (root / "killed" / "records.jsonl").read_text()
+        assert log.count('"campaign":"c2"') == REUSE_BATCH  # the first batch, whole
+        code, rerun = self.admal(configs["killed"])
+        assert code == 0
+        first = sum(self.payload(i)["status"] == "no_report" for i in range(REUSE_BATCH))
+        assert {k: rerun[-1][k] for k in ("fetched", "no_report", "remote_requests",
+                                          "skipped_existing", "unfetched")} \
+            == {"fetched": self.REUSED + 5 - REUSE_BATCH, "no_report": no_reports - first,
+                "remote_requests": 5, "skipped_existing": REUSE_BATCH, "unfetched": 0}
+        assert self.stored(root / "killed") == (rows, lines)
 
 
 class CountingFixture:

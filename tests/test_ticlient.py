@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from admal.analytics import ti_stats
 from admal.config import ALL_PARTNERS, OPINIONS
+from admal.repository import payload_tallies
 from admal.ticlient import (
     AuthError,
     FixtureTiProvider,
@@ -16,7 +17,6 @@ from admal.ticlient import (
     TiClient,
     TiReport,
     TransportError,
-    payload_to_report,
     report_to_payload,
 )
 
@@ -60,14 +60,33 @@ class TestTiReport:
         with pytest.raises(ValueError):
             TiReport("d", 0, 0, 0, 0, 0, partner_verdicts={"x": "weird"})
 
-    def test_payload_round_trip(self):
-        r = TiReport("d.example", 60, 20, 1, 2, 0,
-                     partner_verdicts=None, fetched_at="2024-01-01T00:00:00Z")
-        assert payload_to_report("d.example", report_to_payload(r)) == r
+    @pytest.mark.parametrize("partners", [None, {"a": "harmless", "b": "malicious"}])
+    def test_payload_round_trip(self, partners):
+        r = TiReport("d.example", 1, 0, 0, 1, 0,
+                     partner_verdicts=partners, fetched_at="2024-01-01T00:00:00Z")
+        payload = report_to_payload(r)
+        assert TiReport("d.example", *payload_tallies(payload), payload.get("partners"),
+                        payload["fetched_at"]) == r
 
     def test_noreport_payload_round_trip(self):
         nr = NoReport("gone.example", "2024-01-01T00:00:00Z")
-        assert payload_to_report("gone.example", report_to_payload(nr)) == nr
+        payload = report_to_payload(nr)
+        assert payload_tallies(payload) == ()
+        assert NoReport("gone.example", payload["fetched_at"]) == nr
+
+    @pytest.mark.parametrize("partners", [
+        ["malicious"], "malicious", 1, {"p": ["x"]}, {"p": None}, {"p": 1}, {"p": "weird"},
+        {"p": "harmless"}, {"p": "malicious", "q": "malicious"},
+    ])
+    def test_bad_partner_map_is_value_error(self, partners):
+        with pytest.raises(ValueError) as built:
+            TiReport("d.example", 0, 0, 0, 1, 0, partners)
+        payload = {"status": "report", "harmless": 0, "undetected": 0, "suspicious": 0,
+                   "malicious": 1, "timeout": 0, "partners": partners}
+        with pytest.raises(ValueError) as stored:
+            payload_tallies(payload)
+        # the repository refuses a stored map for the reason TiReport gives
+        assert str(stored.value) == f"bad TI payload: {built.value}"
 
 
 class TestThreatFlag:
@@ -192,14 +211,6 @@ class CountingProvider:
 
 
 class TestTiClient:
-    def test_at_most_one_remote_request(self, tmp_path):
-        provider = CountingProvider({"d.example": report(h=5, domain="d.example")})
-        client = TiClient(provider, requests_per_minute=100_000)
-        first = client.fetch("d.example")
-        second = client.fetch("d.example")
-        assert provider.calls == 1
-        assert first == second
-
     def test_transport_error_not_cached(self, tmp_path):
         provider = CountingProvider(fail_domains={"flaky.example"})
         client = TiClient(provider, requests_per_minute=100_000)
@@ -219,13 +230,6 @@ class TestTiClient:
         client.fetch("c.example")
         elapsed = time.monotonic() - start
         assert elapsed >= 0.2  # 600/min = one per 100ms
-
-    def test_seeded_reports_cost_no_request(self):
-        known = NoReport("gone.example", "2024-01-01T00:00:00Z")
-        provider = CountingProvider()
-        client = TiClient(provider, {"gone.example": known}, requests_per_minute=100_000)
-        assert client.fetch("gone.example") is known
-        assert (provider.calls, client.requests_made) == (0, 0)
 
 
 class FakeResponse:
