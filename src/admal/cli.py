@@ -210,7 +210,8 @@ def _ti_provider(cfg: PipelineConfig, ticlient):
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     if cfg.ti_mode == TI_LIVE:
-        return ticlient.LiveTiProvider(cfg.ti_base_url, **cfg.ti_options)
+        return ticlient.LiveTiProvider(cfg.ti_base_url, **cfg.ti_options,
+                                       requests_per_minute=cfg.ti_requests_per_minute)
     raise ConfigError("ti.mode is 'off'; nothing to fetch")
 
 
@@ -229,9 +230,7 @@ def _fetch_reports(args, cfg: PipelineConfig, ticlient) -> int:
     corpus_path = args.corpus or cfg.corpus_path(campaign)
     domains, rejected = _read_corpus(corpus_path)
     provider = _ti_provider(cfg, ticlient)
-
-    client = ticlient.TiClient(provider, requests_per_minute=cfg.ti_requests_per_minute)
-    fetched = no_report = unfetched = 0
+    fetched = no_report = unfetched = remote_requests = 0
     with Repository(cfg.repository) as repo:
         def missing(among):
             held = repo.held(campaign, KIND_TI, among, [TI_PROVIDER_ID])[TI_PROVIDER_ID]
@@ -250,11 +249,15 @@ def _fetch_reports(args, cfg: PipelineConfig, ticlient) -> int:
         repo.upsert_many(batch)
         for domain in missing(todo):
             try:
-                result = client.fetch(domain)
+                result = provider.lookup(domain)
             except (ticlient.TransportError, ticlient.PayloadError) as exc:
                 unfetched += 1
                 log("warning", f"unfetched {domain}: {exc}")
                 continue
+            remote_requests += 1
+            if not result.fetched_at:
+                stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+                result = result._replace(fetched_at=stamp)
             repo.upsert(
                 VerdictRecord(
                     domain=domain,
@@ -274,7 +277,7 @@ def _fetch_reports(args, cfg: PipelineConfig, ticlient) -> int:
             "no_report": no_report,
             "unfetched": unfetched,
             "skipped_existing": len(domains) - len(todo),
-            "remote_requests": client.requests_made,
+            "remote_requests": remote_requests,
             "rejected_domains": rejected,
         }
     )

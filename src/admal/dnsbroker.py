@@ -131,7 +131,8 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
     Already-stored pairs are skipped, so an interrupted campaign resumes
     cleanly.  Network failures and names the wire format cannot carry become
     inconclusive verdicts; only storage failures abort the run.  ``client``
-    is any object with ``DnsClient.query``'s signature and a ``close()``;
+    is any object with ``DnsClient.query``'s signature and a ``close()``,
+    handed each query its endpoint's ``slot`` to await before every send;
     with ``None`` a DnsClient is made on the campaign's loop.  run_campaign
     closes the client it scans with when the scan ends, however it ends; a
     campaign with no pair left to query runs no scan and leaves a given
@@ -153,23 +154,32 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
             client = DnsClient()  # binds to the running loop
         loop = asyncio.get_running_loop()
         interval = 1.0 / limits.per_provider_qps
-        next_send: dict[tuple[str, int], float] = {}
         batch: list[VerdictRecord] = []  # verdicts finished in this loop turn
 
-        def pace(address) -> float:
-            """Take the endpoint's next send slot, one per interval whichever
-            profile asks; the delay until it is due."""
-            now = loop.time()
-            due = next_send.get(address, now)
-            next_send[address] = (due if due > now else now) + interval
-            return due - now
+        def schedule():
+            """One endpoint's slot: each await takes the next send slot, one
+            per interval whichever profile or query sends, and returns when
+            it is due."""
+            next_send = loop.time()
+
+            async def slot():
+                nonlocal next_send
+                due, now = next_send, loop.time()
+                next_send = max(due, now) + interval
+                if due > now:
+                    await asyncio.sleep(due - now)
+            return slot
+
+        slots = {address: schedule() for profile in profiles
+                 for address in (profile.filtered_address, profile.control_address) if address}
 
         async def ask(address, domain, qname, profile, control):
             """The response, or the inconclusive reason its failure maps to."""
             try:
                 return await client.query(
                     address, domain, qtype, timeout_ms=profile.timeout_ms,
-                    retries=profile.retries, transport=profile.transport, qname=qname)
+                    retries=profile.retries, transport=profile.transport, qname=qname,
+                    slot=slots[address])
             except QueryTimeout:
                 return "control-timeout" if control else "timeout"
             except MalformedMessage:
@@ -182,8 +192,6 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
             evidence: dict = {"filtered": None, "control": None, "matched_signature": None}
             if qname is None:
                 return INCONCLUSIVE, "unencodable-name", evidence, utc_now_rfc3339()
-            if (delay := pace(profile.filtered_address)) > 0:
-                await asyncio.sleep(delay)
             queried_at = utc_now_rfc3339()
             filtered = await ask(profile.filtered_address, domain, qname, profile, False)
             if isinstance(filtered, str):
@@ -194,8 +202,6 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
             if profile.control_address is not None and any(
                 matches(sig, filtered) for sig in profile.blocked_signatures
             ):
-                if (delay := pace(profile.control_address)) > 0:
-                    await asyncio.sleep(delay)
                 control = await ask(profile.control_address, domain, qname, profile, True)
                 if isinstance(control, str):
                     return INCONCLUSIVE, control, evidence, queried_at

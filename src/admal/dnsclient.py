@@ -7,8 +7,10 @@ response to a pending txid and echoes that query's question (RFC 5452 §9.1);
 anything else is dropped.  Resends are driven by loop deadlines: one
 timeout's deadlines come in send order, so each distinct timeout has one
 deque of (deadline, attempt future) and one loop timer for its head.  A
-reply with TC set is asked again over TCP (RFC 7766).  asyncio is imported
-when a client is made, so importing this module stays cheap.
+reply with TC set is asked again over TCP (RFC 7766).  A caller that paces
+passes ``query`` a slot, awaited before every datagram, a resend included,
+and before every TCP connect.  asyncio is imported when a client is made,
+so importing this module stays cheap.
 """
 
 import random
@@ -50,6 +52,10 @@ class _Pending:
         self.future = None
         self.response: DnsResponse | None = None
         self.malformed = False
+
+
+async def _now() -> None:
+    """The slot of an unpaced query: every send is due at once."""
 
 
 async def _tcp_exchange(address: tuple[str, int], message: bytes) -> bytes:
@@ -139,16 +145,18 @@ class DnsClient:
     async def query(
         self, address: tuple[str, int], domain: str, qtype: int = dnswire.TYPE_A,
         *, timeout_ms: int = 3000, retries: int = 2, transport: str = "udp+tcp",
-        qname: bytes | None = None,
+        qname: bytes | None = None, slot=_now,
     ) -> DnsResponse:
         """One resolution attempt chain: UDP first, TCP on truncation, resends
         on timeout.  ``qname`` is ``domain`` as encode_name encodes it, for a
-        caller that has it.  Raises QueryTimeout / MalformedMessage / OSError."""
+        caller that has it.  ``await slot()`` returns when the next send to
+        the endpoint is due; it is awaited before each datagram and each TCP
+        connect.  Raises QueryTimeout / MalformedMessage / OSError."""
         timeout_s = timeout_ms / 1000.0
         name = domain.rstrip(".").lower()
         if transport != "tcp":
             response = await self._udp(address, domain, qname or domain, name, qtype,
-                                       timeout_s, retries)
+                                       timeout_s, retries, slot)
             if not response.truncated:
                 return response
         import asyncio
@@ -156,6 +164,7 @@ class DnsClient:
         txid = random.getrandbits(16)
         message = dnswire.build_query(qname or domain, qtype, txid)
         for _attempt in range(retries + 1):
+            await slot()
             started = self._loop.time()
             try:
                 data = await asyncio.wait_for(_tcp_exchange(address, message), timeout_s)
@@ -167,7 +176,8 @@ class DnsClient:
             return response._replace(latency_ms=int((self._loop.time() - started) * 1000))
         raise QueryTimeout(f"{domain} via {address[0]} port {address[1]} over TCP")
 
-    async def _udp(self, address, domain, qname, name, qtype, timeout_s, retries) -> DnsResponse:
+    async def _udp(self, address, domain, qname, name, qtype, timeout_s, retries,
+                   slot) -> DnsResponse:
         loop = self._loop
         sock, pending = self._socket(address)
         txid = random.getrandbits(16)
@@ -175,18 +185,23 @@ class DnsClient:
             txid = random.getrandbits(16)
         message = dnswire.build_query(qname, qtype, txid)
         entry = pending[txid] = _Pending(name, qtype)
+        started = loop.time()
         try:
             for _attempt in range(retries + 1):
                 entry.future = future = loop.create_future()
-                try:
-                    sock.send(message)
-                except ConnectionRefusedError:
-                    sock.send(message)  # an earlier datagram's ICMP error, reported once
-                except BlockingIOError:
-                    pass  # lost like a dropped datagram; the deadline resends it
-                started = loop.time()
-                self._arm(timeout_s, started + timeout_s, future)
-                await future
+                await slot()
+                # a late reply to the last send, come while this one waited
+                # for its slot, completes the query with nothing sent
+                if not future.done():
+                    try:
+                        sock.send(message)
+                    except ConnectionRefusedError:
+                        sock.send(message)  # an earlier datagram's ICMP error, reported once
+                    except BlockingIOError:
+                        pass  # lost like a dropped datagram; the deadline resends it
+                    started = loop.time()  # the deadline runs from the actual send
+                    self._arm(timeout_s, started + timeout_s, future)
+                    await future
                 if entry.response is not None:
                     return entry.response._replace(latency_ms=int((loop.time() - started) * 1000))
         finally:

@@ -28,7 +28,6 @@ whole lines that reached the log.
 import hashlib
 import json
 import os
-import threading
 import time
 from itertools import compress, repeat
 from pathlib import Path
@@ -184,7 +183,8 @@ class VerdictRecord(NamedTuple):
 
 class Repository:
     """Latest-wins keydir over an append-only log under ``root/records.jsonl``,
-    with its hint in ``root/keydir.hint``."""
+    with its hint in ``root/keydir.hint``.  It belongs to the one thread that
+    opened it, and takes no lock."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -192,7 +192,6 @@ class Repository:
         (self.root / "manifests").mkdir(exist_ok=True)
         self.log_path = self.root / "records.jsonl"
         self.hint_path = self.root / HINT_NAME
-        self._lock = threading.Lock()
         self._reader = None  # opened on the first read-back
         self._appends_since_sync = 0
         # the keydir of the log's first _size bytes, which hold _lines lines
@@ -254,7 +253,7 @@ class Repository:
         self._size, self._lines = offset, line_no
 
     def _put(self, domain, provider, campaign, offset, state, tallies) -> None:
-        """Point a key at the line starting at ``offset``; caller holds the lock."""
+        """Point a key at the line starting at ``offset``."""
         rows, columns = self._campaigns.setdefault(campaign, ({}, {}))
         row = rows.get(domain)
         if row is None:
@@ -267,7 +266,7 @@ class Repository:
         col.put(row, state, offset, tallies)
 
     def _save_hint(self) -> None:
-        """Rewrite the hint for the whole log; caller holds the lock."""
+        """Rewrite the hint for the whole log."""
         try:
             write_hint(self.hint_path, self._campaigns, self._size, self._lines,
                        self._digest.hexdigest())
@@ -276,7 +275,7 @@ class Repository:
         self._hinted = self._size
 
     def _read(self, offset: int) -> VerdictRecord:
-        """The full record whose line starts at ``offset``; caller holds the lock."""
+        """The full record whose line starts at ``offset``."""
         if self._reader is None:
             self._reader = open(self.log_path, "rb")
         self._reader.seek(offset)
@@ -306,29 +305,27 @@ class Repository:
                 raise ValueError(f"record is not JSON-serializable: {exc}") from None
             entries.append((record.key, state, tallies))
         data = b"".join(lines)
-        with self._lock:
-            try:
-                self._fh.write(data)
-                self._fh.flush()
-                self._appends_since_sync += len(lines)
-                if self._appends_since_sync >= _FSYNC_EVERY:
-                    os.fsync(self._fh.fileno())
-                    self._appends_since_sync = 0
-            except OSError as exc:
-                raise StorageError(f"log append failed: {exc}") from exc
-            for line, (key, state, tallies) in zip(lines, entries):
-                self._put(*key, self._size, state, tallies)
-                self._size += len(line)
-            self._lines += len(lines)
-            self._digest.update(data)
+        try:
+            self._fh.write(data)
+            self._fh.flush()
+            self._appends_since_sync += len(lines)
+            if self._appends_since_sync >= _FSYNC_EVERY:
+                os.fsync(self._fh.fileno())
+                self._appends_since_sync = 0
+        except OSError as exc:
+            raise StorageError(f"log append failed: {exc}") from exc
+        for line, (key, state, tallies) in zip(lines, entries):
+            self._put(*key, self._size, state, tallies)
+            self._size += len(line)
+        self._lines += len(lines)
+        self._digest.update(data)
 
     def get(self, domain: str, provider_id: str, campaign_id: str) -> VerdictRecord | None:
-        with self._lock:
-            rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
-            row, col = rows.get(domain), columns.get(provider_id)
-            if row is None or col is None or col.offsets[row] < 0:
-                return None
-            return self._read(col.offsets[row])
+        rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
+        row, col = rows.get(domain), columns.get(provider_id)
+        if row is None or col is None or col.offsets[row] < 0:
+            return None
+        return self._read(col.offsets[row])
 
     def query(
         self,
@@ -338,65 +335,58 @@ class Repository:
     ) -> list[VerdictRecord]:
         """Latest records for a campaign, sorted by (domain, provider)."""
         wanted, found = ANY if kind is None else _OF_KIND[kind], []
-        with self._lock:
-            rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
-            for provider, col in columns.items():
-                if provider_id in (None, provider):
-                    found += compress(zip(rows, repeat(provider), col.offsets),
-                                      col.states.translate(wanted))
-            found.sort()  # keys are unique, so no two entries tie before the offset
-            return [self._read(offset) for _domain, _provider, offset in found]
+        rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
+        for provider, col in columns.items():
+            if provider_id in (None, provider):
+                found += compress(zip(rows, repeat(provider), col.offsets),
+                                  col.states.translate(wanted))
+        found.sort()  # keys are unique, so no two entries tie before the offset
+        return [self._read(offset) for _domain, _provider, offset in found]
 
     def columns(self, campaign_id: str, kind: str) -> tuple:
         """(domains by row, [(provider, states, five tally columns or None)])
         of the campaign's providers holding a record of ``kind``, copied: the
         records held now, which analyze and the scan manifest reduce without
         an object per row."""
-        with self._lock:
-            rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
-            return list(rows), [
-                (provider, col.states[:], col.tallies and [column[:] for column in col.tallies])
-                for provider, col in columns.items() if 1 in col.states.translate(_OF_KIND[kind])]
+        rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
+        return list(rows), [
+            (provider, col.states[:], col.tallies and [column[:] for column in col.tallies])
+            for provider, col in columns.items() if 1 in col.states.translate(_OF_KIND[kind])]
 
     def held(self, campaign_id: str, kind: str, domains: list, providers) -> dict[str, bytes]:
         """For each provider, one byte per domain: 1 where the domain's latest
         record from that provider in the campaign is of ``kind``, else 0."""
-        with self._lock:
-            rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
-            at = list(map(rows.get, domains, repeat(len(rows))))  # len(rows): no row
-            flags = {}
-            for provider in providers:
-                col = columns.get(provider)
-                hit = col.states.translate(_OF_KIND[kind]) if col else bytes(len(rows))
-                flags[provider] = bytes(map((hit + b"\0").__getitem__, at))
-            return flags
+        rows, columns = self._campaigns.get(campaign_id, _NO_CAMPAIGN)
+        at = list(map(rows.get, domains, repeat(len(rows))))  # len(rows): no row
+        flags = {}
+        for provider in providers:
+            col = columns.get(provider)
+            hit = col.states.translate(_OF_KIND[kind]) if col else bytes(len(rows))
+            flags[provider] = bytes(map((hit + b"\0").__getitem__, at))
+        return flags
 
     def latest_elsewhere(self, campaign_id: str, provider_id: str, kind: str, domains: list):
         """Yield, in log order, the latest record, by log offset, of ``kind``
         from the provider for each of ``domains`` held in any campaign but
         ``campaign_id``; domains held in none are left out.  Each record is
-        read back when it is asked for, and the lock is not held across a
-        yield, so the caller may upsert between records."""
+        read back when it is asked for, so the caller may upsert between
+        records."""
         latest = {}
-        with self._lock:
-            for campaign, (rows, columns) in self._campaigns.items():
-                col = columns.get(provider_id)
-                if campaign == campaign_id or col is None:
-                    continue
-                hit, offsets = col.states.translate(_OF_KIND[kind]), col.offsets
-                for domain in domains:
-                    row = rows.get(domain)
-                    if row is not None and hit[row] and offsets[row] > latest.get(domain, -1):
-                        latest[domain] = offsets[row]
+        for campaign, (rows, columns) in self._campaigns.items():
+            col = columns.get(provider_id)
+            if campaign == campaign_id or col is None:
+                continue
+            hit, offsets = col.states.translate(_OF_KIND[kind]), col.offsets
+            for domain in domains:
+                row = rows.get(domain)
+                if row is not None and hit[row] and offsets[row] > latest.get(domain, -1):
+                    latest[domain] = offsets[row]
         for offset in sorted(latest.values()):
-            with self._lock:
-                record = self._read(offset)
-            yield record
+            yield self._read(offset)
 
     def __len__(self) -> int:
-        with self._lock:
-            return sum(len(col.states) - col.states.count(0)
-                       for _rows, columns in self._campaigns.values() for col in columns.values())
+        return sum(len(col.states) - col.states.count(0)
+                   for _rows, columns in self._campaigns.values() for col in columns.values())
 
     def manifest_path(self, campaign_id: str) -> Path:
         return self.root / "manifests" / f"{campaign_id}.json"
@@ -428,16 +418,15 @@ class Repository:
     def close(self) -> None:
         """Flush the log and, if the keydir changed since the hint was
         written, rewrite the hint."""
-        with self._lock:
-            if self._reader is not None:
-                self._reader.close()
-                self._reader = None
-            if not self._fh.closed:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                self._fh.close()
-                if self._hinted != self._size:
-                    self._save_hint()
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
+        if not self._fh.closed:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+            self._fh.close()
+            if self._hinted != self._size:
+                self._save_hint()
 
     def __enter__(self) -> "Repository":
         return self

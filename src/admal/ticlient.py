@@ -10,9 +10,10 @@ A tally enters the program only as an int: a fixture line or live response
 holding ``1.9``, ``true`` or ``"2"`` is refused, never rounded, by
 ``keydir.check_report``, the rule the repository applies to a stored report
 too.  Fetched reports are kept in the repository log alone: ``ti-fetch``
-copies those another campaign already holds without this module and asks
-``TiClient`` only for the rest, so each domain is asked for once per
-repository.
+copies those another campaign already holds without this module and asks a
+provider only for the rest, so each domain is asked for once per repository.
+A fixture is read unthrottled; ``LiveTiProvider`` paces every HTTP request it
+sends, retries included.
 
 Of the commands, only ``ti-fetch`` imports this module.  It imports
 ``ingest`` and ``keydir``, and ``requests`` only when a live provider is
@@ -139,6 +140,8 @@ class LiveTiProvider:
     The response shape is configurable: ``stats_path`` points at the tallies
     object, or ``partners_path`` at a per-partner result map whose
     ``category`` fields are counted instead.  Defaults fit a v3-style API.
+    Every request, a retry included and sent after its backoff, waits for
+    the next slot of ``requests_per_minute``.
     """
 
     def __init__(
@@ -153,8 +156,11 @@ class LiveTiProvider:
         timeout_s: float = 30.0,
         retries: int = 3,
         backoff_s: float = 1.0,
+        requests_per_minute: float = 4.0,
         session: "requests.Session | None" = None,
     ):
+        if requests_per_minute <= 0:
+            raise ValueError("requests_per_minute must be positive")
         import requests  # here, so that no other command pays for loading it
 
         library_logs()  # urllib3's records
@@ -171,6 +177,8 @@ class LiveTiProvider:
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_s = backoff_s
+        self.min_interval = 60.0 / requests_per_minute
+        self._last_request = float("-inf")
         self._session = session or requests.Session()
         self._session.headers[api_key_header] = api_key
 
@@ -182,6 +190,10 @@ class LiveTiProvider:
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.backoff_s * (2 ** (attempt - 1)))
+            wait = self._last_request + self.min_interval - time.monotonic()
+            if wait > 0:
+                time.sleep(wait)
+            self._last_request = time.monotonic()
             try:
                 resp = self._session.get(url, timeout=self.timeout_s)
             except requests.RequestException as exc:
@@ -219,34 +231,3 @@ class LiveTiProvider:
             return TiReport(domain, *(tallies.get(name, 0) for name in TALLIES))
         except ValueError as exc:
             raise PayloadError(f"{domain}: bad tally values") from exc
-
-
-class TiClient:
-    """Rate-limited front for a report provider: each ``fetch`` is one
-    request, whose answer (a NoReport included) is stamped with the time it
-    was fetched and kept nowhere; the caller stores it.  Transport failures
-    surface to the caller.
-    """
-
-    def __init__(self, provider, *, requests_per_minute: float = 4.0):
-        if requests_per_minute <= 0:
-            raise ValueError("requests_per_minute must be positive")
-        self.provider = provider
-        self.min_interval = 60.0 / requests_per_minute
-        self.requests_made = 0
-        self._last_request = 0.0
-
-    def fetch(self, domain: str) -> "TiReport | NoReport":
-        self._throttle()
-        result = self.provider.lookup(domain)
-        self.requests_made += 1
-        if not result.fetched_at:
-            fetched_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-            result = type(result)(*result[:-1], fetched_at)  # fetched_at is the last field
-        return result
-
-    def _throttle(self) -> None:
-        wait = self._last_request + self.min_interval - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        self._last_request = time.monotonic()

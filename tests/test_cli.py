@@ -388,6 +388,22 @@ class TestTiFetch:
         with Repository(env.repo) as repo:
             assert len(repo.query("t1", kind=KIND_TI)) == 10
 
+    def test_fixture_is_read_without_a_throttle(self, env, capsys, monkeypatch):
+        fixture = env.tmp / "ti.jsonl"
+        fixture.write_text(json.dumps({"domain": "d0.example", "harmless": 3}) + "\n")
+        corpus = env.tmp / "two.txt"
+        corpus.write_text("d0.example\nd1.example\n")
+        # ti.requests_per_minute left at its default, 4
+        cfg = write_variant(env, lambda doc: doc.update(
+            {"ti": {"mode": "fixture", "fixture": str(fixture)}}), "config-ti-default.json")
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        code, docs = run(capsys, "ti-fetch", "--config", cfg, "--corpus", str(corpus))
+        assert code == 0
+        assert (docs[-1]["fetched"], docs[-1]["no_report"], docs[-1]["remote_requests"]) \
+            == (2, 1, 2)
+        assert sleeps == []
+
     def test_fetch_skips_only_pairs_held_as_ti(self, env, capsys):
         cfg = self.fixture_config(env)
         corpus = env.tmp / "corpus.txt"

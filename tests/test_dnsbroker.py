@@ -219,9 +219,9 @@ StubCall = collections.namedtuple(
 class StubClient:
     """Canned resolver with DnsClient's query signature: the CONTROL address
     always resolves, every other address sinkholes the domains in
-    ``blocked`` (every domain when ``blocked`` is None).  Each call is
-    recorded, with its loop time, before ``fail(calls)`` may name an
-    exception to raise in place of the answer."""
+    ``blocked`` (every domain when ``blocked`` is None).  Each call awaits
+    its slot and is then recorded, with its loop time, before ``fail(calls)``
+    may name an exception to raise in place of the answer."""
 
     def __init__(self, blocked=frozenset(), fail=None):
         self.blocked, self.fail = blocked, fail
@@ -229,7 +229,9 @@ class StubClient:
         self.closed = False
 
     async def query(self, address, domain, qtype=dnswire.TYPE_A, *, timeout_ms=3000,
-                    retries=2, transport="udp+tcp", qname=None):
+                    retries=2, transport="udp+tcp", qname=None, slot=None):
+        if slot is not None:
+            await slot()
         self.calls.append(StubCall(asyncio.get_running_loop().time(), address, domain, qtype,
                                    timeout_ms, retries, transport, qname))
         if self.fail is not None and (exc := self.fail(self.calls)) is not None:
@@ -264,6 +266,87 @@ class TestPacing:
             for k, t in enumerate(times):
                 assert t - times[0] >= k / qps - 1e-3, (address, k, t - times[0])
         assert sum(1 for c in client.calls if c.address == CONTROL) == 16
+
+    def test_silent_endpoint_gets_at_most_qps_datagrams_a_second(self, tmp_path):
+        """Resends take slots too: against an endpoint that answers nothing,
+        no second holds more than per_provider_qps datagrams."""
+        silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        silent.bind(("127.0.0.1", 0))
+        silent.settimeout(0.05)
+        arrivals, done = [], threading.Event()
+
+        def receive():
+            while not done.is_set():
+                try:
+                    silent.recv(512)
+                except OSError:
+                    continue
+                arrivals.append(time.monotonic())
+
+        receiver = threading.Thread(target=receive, daemon=True)
+        receiver.start()
+        profile = ResolverProfile("mute", "M", silent.getsockname()[:2], timeout_ms=200,
+                                  retries=2)
+        qps = 20
+        try:
+            with Repository(tmp_path / "repo") as repo:
+                run_campaign([f"d{i}.example" for i in range(10)], [profile],
+                             CampaignLimits(16, qps), repo, "c1")
+                reasons = {r.payload["reason"] for r in repo.query("c1")}
+        finally:
+            done.set()
+            receiver.join()
+            silent.close()
+        assert reasons == {"timeout"}
+        assert len(arrivals) == 30  # retries + 1 datagrams per query
+        # any qps + 1 datagrams span a second; 50 ms (one interval) of slack
+        # for the receiving thread's wake-ups
+        assert all(arrivals[i + qps] - arrivals[i] >= 0.95 for i in range(len(arrivals) - qps))
+
+    def test_tcp_connects_take_slots(self, tmp_path, monkeypatch):
+        """A truncating provider's TCP attempt waits for its slot, as the UDP
+        datagram that drew the truncated reply did."""
+        arrivals = []
+        respond = mockdns.respond
+
+        def timed(spec, seed, data, **kw):
+            arrivals.append((time.monotonic(), kw.get("tcp", False)))
+            return respond(spec, seed, data, **kw)
+
+        monkeypatch.setattr(mockdns, "respond", timed)
+        qps = 20.0
+        with mockdns.MockDnsFarm([mockdns.MockProviderSpec("tc", truncate=True)]) as farm:
+            profile = ResolverProfile("tc", "T", farm.addresses["tc"], timeout_ms=1000,
+                                      retries=0)
+            with Repository(tmp_path / "repo") as repo:
+                run_campaign([f"d{i}.example" for i in range(5)], [profile],
+                             CampaignLimits(8, qps), repo, "c1")
+                records = repo.query("c1")
+        assert {r.payload["evidence"]["filtered"]["tc"] for r in records} == {False}
+        assert sorted(tcp for _t, tcp in arrivals) == [False] * 5 + [True] * 5
+        times = sorted(t for t, _tcp in arrivals)
+        for k, t in enumerate(times):
+            # the k-th send waits for slot k; 20 ms of slack for the farm's thread
+            assert t - times[0] >= k / qps - 0.02, (k, t - times[0])
+
+    def test_paced_dropping_provider_gets_retries_plus_one_sends(self, tmp_path,
+                                                                 monkeypatch):
+        sends = []
+        respond = mockdns.respond
+
+        def counting(spec, seed, data, **kw):
+            sends.append(parse_response(data).questions[0].name)
+            return respond(spec, seed, data, **kw)
+
+        monkeypatch.setattr(mockdns, "respond", counting)
+        names = [f"d{i}.example" for i in range(6)]
+        with mockdns.MockDnsFarm([mockdns.MockProviderSpec("p", drop_rate=1.0)]) as farm:
+            profile = ResolverProfile("p", "P", farm.addresses["p"], timeout_ms=80, retries=2)
+            with Repository(tmp_path / "repo") as repo:
+                run_campaign(names, [profile], CampaignLimits(6, 200.0), repo, "c1")
+                reasons = [r.payload["reason"] for r in repo.query("c1")]
+        assert reasons == ["timeout"] * 6
+        assert sorted(sends) == sorted(names * 3)
 
     def test_rejects_nonpositive_rate(self):
         for limits in ({"per_provider_qps": 0}, {"max_inflight": 0},
@@ -326,6 +409,42 @@ class TestQueryEndpoint:
                 query_endpoint(farm.addresses["p"], "x.example",
                                timeout_ms=150, retries=1)
             assert time.monotonic() - started >= 0.3  # two full attempts
+
+    def test_late_reply_while_the_resend_waits_for_its_slot(self):
+        """A reply to the first datagram that comes past its deadline, while
+        the resend waits for its slot, completes the query unsent."""
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(0.5)
+        received = []
+
+        def run():
+            data, peer = sock.recvfrom(4096)
+            received.append(data)
+            time.sleep(0.15)  # past the 100 ms deadline, within the resend's wait
+            parsed = parse_response(data)
+            sock.sendto(build_response(parsed.txid, parsed.questions[0], answers=(
+                (parsed.questions[0].name, dnswire.TYPE_A, 60, "1.2.3.4"),)), peer)
+            try:
+                received.append(sock.recv(4096))
+            except OSError:
+                pass
+            sock.close()
+
+        server = threading.Thread(target=run, daemon=True)
+        server.start()
+        slots = []
+
+        async def slot():
+            slots.append(None)
+            if len(slots) == 2:
+                await asyncio.sleep(0.3)
+
+        r = query_endpoint(sock.getsockname()[:2], "late.example", timeout_ms=100, retries=1,
+                           slot=slot)
+        server.join()
+        assert r.address_answers() == ("1.2.3.4",)
+        assert (len(slots), len(received)) == (2, 1)
 
     def test_stray_txid_ignored(self):
         def wrong_then_right(data):

@@ -426,22 +426,6 @@ class TestManifests:
             assert repo.read_manifest("c1") == {"domains": 2, "finished": TS}
 
 
-class TestConcurrency:
-    def test_parallel_upserts(self, tmp_path):
-        with Repository(tmp_path) as repo:
-            def work(t):
-                for i in range(250):
-                    repo.upsert(rec(domain=f"t{t}-{i}.example"))
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
-            assert len(repo) == 2000
-        with Repository(tmp_path) as repo:
-            assert len(repo) == 2000
-
-
 def _keydir(repo):
     """The keydir as {(domain, provider, campaign): (state, offset, tallies)}
     in key order, read from the repository's columns; tallies are a report's
@@ -534,6 +518,16 @@ class TestHint:
             assert repo._hinted == (tmp_path / "records.jsonl").stat().st_size
             assert got == expected
         # nothing changed, so close left the hint alone
+        assert hint.stat().st_ino == inode
+
+    def test_empty_repository_reopens_from_its_hint(self, tmp_path):
+        with Repository(tmp_path):
+            pass
+        hint = tmp_path / HINT_NAME
+        inode = hint.stat().st_ino
+        with Repository(tmp_path) as repo:
+            assert repo._hinted == 0
+            assert len(repo) == 0
         assert hint.stat().st_ino == inode
 
     def test_log_appended_behind_the_hint(self, tmp_path):

@@ -14,7 +14,6 @@ from admal.ticlient import (
     LiveTiProvider,
     NoReport,
     PayloadError,
-    TiClient,
     TiReport,
     TransportError,
     report_to_payload,
@@ -204,42 +203,6 @@ class TestFixtureProvider:
         assert missing == 37_141
 
 
-class CountingProvider:
-    def __init__(self, reports=None, fail_domains=()):
-        self.reports = reports or {}
-        self.fail_domains = set(fail_domains)
-        self.calls = 0
-
-    def lookup(self, domain):
-        self.calls += 1
-        if domain in self.fail_domains:
-            raise TransportError(domain)
-        r = self.reports.get(domain)
-        return r if r is not None else NoReport(domain)
-
-
-class TestTiClient:
-    def test_transport_error_not_cached(self, tmp_path):
-        provider = CountingProvider(fail_domains={"flaky.example"})
-        client = TiClient(provider, requests_per_minute=100_000)
-        with pytest.raises(TransportError):
-            client.fetch("flaky.example")
-        provider.fail_domains.clear()
-        result = client.fetch("flaky.example")
-        assert provider.calls == 2
-        assert isinstance(result, NoReport)
-
-    def test_rate_limit_spacing(self, tmp_path):
-        provider = CountingProvider()
-        client = TiClient(provider, requests_per_minute=600)
-        start = time.monotonic()
-        client.fetch("a.example")
-        client.fetch("b.example")
-        client.fetch("c.example")
-        elapsed = time.monotonic() - start
-        assert elapsed >= 0.2  # 600/min = one per 100ms
-
-
 class FakeResponse:
     def __init__(self, status_code, body=None, text=""):
         self.status_code = status_code
@@ -269,9 +232,9 @@ def v3_body(h=0, u=0, s=0, m=0, t=0):
     }}}}
 
 
-def live(session, **kw):
-    return LiveTiProvider("https://ti.example", api_key="k", session=session,
-                          retries=2, backoff_s=0, **kw)
+def live(session, requests_per_minute=1e9, **kw):
+    return LiveTiProvider("https://ti.example", api_key="k", session=session, retries=2,
+                          backoff_s=0, requests_per_minute=requests_per_minute, **kw)
 
 
 class TestLiveProvider:
@@ -337,6 +300,24 @@ class TestLiveProvider:
         provider = live(session, stats_path="scan.stats", partners_path="scan.partners")
         r = provider.lookup("d.example")
         assert (r.harmless, r.undetected, r.malicious) == (1, 1, 1)
+
+    def test_retry_waits_for_its_slot(self):
+        sent = []
+
+        class TimedSession(FakeSession):
+            def get(self, url, timeout=None):
+                sent.append(time.monotonic())
+                return super().get(url, timeout)
+
+        session = TimedSession([FakeResponse(429), FakeResponse(200, v3_body(h=1))])
+        assert live(session, requests_per_minute=600).lookup("d.example").harmless == 1
+        assert len(sent) == 2
+        assert sent[1] - sent[0] >= 0.1  # 600/min = one request per 100 ms
+
+    @pytest.mark.parametrize("rate", [0, -4])
+    def test_rate_must_be_positive(self, rate):
+        with pytest.raises(ValueError):
+            live(FakeSession([]), requests_per_minute=rate)
 
     def test_key_from_environment(self, monkeypatch):
         monkeypatch.setenv("ADMAL_TI_API_KEY", "env-key")
