@@ -41,7 +41,7 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 TI_PROVIDER_ID = "ti"
-REUSE_BATCH = 1000  # reused TI reports copied per upsert_many
+REUSE_BATCH = 1000  # records per upsert_many of a bulk writer: TI reuse, ads-classify --store
 ADLIST_PROVIDER_ID = "adlists"
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -301,6 +301,7 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
     out_file = open_aside(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with out_file as out, \
             Repository(cfg.repository) if args.store else contextlib.nullcontext() as repo:
+        batch = []
         for domain in domains:
             entry = matcher.match(domain)
             doc = {
@@ -311,16 +312,13 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
             }
             out.write(_encode(doc) + "\n")
             if repo is not None:
-                repo.upsert(
-                    VerdictRecord(
-                        domain=domain,
-                        provider_id=ADLIST_PROVIDER_ID,
-                        campaign_id=campaign,
-                        kind=KIND_AD,
-                        payload=doc,
-                        recorded_at=utc_now_rfc3339(),
-                    )
-                )
+                batch.append(VerdictRecord(domain, ADLIST_PROVIDER_ID, campaign, KIND_AD, doc,
+                                           utc_now_rfc3339()))
+                if len(batch) == REUSE_BATCH:
+                    repo.upsert_many(batch)
+                    batch = []
+        if repo is not None:
+            repo.upsert_many(batch)  # a kill loses at most one batch, which a rerun redoes
     log("info", f"classified {len(domains)} domains against {matcher.entry_count} entries"
         f" ({len(rejects)} rejects across lists)")
     return EXIT_OK

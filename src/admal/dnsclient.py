@@ -4,10 +4,9 @@ Each endpoint gets a fixed pool of connected UDP sockets, and each socket a
 table of pending transaction ids.  A datagram completes a query only when it
 comes from the endpoint (the connected socket drops other sources), is a
 response to a pending txid and echoes that query's question (RFC 5452 §9.1);
-anything else is dropped.  Resends are driven by loop deadlines: one
-timeout's deadlines come in send order, so each distinct timeout has one
-deque of (deadline, attempt future) and one loop timer for its head.  A
-reply with TC set is asked again over TCP (RFC 7766).  A caller that paces
+anything else is dropped.  Each datagram sent arms one loop timer that
+wakes its attempt at the deadline, and the attempt cancels it when it ends.
+A reply with TC set is asked again over TCP (RFC 7766).  A caller that paces
 passes ``query`` a slot, awaited before every datagram, a resend included,
 and before every TCP connect.  asyncio is imported when a client is made,
 so importing this module stays cheap.
@@ -16,7 +15,7 @@ so importing this module stays cheap.
 import random
 import socket
 import struct
-from collections import defaultdict, deque
+import time
 
 from . import dnswire
 from .dnswire import DnsResponse, MalformedMessage
@@ -43,15 +42,22 @@ def _echoes(response: DnsResponse, name: str, qtype: int) -> bool:
 class _Pending:
     """A query waiting on a UDP socket: the question a reply must echo, the
     future that wakes the current attempt, the reply that completed the
-    query, and whether an undecodable reply came."""
+    query and when it arrived, and whether an undecodable reply came."""
 
-    __slots__ = ("name", "qtype", "future", "response", "malformed")
+    __slots__ = ("name", "qtype", "future", "response", "arrived", "malformed")
 
     def __init__(self, name: str, qtype: int):
         self.name, self.qtype = name, qtype
         self.future = None
         self.response: DnsResponse | None = None
+        self.arrived = 0.0
         self.malformed = False
+
+
+def _wake(future) -> None:
+    """An attempt's deadline: wake it unless a reply already did."""
+    if not future.done():
+        future.set_result(None)
 
 
 async def _now() -> None:
@@ -84,14 +90,8 @@ class DnsClient:
         self._loop = asyncio.get_running_loop()
         self._pools: dict[tuple[str, int], list[tuple[socket.socket, dict]]] = {}
         self._turn = 0
-        # per timeout: unexpired attempts as (deadline, future), and the timer of the head
-        self._deadlines: dict[float, deque] = defaultdict(deque)
-        self._timers: dict[float, object] = {}
 
     def close(self) -> None:
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
         for pool in self._pools.values():
             for sock, _pending in pool:
                 self._loop.remove_reader(sock.fileno())
@@ -118,29 +118,6 @@ class DnsClient:
                 self._loop.add_reader(sock.fileno(), _readable, sock, pending)
         self._turn += 1
         return pool[self._turn % _SOCKETS_PER_ENDPOINT]
-
-    def _arm(self, timeout_s: float, deadline: float, future) -> None:
-        """Wake ``future`` at ``deadline``, ``timeout_s`` after its send,
-        unless it is done by then.  Answered heads are popped here, so the
-        deque holds only attempts in flight or not yet expired."""
-        queue = self._deadlines[timeout_s]
-        while queue and queue[0][1].done():
-            queue.popleft()
-        queue.append((deadline, future))
-        if timeout_s not in self._timers:
-            self._timers[timeout_s] = self._loop.call_at(deadline, self._expire, timeout_s)
-
-    def _expire(self, timeout_s: float) -> None:
-        """Wake every due, unanswered attempt of one timeout; re-arm for the next."""
-        queue, now = self._deadlines[timeout_s], self._loop.time()
-        while queue and (queue[0][0] <= now or queue[0][1].done()):
-            future = queue.popleft()[1]
-            if not future.done():
-                future.set_result(None)
-        if queue:
-            self._timers[timeout_s] = self._loop.call_at(queue[0][0], self._expire, timeout_s)
-        else:
-            del self._timers[timeout_s]
 
     async def query(
         self, address: tuple[str, int], domain: str, qtype: int = dnswire.TYPE_A,
@@ -200,10 +177,14 @@ class DnsClient:
                     except BlockingIOError:
                         pass  # lost like a dropped datagram; the deadline resends it
                     started = loop.time()  # the deadline runs from the actual send
-                    self._arm(timeout_s, started + timeout_s, future)
-                    await future
+                    timer = loop.call_at(started + timeout_s, _wake, future)
+                    try:
+                        await future
+                    finally:
+                        timer.cancel()
                 if entry.response is not None:
-                    return entry.response._replace(latency_ms=int((loop.time() - started) * 1000))
+                    return entry.response._replace(
+                        latency_ms=int((entry.arrived - started) * 1000))
         finally:
             del pending[txid]
         if entry.malformed:
@@ -228,5 +209,6 @@ def _readable(sock: socket.socket, pending: dict) -> None:
             entry.malformed = True
             continue
         if _echoes(response, entry.name, entry.qtype):
-            entry.response = response  # the future wakes the query; the deque never holds a reply
+            # time.monotonic is the default loop's clock, the clock of ``started``
+            entry.response, entry.arrived = response, time.monotonic()
             entry.future.set_result(None)

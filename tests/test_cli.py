@@ -742,6 +742,52 @@ class TestTiFetchReuseBatches:
         assert self.stored(root / "killed") == (rows, lines)
 
 
+class TestAdsClassifyStoreBatches:
+    """ads-classify --store appends in batches of REUSE_BATCH; one killed
+    between two batches leaves whole batches, and a rerun stores what a
+    clean run stores."""
+
+    DOMAINS = [f"a{i}.example" for i in range(2 * REUSE_BATCH + REUSE_BATCH // 2)]
+
+    @pytest.fixture
+    def configs(self, tmp_path):
+        (tmp_path / "domains.txt").write_text("\n".join(self.DOMAINS) + "\n")
+        (tmp_path / "ads.txt").write_text("".join(f"{d}\n" for d in self.DOMAINS[::3]))
+        configs = {}
+        for name in ("clean", "killed"):
+            configs[name] = tmp_path / f"config-{name}.json"
+            configs[name].write_text(json.dumps({
+                "repository": str(tmp_path / name), "campaign": "c1",
+                "lists": {"files": [str(tmp_path / "ads.txt")]}}))
+        return tmp_path, configs
+
+    @staticmethod
+    def admal(config, kill_at=0):
+        return subprocess.run(
+            [sys.executable, "-c", KILLER, str(kill_at), "ads-classify", "--config", str(config),
+             "--domains", str(config.parent / "domains.txt"), "--store"],
+            capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120).returncode
+
+    @staticmethod
+    def stored(root):
+        """(c1's ad columns, every log line with its ts masked, in log order)"""
+        with Repository(root) as repo:
+            columns = repo.columns("c1", KIND_AD)
+        lines = (root / "records.jsonl").read_text().splitlines()
+        return columns, [re.sub(r'"ts":"[^"]*"', '"ts":""', line) for line in lines]
+
+    def test_kill_between_store_batches_then_rerun(self, configs):
+        root, config = configs
+        assert self.admal(config["clean"]) == 0
+        columns, lines = self.stored(root / "clean")
+        assert len(lines) == len(self.DOMAINS)
+        assert self.admal(config["killed"], kill_at=2) == -signal.SIGKILL
+        assert self.stored(root / "killed")[1] == lines[:REUSE_BATCH]  # the first batch, whole
+        assert self.admal(config["killed"]) == 0
+        # the rerun classifies every domain again, after the killed run's batch
+        assert self.stored(root / "killed") == (columns, lines[:REUSE_BATCH] + lines)
+
+
 class CountingFixture:
     """Answers each domain with a report or a NoReport, counting every ask;
     a domain in ``flaky`` fails its first ask."""
