@@ -301,8 +301,11 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
     out_file = open_aside(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with out_file as out, \
             Repository(cfg.repository) if args.store else contextlib.nullcontext() as repo:
+        # a campaign's stored classification is its first: a held pair is not stored again
+        held = (repo.held(campaign, KIND_AD, domains, [ADLIST_PROVIDER_ID])[ADLIST_PROVIDER_ID]
+                if repo is not None else b"\1" * len(domains))
         batch = []
-        for domain in domains:
+        for domain, stored in zip(domains, held):
             entry = matcher.match(domain)
             doc = {
                 "domain": domain,
@@ -311,7 +314,7 @@ def cmd_ads_classify(args, cfg: PipelineConfig) -> int:
                 "source_list": entry.source_list if entry else None,
             }
             out.write(_encode(doc) + "\n")
-            if repo is not None:
+            if not stored:
                 batch.append(VerdictRecord(domain, ADLIST_PROVIDER_ID, campaign, KIND_AD, doc,
                                            utc_now_rfc3339()))
                 if len(batch) == REUSE_BATCH:

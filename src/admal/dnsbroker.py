@@ -111,16 +111,12 @@ class CampaignSummary:
 
 
 def _pending_pairs(domains, profiles, held):
-    """Yield (domain, profile, qname) for every pair not yet stored, where
-    qname is the domain's wire name, encoded once for all its providers, or
-    None for a name the wire format cannot carry; ``held`` maps a provider
-    to one stored flag per domain."""
+    """Yield (domain, profile) for every pair not yet stored; ``held`` maps a
+    provider to one stored flag per domain."""
     for domain, stored in zip(domains, zip(*(held[p.provider_id] for p in profiles))):
-        if 0 in stored:
-            todo = [p for p, done in zip(profiles, stored) if not done]
-            qname = _wire_name(domain)
-            for profile in todo:
-                yield domain, profile, qname
+        for profile, done in zip(profiles, stored):
+            if not done:
+                yield domain, profile
 
 
 def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: CampaignLimits,
@@ -173,13 +169,12 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
         slots = {address: schedule() for profile in profiles
                  for address in (profile.filtered_address, profile.control_address) if address}
 
-        async def ask(address, domain, qname, profile, control):
+        async def ask(address, domain, profile, control):
             """The response, or the inconclusive reason its failure maps to."""
             try:
                 return await client.query(
                     address, domain, qtype, timeout_ms=profile.timeout_ms,
-                    retries=profile.retries, transport=profile.transport, qname=qname,
-                    slot=slots[address])
+                    retries=profile.retries, transport=profile.transport, slot=slots[address])
             except QueryTimeout:
                 return "control-timeout" if control else "timeout"
             except MalformedMessage:
@@ -187,13 +182,15 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
             except OSError:
                 return "control-network-error" if control else "network-error"
 
-        async def work(domain, profile, qname):
+        async def work(domain, profile):
             """(verdict, reason, evidence, queried_at) of one pair."""
             evidence: dict = {"filtered": None, "control": None, "matched_signature": None}
-            if qname is None:
+            try:
+                dnswire.encode_name(domain)
+            except ValueError:  # checked before any slot is taken
                 return INCONCLUSIVE, "unencodable-name", evidence, utc_now_rfc3339()
             queried_at = utc_now_rfc3339()
-            filtered = await ask(profile.filtered_address, domain, qname, profile, False)
+            filtered = await ask(profile.filtered_address, domain, profile, False)
             if isinstance(filtered, str):
                 return INCONCLUSIVE, filtered, evidence, queried_at
             evidence["filtered"] = summarize(filtered)
@@ -202,7 +199,7 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
             if profile.control_address is not None and any(
                 matches(sig, filtered) for sig in profile.blocked_signatures
             ):
-                control = await ask(profile.control_address, domain, qname, profile, True)
+                control = await ask(profile.control_address, domain, profile, True)
                 if isinstance(control, str):
                     return INCONCLUSIVE, control, evidence, queried_at
                 evidence["control"] = summarize(control)
@@ -216,8 +213,8 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
             # loop turn yields once, then appends every verdict finished in
             # that turn in one write, so a StorageError still ends the run;
             # a verdict lost before its write is queried again on resume
-            for domain, profile, qname in pairs:
-                payload = dict(zip(_PAYLOAD_KEYS, await work(domain, profile, qname)))
+            for domain, profile in pairs:
+                payload = dict(zip(_PAYLOAD_KEYS, await work(domain, profile)))
                 batch.append(VerdictRecord(domain, profile.provider_id, campaign_id,
                                            KIND_DNS, payload, utc_now_rfc3339()))
                 if len(batch) == 1:
@@ -258,13 +255,6 @@ def run_campaign(domains: list[str], profiles: list[ResolverProfile], limits: Ca
         log("info", f"campaign {campaign_id}: {summary.written} written, "
             f"{summary.skipped_existing} skipped", "admal.dnsbroker")
     return summary
-
-
-def _wire_name(domain: str) -> bytes | None:
-    try:
-        return dnswire.encode_name(domain)
-    except ValueError:
-        return None
 
 
 def _inconclusive_counts(repo, campaign_id, providers) -> dict:

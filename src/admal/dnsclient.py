@@ -121,25 +121,23 @@ class DnsClient:
 
     async def query(
         self, address: tuple[str, int], domain: str, qtype: int = dnswire.TYPE_A,
-        *, timeout_ms: int = 3000, retries: int = 2, transport: str = "udp+tcp",
-        qname: bytes | None = None, slot=_now,
+        *, timeout_ms: int = 3000, retries: int = 2, transport: str = "udp+tcp", slot=_now,
     ) -> DnsResponse:
         """One resolution attempt chain: UDP first, TCP on truncation, resends
-        on timeout.  ``qname`` is ``domain`` as encode_name encodes it, for a
-        caller that has it.  ``await slot()`` returns when the next send to
-        the endpoint is due; it is awaited before each datagram and each TCP
-        connect.  Raises QueryTimeout / MalformedMessage / OSError."""
+        on timeout.  ``await slot()`` returns when the next send to the
+        endpoint is due; it is awaited before each datagram and each TCP
+        connect.  Raises QueryTimeout / MalformedMessage / OSError, and
+        ValueError for a domain encode_name cannot encode."""
         timeout_s = timeout_ms / 1000.0
         name = domain.rstrip(".").lower()
         if transport != "tcp":
-            response = await self._udp(address, domain, qname or domain, name, qtype,
-                                       timeout_s, retries, slot)
+            response = await self._udp(address, domain, name, qtype, timeout_s, retries, slot)
             if not response.truncated:
                 return response
         import asyncio
 
         txid = random.getrandbits(16)
-        message = dnswire.build_query(qname or domain, qtype, txid)
+        message = dnswire.build_query(domain, qtype, txid)
         for _attempt in range(retries + 1):
             await slot()
             started = self._loop.time()
@@ -153,14 +151,13 @@ class DnsClient:
             return response._replace(latency_ms=int((self._loop.time() - started) * 1000))
         raise QueryTimeout(f"{domain} via {address[0]} port {address[1]} over TCP")
 
-    async def _udp(self, address, domain, qname, name, qtype, timeout_s, retries,
-                   slot) -> DnsResponse:
+    async def _udp(self, address, domain, name, qtype, timeout_s, retries, slot) -> DnsResponse:
         loop = self._loop
         sock, pending = self._socket(address)
         txid = random.getrandbits(16)
         while txid in pending:
             txid = random.getrandbits(16)
-        message = dnswire.build_query(qname, qtype, txid)
+        message = dnswire.build_query(domain, qtype, txid)
         entry = pending[txid] = _Pending(name, qtype)
         started = loop.time()
         try:

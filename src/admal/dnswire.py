@@ -30,9 +30,7 @@ from typing import NamedTuple
 TYPE_A = 1
 TYPE_NS = 2
 TYPE_CNAME = 5
-TYPE_SOA = 6
 TYPE_PTR = 12
-TYPE_MX = 15
 TYPE_TXT = 16
 TYPE_AAAA = 28
 TYPE_OPT = 41
@@ -43,7 +41,6 @@ RCODE_NOERROR = 0
 RCODE_FORMERR = 1
 RCODE_SERVFAIL = 2
 RCODE_NXDOMAIN = 3
-RCODE_NOTIMP = 4
 RCODE_REFUSED = 5
 
 FLAG_QR = 1 << 15
@@ -59,7 +56,6 @@ MAX_LABEL_LEN = 63
 _HEADER = struct.Struct("!HHHHHH")
 _QUESTION_FIXED = struct.Struct("!HH")
 _RR_FIXED = struct.Struct("!HHIH")
-_TO_FIRST_QUESTION = b"\xc0\x0c"  # a compression pointer to the header's end
 
 
 class MalformedMessage(ValueError):
@@ -128,12 +124,11 @@ def encode_name(name: str) -> bytes:
     return bytes(out)
 
 
-def build_query(domain: str | bytes, qtype: int, txid: int) -> bytes:
-    """Build a standard recursive query for ``domain``, or for a name that
-    encode_name already encoded, with one question and an EDNS0 OPT record
-    advertising ``EDNS_UDP_SIZE`` bytes of UDP payload."""
-    qname = encode_name(domain) if isinstance(domain, str) else domain
-    msg = _HEADER.pack(txid, FLAG_RD, 1, 0, 0, 1) + qname + _QUESTION_FIXED.pack(qtype, CLASS_IN)
+def build_query(domain: str, qtype: int, txid: int) -> bytes:
+    """Build a standard recursive query for ``domain`` with one question and
+    an EDNS0 OPT record advertising ``EDNS_UDP_SIZE`` bytes of UDP payload."""
+    msg = (_HEADER.pack(txid, FLAG_RD, 1, 0, 0, 1) + encode_name(domain)
+           + _QUESTION_FIXED.pack(qtype, CLASS_IN))
     # root name, type OPT, class = advertised UDP size, ttl 0, no rdata
     return msg + b"\x00" + _RR_FIXED.pack(TYPE_OPT, EDNS_UDP_SIZE, 0, 0)
 
@@ -193,16 +188,8 @@ def _decode_rdata(data: bytes, rdata_off: int, rdlen: int, rtype: int) -> str:
     return raw.hex()
 
 
-def _parse_rr(data: bytes, offset: int, qwire: bytes, qname: str) -> tuple[ResourceRecord, int]:
-    # an owner name that points at the first question's name, or repeats its
-    # bytes ``qwire``, decodes to that question's ``qname``: pointers are
-    # absolute, so either decodes exactly as the question did
-    if qwire and data.startswith(_TO_FIRST_QUESTION, offset):
-        name, offset = qname, offset + 2
-    elif qwire and data.startswith(qwire, offset):
-        name, offset = qname, offset + len(qwire)
-    else:
-        name, offset = decode_name(data, offset)
+def _parse_rr(data: bytes, offset: int) -> tuple[ResourceRecord, int]:
+    name, offset = decode_name(data, offset)
     if offset + _RR_FIXED.size > len(data):
         raise MalformedMessage("truncated resource record")
     rtype, _rclass, ttl, rdlen = _RR_FIXED.unpack_from(data, offset)
@@ -220,13 +207,11 @@ def parse_response(data: bytes) -> DnsResponse:
     txid, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
     offset = _HEADER.size
 
-    questions, owner = [], (b"", "")
+    questions = []
     for _ in range(qdcount):
         name, end = decode_name(data, offset)
         if end + 4 > len(data):
             raise MalformedMessage("truncated question")
-        if not questions:
-            owner = (data[offset:end], name)
         questions.append(Question(name, _QUESTION_FIXED.unpack_from(data, end)[0]))
         offset = end + 4
 
@@ -234,7 +219,7 @@ def parse_response(data: bytes) -> DnsResponse:
     for count in (ancount, nscount, arcount):
         records = []
         for _ in range(count):
-            rr, offset = _parse_rr(data, offset, *owner)
+            rr, offset = _parse_rr(data, offset)
             records.append(rr)
         sections.append(tuple(records))
     return DnsResponse(txid, flags, tuple(questions), *sections)

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .keydir import (AD, ANY, DNS_STATES, NO_REPORT, REPORT, TI_STATES, Column, check_report, flags,
-                     read_hint, write_hint)
+                     open_aside, read_hint, write_hint)
 
 KIND_DNS = "dns"
 KIND_TI = "ti"
@@ -392,14 +392,11 @@ class Repository:
         return self.root / "manifests" / f"{campaign_id}.json"
 
     def write_manifest(self, campaign_id: str, manifest: dict) -> None:
-        path = self.manifest_path(campaign_id)
-        tmp = path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open_aside(self.manifest_path(campaign_id)) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
 
     def read_manifest(self, campaign_id: str) -> dict | None:
         """The campaign's manifest, or None for none; StorageError for a file

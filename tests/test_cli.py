@@ -744,8 +744,8 @@ class TestTiFetchReuseBatches:
 
 class TestAdsClassifyStoreBatches:
     """ads-classify --store appends in batches of REUSE_BATCH; one killed
-    between two batches leaves whole batches, and a rerun stores what a
-    clean run stores."""
+    between two batches leaves whole batches, and a rerun stores the rest,
+    leaving the log a clean run leaves."""
 
     DOMAINS = [f"a{i}.example" for i in range(2 * REUSE_BATCH + REUSE_BATCH // 2)]
 
@@ -784,8 +784,87 @@ class TestAdsClassifyStoreBatches:
         assert self.admal(config["killed"], kill_at=2) == -signal.SIGKILL
         assert self.stored(root / "killed")[1] == lines[:REUSE_BATCH]  # the first batch, whole
         assert self.admal(config["killed"]) == 0
-        # the rerun classifies every domain again, after the killed run's batch
-        assert self.stored(root / "killed") == (columns, lines[:REUSE_BATCH] + lines)
+        # the rerun stores only the domains the killed run did not
+        assert self.stored(root / "killed") == (columns, lines)
+
+
+# runs admal.cli.main on argv[2:] and SIGKILLs itself at the first os.replace
+# into directory argv[1], before that call renames
+REPLACE_KILLER = """
+import os, signal, sys
+from admal.cli import main
+
+replace = os.replace
+
+def killing(src, dst):
+    if os.path.dirname(os.fspath(dst)) == sys.argv[1]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+
+os.replace = killing
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestKillAtReplace:
+    """A command killed as it renames a rewritten file over the old one
+    leaves the old bytes at the path, never no file, and a rerun writes
+    what a clean run writes."""
+
+    @staticmethod
+    def admal(*argv, kill_in=None):
+        script = ["-c", REPLACE_KILLER, str(kill_in)] if kill_in else ["-m", "admal"]
+        return subprocess.run([sys.executable, *script, *argv], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, timeout=120).returncode
+
+    @staticmethod
+    def contents(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    def test_ingest(self, tmp_path):
+        repo = tmp_path / "repo"
+        config = tmp_path / "config.json"
+        urls = tmp_path / "urls.txt"
+        config.write_text(json.dumps({"repository": str(repo), "campaign": "c1",
+                                      "input": {"url_list": str(urls)}}))
+        urls.write_text("https://old.example/\n")
+        assert self.admal("ingest", "--config", str(config)) == 0
+        old = (repo / "corpus-c1.txt").read_bytes()
+        urls.write_text("https://new.example/\nhttps://b.example/x\n")
+        assert self.admal("ingest", "--config", str(config), kill_in=repo) == -signal.SIGKILL
+        assert (repo / "corpus-c1.txt").read_bytes() == old == b"old.example\n"
+        assert self.admal("ingest", "--config", str(config)) == 0
+        assert self.contents(repo) == {"corpus-c1.txt": b"new.example\nb.example\n"}
+
+    def test_analyze(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"repository": str(tmp_path / "repo"), "campaign": "c1"}))
+
+        def store(verdicts):
+            with Repository(tmp_path / "repo") as repo:
+                repo.upsert_many([VerdictRecord(
+                    domain, provider, "c1", KIND_DNS,
+                    {"verdict": verdict, "reason": None if verdict != "inconclusive" else "timeout",
+                     "evidence": {}, "queried_at": "2024-01-01T00:00:00Z"}, "x")
+                    for domain, provider, verdict in verdicts])
+
+        def analyze(out, **kill):
+            return self.admal("analyze", "--config", str(config), "--out", str(out), **kill)
+
+        store([(f"d{i}.example", p, "blocked" if i % 3 else "not_blocked")
+               for i in range(30) for p in ("p1", "p2", "p3")])
+        assert analyze(tmp_path / "out") == 0
+        old = self.contents(tmp_path / "out")
+        store([(f"d{i}.example", "p2", "inconclusive") for i in range(0, 30, 4)])
+        assert analyze(tmp_path / "clean") == 0
+        clean = self.contents(tmp_path / "clean")
+        assert clean != old and clean.keys() == old.keys()
+        assert analyze(tmp_path / "out", kill_in=tmp_path / "out") == -signal.SIGKILL
+        # every report file is still there with its old bytes, beside a .tmp
+        assert {name: data for name, data in self.contents(tmp_path / "out").items()
+                if not name.endswith(".tmp")} == old
+        assert analyze(tmp_path / "out") == 0
+        assert self.contents(tmp_path / "out") == clean
 
 
 class CountingFixture:

@@ -213,7 +213,7 @@ class TestProfiles:
 CONTROL = ("198.51.100.250", 53)
 
 StubCall = collections.namedtuple(
-    "StubCall", "time address domain qtype timeout_ms retries transport qname")
+    "StubCall", "time address domain qtype timeout_ms retries transport")
 
 
 class StubClient:
@@ -229,11 +229,11 @@ class StubClient:
         self.closed = False
 
     async def query(self, address, domain, qtype=dnswire.TYPE_A, *, timeout_ms=3000,
-                    retries=2, transport="udp+tcp", qname=None, slot=None):
+                    retries=2, transport="udp+tcp", slot=None):
         if slot is not None:
             await slot()
         self.calls.append(StubCall(asyncio.get_running_loop().time(), address, domain, qtype,
-                                   timeout_ms, retries, transport, qname))
+                                   timeout_ms, retries, transport))
         if self.fail is not None and (exc := self.fail(self.calls)) is not None:
             raise exc
         sinkholed = address != CONTROL and (self.blocked is None or domain in self.blocked)
@@ -876,13 +876,12 @@ class TestRunCampaign:
         with Repository(tmp_path / "repo") as repo:
             summary = run_campaign(domains, profiles, CampaignLimits(2, 1000.0),
                                    repo, "c1", client=client)
-            # only the encodable name reaches the client, with its wire name
-            # and the settings of the profile it is asked for
+            # only the encodable name reaches the client, with the settings
+            # of the profile it is asked for
             assert sorted(c.address for c in client.calls) == [p.filtered_address
                                                                for p in profiles]
             for call, prof in zip(sorted(client.calls, key=lambda c: c.address), profiles):
-                assert (call.domain, call.qtype, call.qname) == (
-                    "ok.example", dnswire.TYPE_A, dnswire.encode_name("ok.example"))
+                assert (call.domain, call.qtype) == ("ok.example", dnswire.TYPE_A)
                 assert (call.timeout_ms, call.retries, call.transport) == (
                     prof.timeout_ms, prof.retries, prof.transport)
             assert summary.written == 4

@@ -225,6 +225,11 @@ class TestOwnerNameShortcut:
         assert parsed.answers[0].name == "c.example"
         assert parsed.answers[0].rdata == "1.2.3.4"
 
+    def test_pointer_to_the_question(self):
+        parsed = parse_response(self.reply(b"\xc0\x0c"))
+        assert parsed.answers[0].name == parsed.questions[0].name == "c.example"
+        assert parsed.answers[0].rdata == "1.2.3.4"
+
     def test_name_differing_only_in_case_keeps_its_case(self):
         parsed = parse_response(self.reply(encode_name("C.Example")))
         assert parsed.questions[0].name == "c.example"
